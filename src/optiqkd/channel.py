@@ -162,10 +162,12 @@ def make_scenario(spec: Union[str, dict], blocks: int) -> NoiseSchedule:
     Named scenarios:
       nominal     constant zero added noise
       noise-sweep stressor level stepped 0.0 -> 0.5 over six equal segments;
-                  each level L maps to depolarizing p = 0.12*L plus an added
-                  misalignment error 0.10*L
+                  each level L maps to depolarizing p = 0.10*L
+                  (DEPOL_FRACTION) plus an added misalignment error 0.07*L
+                  (MISALIGN_FRACTION)
       splice-3db  one 3.0 dB loss step at the midpoint block
-      sine-drift  sinusoidal depolarizing probability, period 64 blocks
+      sine-drift  depolarizing probability and amplitude damping, each
+                  0.25 + 0.20*sin(2*pi*t/24): period 24 blocks
     """
     if blocks < 1:
         raise ValueError("blocks must be >= 1")

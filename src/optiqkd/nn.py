@@ -224,6 +224,19 @@ def conv1d_causal(x: Var, kernel: Var, bias: Var, dilation: int = 1) -> Var:
     x: (B, C_in, T), kernel: (C_out, C_in, k), bias: (C_out,).
     Output (B, C_out, T); the value at time t depends only on inputs
     at times <= t.
+
+    Computed as im2col + GEMM: the columns cols (B, k*C_in, T) stack the
+    k delayed copies of x, row ``i*C_in + c`` being channel c delayed by
+    ``i*dilation`` (zeros before t = 0); the kernel flattens to
+    W (C_out, k*C_in) with column ``i*C_in + c`` = ``kernel[:, c, i]``, and
+    the output is ``W @ cols``. The gradients take one matmul per tap, each
+    broadcast over the batch, on the tap's shift s = ``i*dilation``:
+
+    - w.r.t. x: ``kernel[:, :, i].T @ g[:, :, s:]`` added at times ``:T-s``;
+    - w.r.t. the kernel: ``kernel[:, :, i]`` gets
+      ``sum_b g_b[:, s:] @ x_b[:, :T-s].T``.
+
+    The graph keeps only x, not the columns.
     """
     if dilation < 1:
         raise ValueError("dilation must be >= 1")
@@ -233,34 +246,38 @@ def conv1d_causal(x: Var, kernel: Var, bias: Var, dilation: int = 1) -> Var:
     if x.data.shape[1] != n_in:
         raise ValueError(
             f"conv channel mismatch: input has {x.data.shape[1]}, kernel wants {n_in}")
-    b_sz, _, t_len = x.data.shape
-    pad = (k - 1) * dilation
-    xp = np.concatenate([np.zeros((b_sz, n_in, pad)), x.data], axis=2)
-    out = np.zeros((b_sz, n_out, t_len))
+    x_data = x.data
+    b_sz, _, t_len = x_data.shape
+    cols = np.zeros((b_sz, k, n_in, t_len))
     for i in range(k):
-        start = pad - i * dilation
-        out += np.einsum("oc,bct->bot", kernel.data[:, :, i], xp[:, :, start:start + t_len])
+        shift = i * dilation
+        if shift < t_len:
+            cols[:, i, :, shift:] = x_data[:, :, :t_len - shift]
+    w = kernel.data.transpose(0, 2, 1).reshape(n_out, k * n_in)
+    out = w @ cols.reshape(b_sz, k * n_in, t_len)
     out += bias.data[None, :, None]
 
     def bw_x(g):
-        gx = np.zeros_like(xp)
-        for i in range(k):
-            start = pad - i * dilation
-            gx[:, :, start:start + t_len] += np.einsum(
-                "oc,bot->bct", kernel.data[:, :, i], g)
-        return gx[:, :, pad:]
+        gx = kernel.data[:, :, 0].T @ g
+        for i in range(1, k):
+            shift = i * dilation
+            if shift < t_len:
+                gx[:, :, :t_len - shift] += kernel.data[:, :, i].T @ g[:, :, shift:]
+        return gx
 
     def bw_k(g):
         gk = np.zeros_like(kernel.data)
         for i in range(k):
-            start = pad - i * dilation
-            gk[:, :, i] = np.einsum("bot,bct->oc", g, xp[:, :, start:start + t_len])
+            shift = i * dilation
+            if shift < t_len:
+                taps = np.matmul(g[:, :, shift:], x_data[:, :, :t_len - shift].transpose(0, 2, 1))
+                gk[:, :, i] = taps.sum(axis=0)
         return gk
 
     return Var(out, [
         (x, bw_x),
         (kernel, bw_k),
-        (bias, lambda g: g.sum(axis=(0, 2))),
+        (bias, lambda g: g.sum(axis=0).sum(axis=1)),
     ])
 
 

@@ -186,12 +186,19 @@ def persistence_mse(dataset: Sequence[Tuple[np.ndarray, np.ndarray]],
 
 
 def dataset_mse(dataset: Sequence[Tuple[np.ndarray, np.ndarray]], model: TcnModel) -> float:
+    """Mean over windows of each window's mean squared forecast error
+    (normalized units), evaluated ``cfg.batch_size`` windows at a time."""
+    w = model.cfg.window
     errs = []
-    for window, target in dataset:
-        fc = tcn_forward(window, model)
-        diff = model.normalizer.normalize(target) - fc.y_norm
-        errs.append(float(np.mean(diff**2)))
-    return float(np.mean(errs))
+    for start in range(0, len(dataset), model.cfg.batch_size):
+        chunk = dataset[start:start + model.cfg.batch_size]
+        windows = np.stack([model.normalizer.normalize(win)[-w:] for win, _ in chunk])
+        if windows.shape[1:] != (w, len(model.cfg.features)):
+            raise ValueError(f"windows must be at least ({w}, {len(model.cfg.features)})")
+        targets = np.stack([model.normalizer.normalize(t) for _, t in chunk])
+        diff = targets - model.forward_batch(windows).data
+        errs.append(np.mean(diff**2, axis=1))
+    return float(np.mean(np.concatenate(errs)))
 
 
 def tcn_train(

@@ -116,3 +116,26 @@ def max_rel_err(a, b, floor=1e-8):
     b = np.asarray(b, dtype=float)
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / scale))
+
+
+def conv1d_causal_oracle(x, kernel, bias, dilation, g):
+    """Dilated causal convolution by explicit left padding and one einsum
+    per tap. Returns the output (B, C_out, T) and, for the upstream
+    gradient ``g`` (B, C_out, T), the gradients w.r.t. x and the kernel."""
+    x = np.asarray(x, dtype=float)
+    kernel = np.asarray(kernel, dtype=float)
+    b_sz, n_in, t_len = x.shape
+    n_out, _, k = kernel.shape
+    pad = (k - 1) * dilation
+    xp = np.concatenate([np.zeros((b_sz, n_in, pad)), x], axis=2)
+    out = np.zeros((b_sz, n_out, t_len))
+    gxp = np.zeros_like(xp)
+    gk = np.zeros_like(kernel)
+    for i in range(k):
+        start = pad - i * dilation
+        tap = xp[:, :, start:start + t_len]
+        out += np.einsum("oc,bct->bot", kernel[:, :, i], tap)
+        gxp[:, :, start:start + t_len] += np.einsum("oc,bot->bct", kernel[:, :, i], g)
+        gk[:, :, i] = np.einsum("bot,bct->oc", g, tap)
+    out += np.asarray(bias, dtype=float)[None, :, None]
+    return out, gxp[:, :, pad:], gk

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from optiqkd.loop import (BlockRecord, ConfigMismatchError,
                           nominal_control, nominal_skr_ref, run_baseline,
                           run_closed_loop, run_episode)
 from optiqkd.rates import LinkParams, ProtocolConfig
+from optiqkd.tcn import Forecaster, TcnConfig, TcnModel
 
 LINK = LinkParams()
 PROTO = ProtocolConfig()
@@ -109,6 +112,24 @@ class TestRunEpisode:
         assert a.policy_calls == 79  # acts from block 1 on
         assert a.tcn_calls == 0  # no forecaster model: persistence fallback
 
+    def test_ml_forecaster_sees_at_most_window_rows(self, monkeypatch):
+        cfg = TcnConfig(layers=2, dilations=(1, 2), hidden=6, window=8)
+        model = TcnModel(cfg, np.random.Generator(np.random.Philox(key=3)))
+        nets = ActorCritic(PpoConfig(), rng=np.random.Generator(np.random.Philox(key=1)))
+        rows = []
+        original = Forecaster.forecast
+
+        def spy(self, history):
+            rows.append(np.asarray(history).shape[0])
+            return original(self, history)
+
+        monkeypatch.setattr(Forecaster, "forecast", spy)
+        log = run_episode(LINK, PROTO, "noise-sweep", "ml", seed=4, blocks=300,
+                          tcn_model=model, nets=nets, online_updates=False)
+        assert len(rows) == 299
+        assert max(rows) == cfg.window
+        assert log.tcn_calls == 299 - (cfg.window - 1)  # warm-up falls back
+
 
 class TestRecalib:
     def test_scan_then_hold(self):
@@ -131,6 +152,18 @@ class TestRecalib:
         # blocks 95..104 are the held segment of the cycle starting at 90
         assert len(set(mus[95:105])) == 1
         assert mus[105:110] == list(RECALIB_GRID)
+
+    def test_configured_period_and_grid(self):
+        log = run_episode(LINK, PROTO, "nominal", "recalib", seed=9, blocks=40,
+                          recalib_period=20, recalib_grid=(0.2, 0.6))
+        mus = [r.ctrl.mu_s for r in log.records]
+        assert mus[:2] == [0.2, 0.6] and mus[20:22] == [0.2, 0.6]
+        assert len(set(mus[2:20])) == 1
+
+    def test_period_shorter_than_grid_rejected(self):
+        with pytest.raises(ValueError):
+            run_episode(LINK, PROTO, "nominal", "recalib", seed=9, blocks=10,
+                        recalib_period=3)
 
     def test_baseline_wrapper_rejects_ml(self):
         with pytest.raises(ConfigMismatchError):
@@ -201,6 +234,15 @@ class TestCompare:
         assert all(len(l.split(",")) == 6 for l in lines[1:])
         controllers = {l.split(",")[0] for l in lines[1:]}
         assert {"ml", "static"} <= controllers
+
+    def test_pre_event_window_reaches_adaptation_time(self):
+        # the pre-event median is 100 over the last 10 blocks, 10 over the last 50
+        vals = [10.0] * 60 + [100.0] * 10 + [60.0] * 30
+        runs = self._runs(vals, vals)
+        taus = {w: compare(runs, warmup=0, event_block=70,
+                           pre_event_window=w).metrics["ml"].adaptation_blocks
+                for w in (10, 50)}
+        assert math.isnan(taus[10]) and taus[50] == 0.0
 
     def test_needs_two_controllers(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from optiqkd.nn import (Adam, Conv1dCausalLayer, DenseLayer, GraphStateError,
                         conv1d_causal, dense, init_adam_state, load_checkpoint,
                         relu, residual_add, save_checkpoint)
 
-from oracles import fd_gradient, max_rel_err
+from oracles import conv1d_causal_oracle, fd_gradient, max_rel_err
 
 
 class TestConvCausal:
@@ -44,6 +44,26 @@ class TestConvCausal:
         with pytest.raises(ValueError):
             conv1d_causal(Var(np.zeros((1, 2, 5))), Var(np.zeros((3, 4, 3))),
                           Var(np.zeros(3)))
+
+    @pytest.mark.parametrize("batch,c_in,k,dilation,t_len", [
+        *[(b, c, k, d, 32) for b in (1, 64) for c in (5, 16) for k in (1, 3)
+          for d in (1, 2, 4, 8)],
+        (2, 5, 3, 8, 5),  # every delayed tap starts beyond the series
+    ])
+    def test_matches_oracle(self, batch, c_in, k, dilation, t_len):
+        rng = np.random.default_rng(batch * 1000 + c_in * 100 + k * 10 + dilation)
+        x = rng.normal(size=(batch, c_in, t_len))
+        kern = rng.normal(size=(16, c_in, k))
+        bias = rng.normal(size=16)
+        g = rng.normal(size=(batch, 16, t_len))
+        ref_out, ref_gx, ref_gk = conv1d_causal_oracle(x, kern, bias, dilation, g)
+        xv, kv, bv = Var(x), Var(kern), Var(bias)
+        out = conv1d_causal(xv, kv, bv, dilation)
+        backward(nn.vsum(nn.mul(out, Var(g))))
+        assert max_rel_err(out.data, ref_out, floor=1.0) < 1e-12
+        assert max_rel_err(xv.grad, ref_gx, floor=1.0) < 1e-12
+        assert max_rel_err(kv.grad, ref_gk, floor=1.0) < 1e-12
+        assert np.allclose(bv.grad, g.sum(axis=(0, 2)), rtol=1e-12, atol=1e-12)
 
 
 class TestElementwise:
