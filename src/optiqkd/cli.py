@@ -184,11 +184,6 @@ def _load_models(args, cfg) -> tuple:
     return tcn_model, nets
 
 
-def _recalib_kwargs(cfg) -> dict:
-    return {"recalib_period": int(cfg["loop"]["recalib_period"]),
-            "recalib_grid": tuple(float(m) for m in cfg["loop"]["recalib_grid"])}
-
-
 def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
     link = cfgmod.make_link(cfg)
@@ -202,7 +197,6 @@ def cmd_simulate(args) -> int:
         abort_threshold=float(cfg["channel"]["abort_qber"]),
         tcn_model=tcn_model, nets=nets,
         reward_cfg=cfgmod.make_reward_config(cfg, loopmod.nominal_skr_ref(link, proto)),
-        **_recalib_kwargs(cfg),
     )
     out = _outdir(args)
     path = out / f"episode_{args.scenario}_{args.controller}_seed{args.seed}.csv"
@@ -308,7 +302,7 @@ def cmd_eval(args) -> int:
             n_pulses=int(cfg["channel"]["n_pulses"]),
             abort_threshold=float(cfg["channel"]["abort_qber"]),
             tcn_model=tcn_model, nets=job_nets, reward_cfg=reward_cfg,
-            ppo_cfg=cfgmod.make_ppo_config(cfg), **_recalib_kwargs(cfg),
+            ppo_cfg=cfgmod.make_ppo_config(cfg),
         )
 
     jobs = [(c, s) for c in controllers for s in seeds]
@@ -330,8 +324,7 @@ def cmd_eval(args) -> int:
     if len(controllers) >= 2:
         result = loopmod.compare(runs, warmup=int(cfg["loop"]["warmup"]),
                                  event_block=event_block,
-                                 block_seconds=float(cfg["channel"]["block_seconds"]),
-                                 pre_event_window=int(cfg["loop"]["pre_event_window"]))
+                                 block_seconds=float(cfg["channel"]["block_seconds"]))
         metrics_path = out / f"metrics_{args.scenario}.csv"
         metrics_path.write_text(result.csv())
         print(metrics_path)

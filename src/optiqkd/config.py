@@ -70,9 +70,6 @@ DEFAULTS: Dict[str, Any] = {
     },
     "loop": {
         "warmup": 100,
-        "pre_event_window": 50,
-        "recalib_period": 15,
-        "recalib_grid": [0.3, 0.4, 0.5, 0.6, 0.7],
     },
     "train": {
         "tcn_scenarios": ["nominal", "sine-drift", "noise-sweep"],

@@ -164,13 +164,10 @@ def block_key_rate(link: LinkParams, proto: ProtocolConfig, ctrl: ControlState,
 
 
 class _RecalibState:
-    """Grid scan of the signal intensity every ``period`` blocks."""
+    """Grid scan of the signal intensity every RECALIB_PERIOD blocks."""
 
     def __init__(self, base: ControlState, period: int = RECALIB_PERIOD,
                  grid: Sequence[float] = RECALIB_GRID):
-        if not grid or period < len(grid):
-            raise ValueError(
-                f"recalib period {period} must cover its {len(grid)}-point grid")
         self.base = base
         self.period = period
         self.grid = tuple(grid)
@@ -211,16 +208,13 @@ def run_episode(
     opt_critic: Optional[nn.Adam] = None,
     update_log: Optional[List[Dict[str, float]]] = None,
     online_updates: bool = True,
-    recalib_period: int = RECALIB_PERIOD,
-    recalib_grid: Sequence[float] = RECALIB_GRID,
 ) -> EpisodeLog:
     """One (scenario, seed, controller) run; deterministic under fixed inputs.
 
     The ML controller consumes the previous block's telemetry and forecast,
     then acts; the transition is stored and a PPO update fires whenever the
     rollout buffer reaches its configured length. An abort resets the
-    control state to nominal before the next block. The recalib baseline
-    scans ``recalib_grid`` at the start of every ``recalib_period`` blocks.
+    control state to nominal before the next block.
     """
     if kind not in CONTROLLER_KINDS:
         raise ConfigMismatchError(f"unknown controller kind {kind!r}")
@@ -248,7 +242,7 @@ def run_episode(
             opt_actor = opt_actor or nn.Adam(nets.actor_params(), lr=ppo_cfg.lr)
             opt_critic = opt_critic or nn.Adam(nets.critic_params(), lr=ppo_cfg.lr)
     elif kind == "recalib":
-        recalib = _RecalibState(nominal, recalib_period, recalib_grid)
+        recalib = _RecalibState(nominal)
 
     # the forecaster reads only the last ``window`` rows
     history: deque[np.ndarray] = deque(
@@ -435,13 +429,11 @@ class ComparisonResult:
 
 def compare(runs: Dict[str, List[EpisodeLog]], warmup: int = WARMUP_BLOCKS,
             event_block: Optional[int] = None, n_boot: int = 10_000,
-            block_seconds: float = BLOCK_SECONDS,
-            pre_event_window: int = PRE_EVENT_WINDOW) -> ComparisonResult:
+            block_seconds: float = BLOCK_SECONDS) -> ComparisonResult:
     """Aggregate per-controller metrics and ML-vs-baseline improvements.
 
     Medians are taken over post-warm-up blocks pooled across seeds;
-    bootstrap CIs resample the seed-level aggregates. Adaptation times use
-    the median of the ``pre_event_window`` blocks before the event.
+    bootstrap CIs resample the seed-level aggregates.
     """
     if len(runs) < 2:
         raise ValueError("compare needs at least two controllers")
@@ -464,7 +456,7 @@ def compare(runs: Dict[str, List[EpisodeLog]], warmup: int = WARMUP_BLOCKS,
             pooled_qber.append(qber)
             med_s, med_q = float(np.median(skr)), float(np.median(qber))
             n_ab = log.abort_count()
-            adapt = (adaptation_time(log, event_block, pre_event_window)
+            adapt = (adaptation_time(log, event_block)
                      if event_block is not None else None)
             per_seed[log.seed] = {"median_skr_bps": med_s, "median_qber": med_q,
                                   "aborts": float(n_ab),

@@ -185,18 +185,22 @@ def persistence_mse(dataset: Sequence[Tuple[np.ndarray, np.ndarray]],
     return float(np.mean(errs))
 
 
+def _normalized_batch(dataset: Sequence[Tuple[np.ndarray, np.ndarray]],
+                      normalizer: Normalizer) -> Tuple[np.ndarray, np.ndarray]:
+    """Stack a dataset as normalized (N, W, F) windows and (N, F) targets."""
+    windows = np.stack([normalizer.normalize(w) for w, _ in dataset])
+    targets = np.stack([normalizer.normalize(t) for _, t in dataset])
+    return windows, targets
+
+
 def dataset_mse(dataset: Sequence[Tuple[np.ndarray, np.ndarray]], model: TcnModel) -> float:
     """Mean over windows of each window's mean squared forecast error
     (normalized units), evaluated ``cfg.batch_size`` windows at a time."""
-    w = model.cfg.window
+    windows, targets = _normalized_batch(dataset, model.normalizer)
     errs = []
-    for start in range(0, len(dataset), model.cfg.batch_size):
-        chunk = dataset[start:start + model.cfg.batch_size]
-        windows = np.stack([model.normalizer.normalize(win)[-w:] for win, _ in chunk])
-        if windows.shape[1:] != (w, len(model.cfg.features)):
-            raise ValueError(f"windows must be at least ({w}, {len(model.cfg.features)})")
-        targets = np.stack([model.normalizer.normalize(t) for _, t in chunk])
-        diff = targets - model.forward_batch(windows).data
+    for start in range(0, len(windows), model.cfg.batch_size):
+        sl = slice(start, start + model.cfg.batch_size)
+        diff = targets[sl] - model.forward_batch(windows[sl]).data
         errs.append(np.mean(diff**2, axis=1))
     return float(np.mean(np.concatenate(errs)))
 
@@ -224,8 +228,7 @@ def tcn_train(
         model = TcnModel(cfg, rng, Normalizer.calibrate(corpus))
     params = model.params()
     opt = nn.Adam(params, lr=lr)
-    windows = np.stack([model.normalizer.normalize(w) for w, _ in dataset])
-    targets = np.stack([model.normalizer.normalize(t) for _, t in dataset])
+    windows, targets = _normalized_batch(dataset, model.normalizer)
     curve: List[float] = []
     for _ in range(epochs):
         order = rng.permutation(len(dataset))

@@ -75,17 +75,12 @@ class TestSimulate:
         assert lines[0] == EPISODE_CSV_HEADER
         assert len(lines) == 21
 
-    def test_recalib_period_from_config(self, tmp_path):
-        def episode(name, *overrides):
-            out = tmp_path / name
-            assert run(["simulate", "--controller", "recalib", "--seed", "2",
-                        "--blocks", "60", "--out", str(out),
-                        "--set", "channel.n_pulses=100000", *overrides]) == 0
-            return (out / "episode_nominal_recalib_seed2.csv").read_text()
-
-        default = episode("default")
-        assert episode("explicit", "--set", "loop.recalib_period=15") == default
-        assert episode("period30", "--set", "loop.recalib_period=30") != default
+    def test_fixed_recalib_schedule_not_configurable(self, tmp_path):
+        # the recalib scan and the adaptation window are module constants
+        for key in ("recalib_period=30", "recalib_grid=[0.2,0.6]",
+                    "pre_event_window=20"):
+            assert run(["simulate", "--controller", "recalib", "--blocks", "20",
+                        "--out", str(tmp_path), "--set", f"loop.{key}"]) == 1
 
     def test_unknown_scenario_usage_error(self, tmp_path):
         assert run(["simulate", "--scenario", "hurricane", "--out",
@@ -160,15 +155,6 @@ class TestEval:
                 p1 = out1 / f"episode_nominal_{c}_seed{s}.csv"
                 assert p1.read_bytes() == (out2 / p1.name).read_bytes()
         assert m1.startswith("controller,scenario,metric,value,ci_lo,ci_hi")
-
-    def test_pre_event_window_from_config(self, tmp_path):
-        # the splice sits at block 105: a 50-block reference window fits
-        # before it, a 150-block one does not
-        common = ["eval", "--scenario", "splice-3db", "--controllers",
-                  "static,recalib", "--seeds", "1", "--blocks", "210",
-                  "--out", str(tmp_path), "--set", "channel.n_pulses=100000"]
-        assert run(common) == 0
-        assert run(common + ["--set", "loop.pre_event_window=150"]) == 2
 
     def test_empty_seeds_usage_error(self, tmp_path):
         assert run(["eval", "--seeds", "", "--out", str(tmp_path),

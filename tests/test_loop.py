@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -153,18 +151,6 @@ class TestRecalib:
         assert len(set(mus[95:105])) == 1
         assert mus[105:110] == list(RECALIB_GRID)
 
-    def test_configured_period_and_grid(self):
-        log = run_episode(LINK, PROTO, "nominal", "recalib", seed=9, blocks=40,
-                          recalib_period=20, recalib_grid=(0.2, 0.6))
-        mus = [r.ctrl.mu_s for r in log.records]
-        assert mus[:2] == [0.2, 0.6] and mus[20:22] == [0.2, 0.6]
-        assert len(set(mus[2:20])) == 1
-
-    def test_period_shorter_than_grid_rejected(self):
-        with pytest.raises(ValueError):
-            run_episode(LINK, PROTO, "nominal", "recalib", seed=9, blocks=10,
-                        recalib_period=3)
-
     def test_baseline_wrapper_rejects_ml(self):
         with pytest.raises(ConfigMismatchError):
             run_baseline("ml", LINK, PROTO, "nominal", seeds=[1], blocks=210)
@@ -234,15 +220,6 @@ class TestCompare:
         assert all(len(l.split(",")) == 6 for l in lines[1:])
         controllers = {l.split(",")[0] for l in lines[1:]}
         assert {"ml", "static"} <= controllers
-
-    def test_pre_event_window_reaches_adaptation_time(self):
-        # the pre-event median is 100 over the last 10 blocks, 10 over the last 50
-        vals = [10.0] * 60 + [100.0] * 10 + [60.0] * 30
-        runs = self._runs(vals, vals)
-        taus = {w: compare(runs, warmup=0, event_block=70,
-                           pre_event_window=w).metrics["ml"].adaptation_blocks
-                for w in (10, 50)}
-        assert math.isnan(taus[10]) and taus[50] == 0.0
 
     def test_needs_two_controllers(self):
         with pytest.raises(ValueError):
