@@ -9,8 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from optiqkd import LinkParams
-from optiqkd.cli import RATES_CSV_HEADER, rate_point
+from optiqkd import LinkParams, operating_point
+from optiqkd.cli import RATES_CSV_HEADER
 from optiqkd.config import default_config, make_protocol
 
 OUT = Path("out")
@@ -22,7 +22,7 @@ for kind in ("bb84", "e91", "cow"):
     lines = [RATES_CSV_HEADER]
     for d in np.arange(0.0, 201.0, 5.0):
         link = LinkParams(distance_km=float(d))
-        q_mu, e_mu, rep = rate_point(link, proto)
+        q_mu, e_mu, rep = operating_point(link, proto)
         lines.append(f"{d:.10g},{q_mu:.10g},{e_mu:.10g},{rep.r_per_pulse:.10g},"
                      f"{rep.r_finite:.10g},{rep.r_bps:.10g}")
     path = OUT / f"demo_rates_{kind}.csv"
@@ -33,5 +33,5 @@ print("\nBB84 decoy-bounded throughput (bits/s):")
 print(f"{'km':>6} {'Q_mu':>12} {'E_mu':>8} {'R (bps)':>12}")
 proto = make_protocol(cfg, "bb84")
 for d in (0, 25, 50, 75, 100, 125, 150):
-    q_mu, e_mu, rep = rate_point(LinkParams(distance_km=float(d)), proto)
+    q_mu, e_mu, rep = operating_point(LinkParams(distance_km=float(d)), proto)
     print(f"{d:>6} {q_mu:>12.4e} {e_mu:>8.4f} {rep.r_bps:>12.4e}")

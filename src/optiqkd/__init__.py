@@ -1,13 +1,14 @@
 """Closed-loop QKD workbench: analytic key rates, a stochastic fiber-link
 simulator, a dilated-causal-convolution forecaster, and a PPO controller."""
 
-from .rates import (Bb84Config, BoundInfeasibleError, CowConfig, DecoyBounds,
-                    E91Config, FiniteKeyConfig, GainStats, KeyRateReport,
-                    LinkParams, ProtocolConfig, bb84_gains, bb84_key_rate,
-                    bb84_model_gains, bb84_poisson_gains, bb84_sifted_key_rate,
-                    binary_entropy, cow_key_rate, cow_phase_error,
-                    cow_visibility, decoy_bounds, e91_key_rate, e91_quantities,
-                    finite_key_penalty, finite_key_rate, transmittance)
+from .rates import (PROTOCOLS, Bb84Config, BoundInfeasibleError, CowConfig,
+                    DecoyBounds, E91Config, FiniteKeyConfig, GainStats,
+                    KeyRateReport, LinkParams, ProtocolConfig, bb84_gains,
+                    bb84_key_rate, bb84_model_gains, bb84_poisson_gains,
+                    bb84_sifted_key_rate, binary_entropy, cow_key_rate,
+                    cow_phase_error, cow_visibility, decoy_bounds, e91_key_rate,
+                    e91_quantities, finite_key_penalty, finite_key_rate,
+                    operating_point, transmittance)
 from .channel import (ControlState, NoiseSchedule, ScheduleEvent, Simulator,
                       Telemetry, UnknownScenarioError, effective_link,
                       make_scenario, step_block, wilson_interval)
@@ -18,7 +19,6 @@ from .controller import (Action, ActorCritic, PpoConfig, RewardConfig,
                          RolloutBuffer, act, advantages, apply_action,
                          load_policy, observe, ppo_update, reward, save_policy)
 from .loop import (ComparisonResult, EpisodeLog, RunMetrics, adaptation_time,
-                   compare, nominal_skr_ref, run_baseline, run_closed_loop,
-                   run_episode, train_policy)
+                   compare, nominal_skr_ref, run_episode, train_policy)
 
 __version__ = "0.1.0"

@@ -16,7 +16,8 @@ from typing import List, Tuple, Union
 
 import numpy as np
 
-from .rates import LinkParams, ProtocolConfig, bb84_gains, cow_visibility, transmittance
+from .rates import (PROTOCOLS, LinkParams, ProtocolConfig, bb84_gains, cow_visibility,
+                    transmittance)
 
 EVENT_KINDS = ("StepLossDb", "StepDepol", "StepDarkCounts", "VisibilityDip")
 
@@ -285,14 +286,6 @@ def effective_link(
                            y0=y0, p=p, gamma=gamma, theta_err=theta_err, e_ph=e_ph)
 
 
-def sifting_factor(protocol: str, proto_cfg: ProtocolConfig, ctrl: ControlState) -> float:
-    """Fraction of detections surviving sifting under the current control."""
-    if protocol in ("bb84", "e91"):
-        return ctrl.p_z**2 + (1.0 - ctrl.p_z) ** 2
-    # COW: fixed key fraction of the non-monitor bins
-    return 0.9 * (1.0 - proto_cfg.cow.monitor_fraction)
-
-
 def wilson_interval(n_err: int, n: int, conf: float = 0.95) -> Tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if n_err < 0 or n < 0 or n_err > n:
@@ -371,12 +364,13 @@ def step_block(
 
     Detection counts are drawn at block level: n_sifted ~ Binomial(n*q, Q)
     and n_errors ~ Binomial(n_sifted, E), which matches per-pulse sampling
-    in distributionally relevant statistics (see bit_level_sample_block).
+    in distributionally relevant statistics (see the per-pulse sampler in
+    tests/oracles.py).
     A block with no sifted detections reports the degenerate convention
     e_mu_hat = 0.5 with the full-width interval.
     """
     eff = effective_link(link, sched, ctrl, t, protocol=proto.kind, dphi=dphi)
-    q_sift = sifting_factor(proto.kind, proto, ctrl)
+    q_sift = PROTOCOLS[proto.kind].key_fraction(proto, ctrl.p_z)
 
     n_sift_w = n_err_w = 0
     q_w_hat = e_w_hat = 0.0
@@ -405,7 +399,7 @@ def step_block(
         n_err, _ = _sample_fraction(rng, n_sift, e_pair)
         q_mu_hat = n_sift / trials if trials else 0.0
         mu_for_eta = 1.0
-    elif proto.kind == "cow":
+    else:  # cow
         mu = ctrl.mu_s  # mean photon number per signal bin
         q_mu = min(eff.y0 + (1.0 - math.exp(-eff.eta * mu)), 1.0)
         e_mu = ((link.e0 * eff.y0 + eff.e_d_eff * (1.0 - math.exp(-eff.eta * mu))) / q_mu
@@ -417,8 +411,6 @@ def step_block(
         n_mon_err, _ = _sample_fraction(rng, n_mon, eff.e_ph)
         q_mu_hat = n_sift / trials if trials else 0.0
         mu_for_eta = mu
-    else:
-        raise ValueError(f"unknown protocol kind {proto.kind!r}")
 
     if n_sift > 0:
         e_mu_hat = n_err / n_sift
@@ -496,27 +488,3 @@ class Simulator:
             self.dphi = min(max(self.dphi, -ph.bound), ph.bound)
         self.t += 1
         return telem
-
-
-def bit_level_sample_block(
-    n_pulses: int,
-    q_sift: float,
-    q_mu: float,
-    e_mu: float,
-    rng: np.random.Generator,
-) -> Tuple[int, int]:
-    """Per-pulse sampler used only to validate the binomial shortcut.
-
-    Draws an explicit basis-match/detect/error outcome for every pulse.
-    The block sampler conditions on exactly n*q basis matches, so the two
-    agree in mean (and closely in spread) but are not identical laws;
-    validation compares first moments across seeds. Limited to small n.
-    """
-    if n_pulses > 100_000:
-        raise ValueError("bit-level sampler is for n_pulses <= 1e5")
-    matched = rng.random(n_pulses) < q_sift
-    detected = rng.random(n_pulses) < q_mu
-    sifted = matched & detected
-    n_sift = int(sifted.sum())
-    n_err = int((rng.random(n_sift) < e_mu).sum())
-    return n_sift, n_err

@@ -2,15 +2,13 @@
 
 Commands: ``rates``, ``simulate``, ``train``, ``eval``, ``show-config``.
 Exit codes: 0 success, 1 usage error, 2 runtime or divergence error.
-``OPTIQKD_THREADS`` caps worker parallelism for scenario fan-out.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -29,7 +27,7 @@ from .tcn import (load_tcn, make_dataset, save_tcn, telemetry_features,
 
 RATES_CSV_HEADER = "distance_km,q_mu,e_mu,r_pp,r_finite,r_bps"
 TRAIN_PROGRESS_HEADER = "update,mean_reward,policy_loss,value_loss,entropy"
-PROTOCOLS = ("bb84", "e91", "cow")
+PROTOCOLS = tuple(ratesmod.PROTOCOLS)
 
 
 class UsageError(Exception):
@@ -115,13 +113,6 @@ def _outdir(args) -> Path:
     return out
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("OPTIQKD_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def cmd_rates(args) -> int:
     cfg = _load_cfg(args)
     link0 = cfgmod.make_link(cfg)
@@ -131,43 +122,13 @@ def cmd_rates(args) -> int:
     n_steps = int(round((args.dmax - args.dmin) / args.dstep)) if args.dstep > 0 else 0
     grid = [args.dmin + i * args.dstep for i in range(n_steps + 1)]
     for d in grid:
-        link = ratesmod.LinkParams(
-            alpha_db_per_km=link0.alpha_db_per_km, distance_km=d,
-            eta_det=link0.eta_det, y0=link0.y0, e_d=link0.e_d, e0=link0.e0,
-            f_rep=link0.f_rep, theta=link0.theta)
-        q_mu, e_mu, rep = rate_point(link, proto)
+        q_mu, e_mu, rep = ratesmod.operating_point(replace(link0, distance_km=d), proto)
         lines.append(f"{d:.10g},{q_mu:.10g},{e_mu:.10g},{rep.r_per_pulse:.10g},"
                      f"{rep.r_finite:.10g},{rep.r_bps:.10g}")
     path = out / f"rates_{args.protocol}.csv"
     path.write_text("\n".join(lines) + "\n")
     print(path)
     return 0
-
-
-def rate_point(link: ratesmod.LinkParams, proto: ratesmod.ProtocolConfig):
-    """Model-predicted operating point (gain, QBER, rate report) at one distance."""
-    if proto.kind == "bb84":
-        gs = ratesmod.bb84_model_gains(link, proto.bb84.mu_s)
-        gw = ratesmod.bb84_model_gains(link, proto.bb84.mu_w)
-        try:
-            bounds = ratesmod.decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu),
-                                           proto, link.y0, link.e0)
-            rep = ratesmod.bb84_key_rate(bounds, gs.q_mu, gs.e_mu, proto,
-                                         f_rep=link.f_rep)
-        except ratesmod.BoundInfeasibleError:
-            rep = ratesmod.bb84_key_rate(
-                ratesmod.DecoyBounds(0.0, 0.0, 0.5), gs.q_mu, gs.e_mu, proto,
-                f_rep=link.f_rep)
-        return gs.q_mu, gs.e_mu, rep
-    if proto.kind == "e91":
-        s, q_err = ratesmod.e91_quantities(proto.e91.v_source)
-        rep = ratesmod.e91_key_rate(s, q_err, proto, f_rep=link.f_rep)
-        eta_pair = ratesmod.transmittance(link) * link.eta_det
-        return min(link.y0 + eta_pair, 1.0), q_err, rep
-    eta = ratesmod.transmittance(link)
-    gs = ratesmod.bb84_gains(proto.cow.alpha_sq, eta, link.y0, link.e_d, link.e0)
-    rep = ratesmod.cow_key_rate(gs.q_mu, gs.e_mu, 0.0, proto, f_rep=link.f_rep)
-    return gs.q_mu, gs.e_mu, rep
 
 
 def _load_models(args, cfg) -> tuple:
@@ -293,7 +254,7 @@ def cmd_eval(args) -> int:
     event_block = sched_probe.events[0].block_index if sched_probe.events else None
 
     def job(ctrl_kind: str, seed: int) -> EpisodeLog:
-        # ml runs share one policy object; clone per job for isolation
+        # the ml policy updates online: every run starts from the checkpoint
         job_nets = None
         if ctrl_kind == "ml":
             job_nets = load_policy(args.policy, cfgmod.make_ppo_config(cfg))
@@ -305,16 +266,8 @@ def cmd_eval(args) -> int:
             ppo_cfg=cfgmod.make_ppo_config(cfg),
         )
 
-    jobs = [(c, s) for c in controllers for s in seeds]
-    n_threads = _thread_count()
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(lambda cs: job(*cs), jobs))
-    else:
-        results = [job(*cs) for cs in jobs]
-    runs: Dict[str, List[EpisodeLog]] = {c: [] for c in controllers}
-    for (c, _), log in zip(jobs, results):
-        runs[c].append(log)
+    runs: Dict[str, List[EpisodeLog]] = {c: [job(c, s) for s in seeds]
+                                         for c in controllers}
 
     out = _outdir(args)
     for c, logs in runs.items():

@@ -178,13 +178,9 @@ def make_link(cfg: Dict[str, Any]) -> LinkParams:
 
 def make_protocol(cfg: Dict[str, Any], kind: Optional[str] = None) -> ProtocolConfig:
     c = cfg["protocol"]
-    kind = kind or c["kind"]
-    q = float(c["q"])
-    if kind == "cow":
-        q = 0.9 * (1.0 - float(c["cow"]["monitor_fraction"]))
     return ProtocolConfig(
-        kind=kind,
-        q=q,
+        kind=kind or c["kind"],
+        q=float(c["q"]),
         f_ec=float(c["f_ec"]),
         bb84=Bb84Config(**{k: float(v) for k, v in c["bb84"].items()}),
         e91=E91Config(v_source=float(c["e91"]["v_source"])),

@@ -17,18 +17,13 @@ import numpy as np
 
 from . import nn
 from .channel import ControlState, Telemetry
-from .tcn import Forecast, Normalizer
+from .rates import PROTOCOLS
+from .tcn import DivergenceError, Forecast, Normalizer
 
 LOG2PI = math.log(2.0 * math.pi)
 
 ACTION_ORDER = ("d_mu_s", "d_mu_w", "d_pz", "d_theta_c", "d_phi_c")
 ACTION_CAPS = np.array([0.05, 0.05, 0.05, 0.02, 0.05])
-
-PROTOCOL_MASKS = {
-    "bb84": np.array([1.0, 1.0, 1.0, 1.0, 0.0]),
-    "e91": np.array([0.0, 0.0, 1.0, 1.0, 0.0]),
-    "cow": np.array([1.0, 0.0, 0.0, 0.0, 1.0]),
-}
 
 # Absolute safe operating boxes enforced after every action.
 SAFE_MU_S = (0.1, 1.0)
@@ -46,10 +41,6 @@ OBS_ORDER = (
 )
 OBS_DIM = len(OBS_ORDER)
 OBS_Z_CLIP = 4.0
-
-
-class DivergenceError(RuntimeError):
-    """A policy update produced a non-finite loss and was rolled back."""
 
 
 @dataclass
@@ -250,7 +241,7 @@ def act(nets: ActorCritic, obs: np.ndarray, rng: np.random.Generator,
     back to the zero action with the ``fallback`` flag set.
     """
     nets.act_calls += 1
-    mask = PROTOCOL_MASKS[protocol]
+    mask = np.asarray(PROTOCOLS[protocol].mask)
     obs_v = nn.Var(np.asarray(obs, dtype=float)[None, :])
     mean = nets.forward_actor(obs_v).data[0]
     value = float(nets.forward_critic(obs_v).data[0])

@@ -12,18 +12,17 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import rates
 from .channel import (ControlState, DEFAULT_ABORT_QBER, DEFAULT_N_PULSES,
-                      NoiseSchedule, Simulator, Telemetry, make_scenario,
-                      sifting_factor)
+                      NoiseSchedule, Simulator, Telemetry, make_scenario)
 from .controller import (ActorCritic, PpoConfig, RewardConfig, RolloutBuffer,
                          act, apply_action, observe, ppo_update,
                          reward as reward_fn)
-from .rates import LinkParams, ProtocolConfig
+from .rates import (PROTOCOLS, LinkParams, ProtocolConfig, block_key_rate,
+                    operating_point)
 from .tcn import Forecaster, Normalizer, TcnModel, telemetry_features
 from . import nn
 
@@ -104,63 +103,13 @@ class RunMetrics:
 
 
 def nominal_control(proto: ProtocolConfig) -> ControlState:
-    if proto.kind == "cow":
-        return ControlState(mu_s=proto.cow.alpha_sq, mu_w=0.1, p_z=0.5)
-    return ControlState(mu_s=proto.bb84.mu_s, mu_w=proto.bb84.mu_w, p_z=0.5)
+    mu_s, mu_w = PROTOCOLS[proto.kind].nominal(proto)
+    return ControlState(mu_s=mu_s, mu_w=mu_w, p_z=0.5)
 
 
 def nominal_skr_ref(link: LinkParams, proto: ProtocolConfig) -> float:
     """Asymptotic throughput at nominal parameters and zero added noise."""
-    ctrl = nominal_control(proto)
-    q_eff = sifting_factor(proto.kind, proto, ctrl)
-    if proto.kind == "bb84":
-        gs = rates.bb84_model_gains(link, proto.bb84.mu_s)
-        gw = rates.bb84_model_gains(link, proto.bb84.mu_w)
-        bounds = rates.decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu),
-                                    proto, link.y0, link.e0)
-        rep = rates.bb84_key_rate(bounds, gs.q_mu, gs.e_mu, proto,
-                                  f_rep=link.f_rep, q=q_eff)
-    elif proto.kind == "e91":
-        s, q_err = rates.e91_quantities(proto.e91.v_source)
-        rep = rates.e91_key_rate(s, q_err, proto, f_rep=link.f_rep, q=proto.q)
-    else:
-        eta = rates.transmittance(link)
-        gs = rates.bb84_gains(proto.cow.alpha_sq, eta, link.y0, link.e_d, link.e0)
-        rep = rates.cow_key_rate(gs.q_mu, gs.e_mu, 0.0, proto,
-                                 f_rep=link.f_rep, q=q_eff)
-    return max(rep.r_bps, 1e-9)
-
-
-def block_key_rate(link: LinkParams, proto: ProtocolConfig, ctrl: ControlState,
-                   telem: Telemetry) -> Tuple[float, float]:
-    """Finite and asymptotic throughput estimated from one block's telemetry.
-
-    BB84 runs the two-intensity decoy bounds on the sampled statistics; an
-    infeasible bound (inconsistent observations) yields a zero-rate block.
-    """
-    q_eff = sifting_factor(proto.kind, proto, ctrl)
-    if proto.kind == "bb84":
-        cfg = replace(proto, bb84=replace(proto.bb84, mu_s=ctrl.mu_s, mu_w=ctrl.mu_w))
-        try:
-            bounds = rates.decoy_bounds((telem.q_mu_hat, telem.e_mu_hat),
-                                        (telem.q_w_hat, telem.e_w_hat),
-                                        cfg, telem.y0_hat, link.e0)
-        except rates.BoundInfeasibleError:
-            return 0.0, 0.0
-        rep = rates.bb84_key_rate(bounds, min(telem.q_mu_hat, 1.0),
-                                  min(telem.e_mu_hat, 1.0), cfg,
-                                  f_rep=link.f_rep, q=q_eff)
-    elif proto.kind == "e91":
-        s_hat = min(rates.CHSH_MAX * telem.v_hat, rates.CHSH_MAX)
-        rep = rates.e91_key_rate(s_hat, min(telem.e_mu_hat, 0.5), proto,
-                                 f_rep=link.f_rep, q=q_eff)
-    elif proto.kind == "cow":
-        e_ph_hat = min(max((1.0 - telem.v_hat) / 2.0, 0.0), 1.0)
-        rep = rates.cow_key_rate(min(telem.q_mu_hat, 1.0), min(telem.e_mu_hat, 1.0),
-                                 e_ph_hat, proto, f_rep=link.f_rep, q=q_eff)
-    else:
-        raise ConfigMismatchError(f"unknown protocol {proto.kind!r}")
-    return rep.r_bps, rep.r_finite * link.f_rep
+    return max(operating_point(link, proto)[2].r_bps, 1e-9)
 
 
 class _RecalibState:
@@ -232,8 +181,6 @@ def run_episode(
     if kind == "ml":
         if nets is None:
             raise ConfigMismatchError("ml controller requires trained networks")
-        if proto.kind not in ("bb84", "e91", "cow"):
-            raise ConfigMismatchError(f"no action mask for protocol {proto.kind!r}")
         forecaster = Forecaster(tcn_model)
         policy_rng = np.random.Generator(np.random.Philox(key=seed * 4 + 2))
         ppo_cfg = ppo_cfg or nets.cfg
@@ -293,30 +240,6 @@ def run_episode(
     if nets is not None and kind == "ml":
         log.policy_calls = nets.act_calls
     return log
-
-
-def run_closed_loop(
-    link: LinkParams,
-    proto: ProtocolConfig,
-    scenario: Union[str, dict],
-    kind: str,
-    seeds: Sequence[int],
-    blocks: int,
-    **kwargs,
-) -> List[EpisodeLog]:
-    """Run one controller over several seeds; blocks must be >= 200."""
-    if blocks < 200:
-        raise ValueError("closed-loop runs need blocks >= 200")
-    return [run_episode(link, proto, scenario, kind, seed, blocks, **kwargs)
-            for seed in seeds]
-
-
-def run_baseline(kind: str, link: LinkParams, proto: ProtocolConfig,
-                 scenario: Union[str, dict], seeds: Sequence[int], blocks: int,
-                 **kwargs) -> List[EpisodeLog]:
-    if kind not in ("static", "recalib"):
-        raise ConfigMismatchError(f"baseline kind must be static or recalib, got {kind!r}")
-    return run_closed_loop(link, proto, scenario, kind, seeds, blocks, **kwargs)
 
 
 def train_policy(
@@ -487,51 +410,29 @@ def compare(runs: Dict[str, List[EpisodeLog]], warmup: int = WARMUP_BLOCKS,
     improvements: List[Tuple[str, str, float, float, float]] = []
     if "ml" in runs and "static" in runs:
         ml, st = seed_meds["ml"], seed_meds["static"]
-        st_med = float(np.median(st["skr"]))
-        ml_med = float(np.median(ml["skr"]))
-        val = math.nan if st_med == 0 else 100.0 * (ml_med - st_med) / st_med
-        lo, hi = _paired_improvement_ci(ml["skr"], st["skr"], n_boot)
-        improvements.append(("ml", "skr_improvement_vs_static_pct", val, lo, hi))
-        stq, mlq = float(np.median(st["qber"])), float(np.median(ml["qber"]))
-        ratio = math.nan if stq == 0 else mlq / stq
-        rlo, rhi = _paired_ratio_ci(ml["qber"], st["qber"], n_boot)
-        improvements.append(("ml", "qber_ratio_vs_static", ratio, rlo, rhi))
+        improvements.append(("ml", "skr_improvement_vs_static_pct", *_paired_bootstrap(
+            lambda m, s: 100.0 * (m - s) / s, ml["skr"], st["skr"], n_boot, seed=4)))
+        improvements.append(("ml", "qber_ratio_vs_static", *_paired_bootstrap(
+            lambda m, s: m / s, ml["qber"], st["qber"], n_boot, seed=5)))
     return ComparisonResult(scenario=scenario, metrics=metrics,
                             improvements=improvements)
 
 
-def _paired_ratio_ci(ml: Sequence[float], static: Sequence[float],
-                     n_boot: int, seed: int = 5) -> Tuple[float, float]:
+def _paired_bootstrap(stat: Callable, ml: Sequence[float], static: Sequence[float],
+                      n_boot: int, seed: int) -> Tuple[float, float, float]:
+    """``stat(median ml, median static)`` and its 95% percentile CI, with
+    seeds resampled in (ml, static) pairs; nan when the static median is 0."""
     ml = np.asarray(ml, dtype=float)
     static = np.asarray(static, dtype=float)
+    st_med = float(np.median(static))
+    val = math.nan if st_med == 0 else stat(float(np.median(ml)), st_med)
     if np.all(ml == ml[0]) and np.all(static == static[0]):
-        val = math.nan if static[0] == 0 else ml[0] / static[0]
-        return val, val
+        return val, val, val
     rng = np.random.Generator(np.random.Philox(key=seed))
     idx = rng.integers(0, ml.size, size=(n_boot, ml.size))
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.median(ml[idx], axis=1) / np.median(static[idx], axis=1)
-    ratios = ratios[np.isfinite(ratios)]
-    if ratios.size == 0:
-        return math.nan, math.nan
-    return float(np.percentile(ratios, 2.5)), float(np.percentile(ratios, 97.5))
-
-
-def _paired_improvement_ci(ml: Sequence[float], static: Sequence[float],
-                           n_boot: int, seed: int = 4) -> Tuple[float, float]:
-    ml = np.asarray(ml, dtype=float)
-    static = np.asarray(static, dtype=float)
-    if np.all(ml == ml[0]) and np.all(static == static[0]):
-        val = (math.nan if static[0] == 0
-               else 100.0 * (ml[0] - static[0]) / static[0])
-        return val, val
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    idx = rng.integers(0, ml.size, size=(n_boot, ml.size))
-    ml_m = np.median(ml[idx], axis=1)
-    st_m = np.median(static[idx], axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        imp = 100.0 * (ml_m - st_m) / st_m
-    imp = imp[np.isfinite(imp)]
-    if imp.size == 0:
-        return math.nan, math.nan
-    return float(np.percentile(imp, 2.5)), float(np.percentile(imp, 97.5))
+        boot = stat(np.median(ml[idx], axis=1), np.median(static[idx], axis=1))
+    boot = boot[np.isfinite(boot)]
+    if boot.size == 0:
+        return val, math.nan, math.nan
+    return val, float(np.percentile(boot, 2.5)), float(np.percentile(boot, 97.5))

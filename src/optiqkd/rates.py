@@ -4,13 +4,24 @@ Everything in this module is a pure function of its inputs: no shared
 state, safe to call from any number of threads. Rates are reported per
 emitted pulse, in bits per second via the source clock, and with a
 finite-size deduction applied on top of the asymptotic value.
+
+:data:`PROTOCOLS` holds, per protocol, every decision the rest of the
+package makes by protocol kind outside the simulator: nominal intensities,
+the controller's action mask, the key fraction, the model operating point
+and the key rate from one block's telemetry. The channel simulator keeps
+its own per-protocol count sampling and phase drift: that is physics drawn
+from the simulator's generator, and moving it here would put random state
+into this module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
+
+if TYPE_CHECKING:
+    from .channel import ControlState, Telemetry
 
 DEFAULT_F_REP = 2.5e8
 CHSH_MAX = 2.0 * math.sqrt(2.0)
@@ -122,7 +133,7 @@ class ProtocolConfig:
     finite_key: FiniteKeyConfig = field(default_factory=FiniteKeyConfig)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("bb84", "e91", "cow"):
+        if self.kind not in PROTOCOLS:
             raise ValueError(f"unknown protocol kind {self.kind!r}")
         if not 0.0 < self.q <= 1.0:
             raise ValueError("q must be in (0, 1]")
@@ -407,3 +418,126 @@ def finite_key_penalty(n: float, eps: float) -> float:
 def finite_key_rate(r_asym: float, n: float, eps: float) -> float:
     """Asymptotic rate minus the finite-size penalty, clamped at zero."""
     return max(0.0, r_asym - finite_key_penalty(n, eps))
+
+
+# -- per-protocol table -----------------------------------------------------
+
+@dataclass(frozen=True)
+class ProtocolSpec:
+    """What differs between protocols outside the channel simulator.
+
+    ``nominal`` gives the (mu_s, mu_w) a run starts from; ``mask`` marks
+    the knobs the controller may move, in ``controller.ACTION_ORDER``
+    order; ``key_fraction`` is the share of pulses kept for the key at
+    basis bias ``p_z``; ``operating_point`` is the model's (Q_mu, E_mu,
+    report) on a link; ``block_rate`` is the report from one block's
+    telemetry at key fraction ``q``.
+    """
+
+    nominal: Callable[[ProtocolConfig], Tuple[float, float]]
+    mask: Tuple[float, ...]
+    key_fraction: Callable[[ProtocolConfig, float], float]
+    operating_point: Callable[[LinkParams, ProtocolConfig],
+                              Tuple[float, float, KeyRateReport]]
+    block_rate: Callable[[LinkParams, ProtocolConfig, ControlState, Telemetry, float],
+                         KeyRateReport]
+
+
+def _basis_match(proto: ProtocolConfig, p_z: float) -> float:
+    """Both sides choose the same basis, each with bias ``p_z``."""
+    return p_z**2 + (1.0 - p_z) ** 2
+
+
+def _cow_key_fraction(proto: ProtocolConfig, p_z: float = 0.5) -> float:
+    """A fixed share of the non-monitor bins; ``p_z`` plays no part."""
+    return 0.9 * (1.0 - proto.cow.monitor_fraction)
+
+
+def _decoy_rate(obs_s: Tuple[float, float], obs_w: Tuple[float, float],
+                cfg: ProtocolConfig, y0: float, e0: float, f_rep: float,
+                q: float) -> KeyRateReport:
+    """BB84 rate from the signal and weak-decoy (gain, QBER) pairs. An
+    infeasible bound certifies no single photons, which gives a zero rate."""
+    try:
+        bounds = decoy_bounds(obs_s, obs_w, cfg, y0, e0)
+    except BoundInfeasibleError:
+        bounds = DecoyBounds(0.0, 0.0, 0.5)
+    return bb84_key_rate(bounds, min(obs_s[0], 1.0), min(obs_s[1], 1.0), cfg,
+                         f_rep=f_rep, q=q)
+
+
+def _bb84_point(link: LinkParams, proto: ProtocolConfig):
+    gs = bb84_model_gains(link, proto.bb84.mu_s)
+    gw = bb84_model_gains(link, proto.bb84.mu_w)
+    rep = _decoy_rate((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu), proto,
+                      link.y0, link.e0, link.f_rep, proto.q)
+    return gs.q_mu, gs.e_mu, rep
+
+
+def _e91_point(link: LinkParams, proto: ProtocolConfig):
+    s, q_err = e91_quantities(proto.e91.v_source)
+    # source at the transmitter: one arm sees its detector, the other the link
+    q_pair = min(link.y0 + transmittance(link) * link.eta_det, 1.0)
+    return q_pair, q_err, e91_key_rate(s, q_err, proto, f_rep=link.f_rep, q=proto.q)
+
+
+def _cow_point(link: LinkParams, proto: ProtocolConfig):
+    gs = bb84_gains(proto.cow.alpha_sq, transmittance(link), link.y0, link.e_d, link.e0)
+    rep = cow_key_rate(gs.q_mu, gs.e_mu, 0.0, proto, f_rep=link.f_rep,
+                       q=_cow_key_fraction(proto))
+    return gs.q_mu, gs.e_mu, rep
+
+
+def _bb84_block(link: LinkParams, proto: ProtocolConfig, ctrl: ControlState,
+                telem: Telemetry, q: float) -> KeyRateReport:
+    cfg = replace(proto, bb84=replace(proto.bb84, mu_s=ctrl.mu_s, mu_w=ctrl.mu_w))
+    return _decoy_rate((telem.q_mu_hat, telem.e_mu_hat), (telem.q_w_hat, telem.e_w_hat),
+                       cfg, telem.y0_hat, link.e0, link.f_rep, q)
+
+
+def _e91_block(link: LinkParams, proto: ProtocolConfig, ctrl: ControlState,
+               telem: Telemetry, q: float) -> KeyRateReport:
+    s_hat = min(CHSH_MAX * telem.v_hat, CHSH_MAX)
+    return e91_key_rate(s_hat, min(telem.e_mu_hat, 0.5), proto, f_rep=link.f_rep, q=q)
+
+
+def _cow_block(link: LinkParams, proto: ProtocolConfig, ctrl: ControlState,
+               telem: Telemetry, q: float) -> KeyRateReport:
+    e_ph_hat = min(max((1.0 - telem.v_hat) / 2.0, 0.0), 1.0)
+    return cow_key_rate(min(telem.q_mu_hat, 1.0), min(telem.e_mu_hat, 1.0), e_ph_hat,
+                        proto, f_rep=link.f_rep, q=q)
+
+
+PROTOCOLS: Dict[str, ProtocolSpec] = {
+    "bb84": ProtocolSpec(nominal=lambda p: (p.bb84.mu_s, p.bb84.mu_w),
+                         mask=(1.0, 1.0, 1.0, 1.0, 0.0), key_fraction=_basis_match,
+                         operating_point=_bb84_point, block_rate=_bb84_block),
+    # no intensity knob: E91 carries the BB84 values, masked
+    "e91": ProtocolSpec(nominal=lambda p: (p.bb84.mu_s, p.bb84.mu_w),
+                        mask=(0.0, 0.0, 1.0, 1.0, 0.0), key_fraction=_basis_match,
+                        operating_point=_e91_point, block_rate=_e91_block),
+    # no decoy: mu_s is the mean photon number per signal bin
+    "cow": ProtocolSpec(nominal=lambda p: (p.cow.alpha_sq, 0.1),
+                        mask=(1.0, 0.0, 0.0, 0.0, 1.0), key_fraction=_cow_key_fraction,
+                        operating_point=_cow_point, block_rate=_cow_block),
+}
+
+
+def operating_point(link: LinkParams,
+                    proto: ProtocolConfig) -> Tuple[float, float, KeyRateReport]:
+    """Model-predicted (gain, QBER, rate report) of ``proto`` on ``link``
+    at its configured parameters and zero added noise."""
+    return PROTOCOLS[proto.kind].operating_point(link, proto)
+
+
+def block_key_rate(link: LinkParams, proto: ProtocolConfig, ctrl: ControlState,
+                   telem: Telemetry) -> Tuple[float, float]:
+    """Asymptotic and finite throughput (bits/s) estimated from one block's
+    telemetry, at the key fraction of the block's control.
+
+    BB84 runs the two-intensity decoy bounds on the sampled statistics; an
+    infeasible bound (inconsistent observations) yields a zero-rate block.
+    """
+    spec = PROTOCOLS[proto.kind]
+    rep = spec.block_rate(link, proto, ctrl, telem, spec.key_fraction(proto, ctrl.p_z))
+    return rep.r_bps, rep.r_finite * link.f_rep

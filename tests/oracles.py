@@ -73,6 +73,35 @@ def cow_rate_oracle(q_mu, e_mu, e_ph, f_ec, q_sift):
                      + q_mu * (1.0 - h2_oracle(e_ph)))
 
 
+def operating_point_oracle(kind, distance_km, q_sift, alpha_db=0.2, eta_det=0.2,
+                           y0=5e-6, e_d=0.015, e0=0.5, f_ec=1.16, mu_s=0.5,
+                           mu_w=0.1, v_source=0.98, alpha_sq=0.5):
+    """Model operating point (Q_mu, E_mu, clamped rate per pulse) of one
+    protocol on a fiber link; defaults are the configuration defaults.
+
+    BB84 takes its single-photon terms from the two-intensity decoy bounds
+    on the model gains, E91 reports the coincidence probability of a
+    source placed at the transmitter, and COW has no phase error.
+    """
+    eta = transmittance_oracle(alpha_db, distance_km, eta_det)
+    if kind == "bb84":
+        gs = poisson_gains_oracle(mu_s, eta, y0, e_d, e0)
+        gw = poisson_gains_oracle(mu_w, eta, y0, e_d, e0)
+        y1, e1 = decoy_bounds_oracle(gs["q_mu"], gw["q_mu"], gw["e_mu"],
+                                     mu_s, mu_w, y0, e0)
+        q1 = y1 * mu_s * math.exp(-mu_s)
+        raw = bb84_rate_oracle(gs["q_mu"], gs["e_mu"], q1, min(e1, 0.5), f_ec, q_sift)
+        q_mu, e_mu = gs["q_mu"], gs["e_mu"]
+    elif kind == "e91":
+        q_mu, e_mu = y0 + eta * eta_det, (1.0 - v_source) / 2.0
+        raw = e91_rate_oracle(v_source, f_ec, q_sift)
+    else:
+        g = poisson_gains_oracle(alpha_sq, eta, y0, e_d, e0)
+        q_mu, e_mu = g["q_mu"], g["e_mu"]
+        raw = cow_rate_oracle(q_mu, e_mu, 0.0, f_ec, q_sift)
+    return q_mu, e_mu, max(raw, 0.0)
+
+
 def cow_visibility_oracle(alpha_sq, dphi):
     return math.exp(-2.0 * alpha_sq * (1.0 - math.cos(dphi)))
 
@@ -93,6 +122,25 @@ def wilson_oracle(k, n, z=Z_95):
     center = (p + z * z / (2 * n)) / denom
     margin = z * math.sqrt((p * (1 - p) + z * z / (4 * n)) / n) / denom
     return max(0.0, center - margin), min(1.0, center + margin)
+
+
+def bit_level_sample_block(n_pulses, q_sift, q_mu, e_mu, rng):
+    """Per-pulse reference for the block-level binomial sampler of
+    ``channel.step_block``.
+
+    Draws an explicit basis-match/detect/error outcome for every pulse.
+    The block sampler conditions on exactly n*q basis matches, so the two
+    agree in mean (and closely in spread) but are not identical laws;
+    validation compares first moments across seeds. Limited to small n.
+    """
+    if n_pulses > 100_000:
+        raise ValueError("bit-level sampler is for n_pulses <= 1e5")
+    matched = rng.random(n_pulses) < q_sift
+    detected = rng.random(n_pulses) < q_mu
+    sifted = matched & detected
+    n_sift = int(sifted.sum())
+    n_err = int((rng.random(n_sift) < e_mu).sum())
+    return n_sift, n_err
 
 
 def fd_gradient(f, x, h=1e-5):

@@ -6,12 +6,13 @@ import pytest
 from optiqkd.channel import (ControlState, DEPOL_FRACTION, MISALIGN_FRACTION,
                              NoiseSchedule, ScheduleEvent, Simulator,
                              TELEMETRY_CSV_HEADER,
-                             UnknownScenarioError, bit_level_sample_block,
-                             effective_link, make_scenario, normal_quantile,
-                             sifting_factor, step_block, wilson_interval)
-from optiqkd.rates import LinkParams, ProtocolConfig, bb84_gains, transmittance
+                             UnknownScenarioError, effective_link,
+                             make_scenario, normal_quantile, step_block,
+                             wilson_interval)
+from optiqkd.rates import (PROTOCOLS, LinkParams, ProtocolConfig, bb84_gains,
+                           transmittance)
 
-from oracles import wilson_oracle
+from oracles import bit_level_sample_block, wilson_oracle
 
 LINK = LinkParams()
 PROTO = ProtocolConfig()
@@ -239,8 +240,11 @@ class TestBitLevelOracle:
 
 
 def test_sifting_factors():
-    assert sifting_factor("bb84", PROTO, ControlState(p_z=0.5)) == pytest.approx(0.5)
-    assert sifting_factor("bb84", PROTO, ControlState(p_z=0.95)) == pytest.approx(
-        0.95**2 + 0.05**2)
-    assert sifting_factor("cow", ProtocolConfig(kind="cow", q=0.81), CTRL) == \
-        pytest.approx(0.81)
+    for kind in ("bb84", "e91"):
+        key_fraction = PROTOCOLS[kind].key_fraction
+        assert key_fraction(PROTO, 0.5) == pytest.approx(0.5)
+        assert key_fraction(PROTO, 0.95) == pytest.approx(0.95**2 + 0.05**2)
+    # COW keys 0.9 of its non-monitor bins whatever the basis bias
+    cow = ProtocolConfig(kind="cow")
+    for p_z in (0.5, 0.95):
+        assert PROTOCOLS["cow"].key_fraction(cow, p_z) == pytest.approx(0.81)

@@ -6,6 +6,8 @@ from optiqkd.cli import (RATES_CSV_HEADER, TRAIN_PROGRESS_HEADER, main,
                          parse_seeds)
 from optiqkd.loop import EPISODE_CSV_HEADER
 
+from oracles import finite_penalty_oracle, operating_point_oracle
+
 FAST_TCN = [
     "--set", "tcn.layers=2", "--set", "tcn.dilations=1,2", "--set",
     "tcn.hidden=6", "--set", "tcn.window=8", "--set", "tcn.epochs=3",
@@ -33,10 +35,20 @@ class TestRates:
         assert r_pp[0] == max(r_pp)  # zero distance row is maximal
 
     def test_all_protocols_emit(self, tmp_path):
-        for proto in ("e91", "cow"):
+        # default link and protocol; COW keys 0.9 of its non-monitor bins
+        for proto, q_sift in (("bb84", 0.5), ("e91", 0.5), ("cow", 0.81)):
             assert run(["rates", "--protocol", proto, "--out", str(tmp_path),
                         "--dmax", "50"]) == 0
-            assert (tmp_path / f"rates_{proto}.csv").exists()
+            rows = (tmp_path / f"rates_{proto}.csv").read_text().strip().split("\n")
+            assert len(rows) == 12
+            for row in rows[1:]:
+                d, q_mu, e_mu, r_pp, r_fin, r_bps = map(float, row.split(","))
+                want_q, want_e, want_r = operating_point_oracle(proto, d, q_sift)
+                want_fin = max(0.0, want_r - finite_penalty_oracle(1e6, 1e-10))
+                assert r_pp > 0.0
+                for got, exp in zip((q_mu, e_mu, r_pp, r_fin, r_bps),
+                                    (want_q, want_e, want_r, want_fin, want_r * 2.5e8)):
+                    assert got == pytest.approx(exp, rel=1e-9, abs=0.0), (proto, d)
 
     def test_unknown_protocol_usage_error(self, tmp_path, capsys):
         assert run(["rates", "--protocol", "b92", "--out", str(tmp_path)]) == 1
@@ -124,6 +136,17 @@ class TestTrain:
                     "--set", "tcn.lr=1e200"] + FAST_TCN[:-2]
                    + ["--set", "train.tcn_scenarios=[\"nominal\"]"]) == 2
 
+    def test_ppo_divergence_exit_code(self, tmp_path, monkeypatch, capsys):
+        from optiqkd import cli, controller
+
+        def diverge(*args, **kwargs):
+            raise controller.DivergenceError("non-finite PPO loss")
+
+        monkeypatch.setattr(cli, "train_policy", diverge)
+        assert run(["train", "ppo", "--seed", "1", "--out", str(tmp_path)]
+                   + FAST_TCN) == 2
+        assert "divergence: non-finite PPO loss" in capsys.readouterr().err
+
     def test_ppo_progress_and_determinism(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         tcn_args = ["train", "tcn", "--seed", "2", "--out", str(out1)] + FAST_TCN
@@ -180,16 +203,3 @@ def test_parse_seeds():
 def test_no_command_usage_error():
     assert main([]) == 1
 
-
-class TestThreadFanout:
-    def test_thread_env_var_preserves_results(self, tmp_path, monkeypatch):
-        common = ["eval", "--scenario", "nominal", "--controllers",
-                  "static,recalib", "--seeds", "1..2", "--blocks", "210",
-                  "--set", "channel.n_pulses=100000"]
-        out1, out2 = tmp_path / "serial", tmp_path / "threaded"
-        monkeypatch.setenv("OPTIQKD_THREADS", "1")
-        assert run(common + ["--out", str(out1)]) == 0
-        monkeypatch.setenv("OPTIQKD_THREADS", "4")
-        assert run(common + ["--out", str(out2)]) == 0
-        for f in sorted(out1.iterdir()):
-            assert f.read_bytes() == (out2 / f.name).read_bytes()

@@ -7,12 +7,13 @@ from optiqkd import nn
 from optiqkd.channel import ControlState, Telemetry
 from optiqkd.controller import (ACTION_CAPS, Action, ActorCritic,
                                 DivergenceError, OBS_DIM, OBS_ORDER,
-                                PROTOCOL_MASKS, PpoConfig, RewardConfig,
+                                PpoConfig, RewardConfig,
                                 RolloutBuffer, SAFE_MU_GAP, SAFE_MU_S,
                                 SAFE_MU_W, SAFE_PZ, SAFE_PHI_C, SAFE_THETA_C,
                                 act, advantages, apply_action,
                                 discounted_returns, load_policy, observe,
                                 ppo_update, reward, save_policy)
+from optiqkd.rates import PROTOCOLS
 from optiqkd.tcn import Forecast, Normalizer
 
 
@@ -78,7 +79,8 @@ class TestAct:
         cfg = PpoConfig()
         nets = ActorCritic(cfg, rng=np.random.default_rng(0))
         rng = np.random.default_rng(2)
-        for proto, mask in PROTOCOL_MASKS.items():
+        for proto, spec in PROTOCOLS.items():
+            mask = np.array(spec.mask)
             for _ in range(50):
                 s = act(nets, rng.uniform(-1, 1, OBS_DIM), rng, protocol=proto)
                 vec = s.action.as_vector()

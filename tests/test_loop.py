@@ -6,10 +6,11 @@ from optiqkd.controller import PpoConfig, ActorCritic
 from optiqkd.loop import (BlockRecord, ConfigMismatchError,
                           EPISODE_CSV_HEADER, EpisodeLog, METRICS_CSV_HEADER,
                           RECALIB_GRID, adaptation_time, bootstrap_ci, compare,
-                          nominal_control, nominal_skr_ref, run_baseline,
-                          run_closed_loop, run_episode)
+                          nominal_control, nominal_skr_ref, run_episode)
 from optiqkd.rates import LinkParams, ProtocolConfig
 from optiqkd.tcn import Forecaster, TcnConfig, TcnModel
+
+from oracles import operating_point_oracle
 
 LINK = LinkParams()
 PROTO = ProtocolConfig()
@@ -94,10 +95,6 @@ class TestRunEpisode:
         with pytest.raises(ConfigMismatchError):
             run_episode(LINK, PROTO, "nominal", "pid", seed=1, blocks=10)
 
-    def test_closed_loop_block_floor(self):
-        with pytest.raises(ValueError):
-            run_closed_loop(LINK, PROTO, "nominal", "static", seeds=[1], blocks=100)
-
     def test_ml_uses_models_and_is_deterministic(self):
         cfg = PpoConfig(rollout=64, minibatch=32)
         def fresh():
@@ -150,10 +147,6 @@ class TestRecalib:
         # blocks 95..104 are the held segment of the cycle starting at 90
         assert len(set(mus[95:105])) == 1
         assert mus[105:110] == list(RECALIB_GRID)
-
-    def test_baseline_wrapper_rejects_ml(self):
-        with pytest.raises(ConfigMismatchError):
-            run_baseline("ml", LINK, PROTO, "nominal", seeds=[1], blocks=210)
 
 
 class TestAdaptationTime:
@@ -229,17 +222,10 @@ class TestCompare:
 def test_nominal_skr_ref_positive_all_protocols():
     for kind, q in (("bb84", 0.5), ("e91", 0.5), ("cow", 0.81)):
         proto = ProtocolConfig(kind=kind, q=q)
-        assert nominal_skr_ref(LINK, proto) > 0.0
-
-
-def test_run_closed_loop_happy_path():
-    logs = run_closed_loop(LINK, PROTO, "nominal", "static", seeds=[4, 5],
-                           blocks=200)
-    assert [log.seed for log in logs] == [4, 5]
-    assert all(log.controller == "static" and len(log.records) == 200
-               for log in logs)
-    base = run_baseline("static", LINK, PROTO, "nominal", seeds=[4], blocks=200)
-    assert base[0].csv() == logs[0].csv()
+        ref = nominal_skr_ref(LINK, proto)
+        assert ref > 0.0
+        _, _, r_pp = operating_point_oracle(kind, LINK.distance_km, q)
+        assert ref == pytest.approx(r_pp * LINK.f_rep, rel=1e-9, abs=0.0)
 
 
 def test_all_protocols_run_closed_loop():
