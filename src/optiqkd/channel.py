@@ -112,9 +112,6 @@ class EffectiveParams:
     v: float
     e_d_eff: float
     y0: float
-    p: float
-    gamma: float
-    theta_err: float
     e_ph: float = 0.0
 
 
@@ -135,8 +132,6 @@ class Telemetry:
     eta_hat: float
     aborted: bool = False
     # weak-decoy observations (BB84 only; zero elsewhere)
-    n_sifted_w: int = 0
-    n_errors_w: int = 0
     q_w_hat: float = 0.0
     e_w_hat: float = 0.0
 
@@ -283,7 +278,7 @@ def effective_link(
         e_ph = 0.0
     e_d_eff = min(max(math.sin(theta_err) ** 2 + p / 2.0, 0.0), 0.5)
     return EffectiveParams(eta=eta, v=min(max(v, 0.0), 1.0), e_d_eff=e_d_eff,
-                           y0=y0, p=p, gamma=gamma, theta_err=theta_err, e_ph=e_ph)
+                           y0=y0, e_ph=e_ph)
 
 
 def wilson_interval(n_err: int, n: int, conf: float = 0.95) -> Tuple[float, float]:
@@ -372,7 +367,6 @@ def step_block(
     eff = effective_link(link, sched, ctrl, t, protocol=proto.kind, dphi=dphi)
     q_sift = PROTOCOLS[proto.kind].key_fraction(proto, ctrl.p_z)
 
-    n_sift_w = n_err_w = 0
     q_w_hat = e_w_hat = 0.0
 
     if proto.kind == "bb84":
@@ -401,13 +395,11 @@ def step_block(
         mu_for_eta = 1.0
     else:  # cow
         mu = ctrl.mu_s  # mean photon number per signal bin
-        q_mu = min(eff.y0 + (1.0 - math.exp(-eff.eta * mu)), 1.0)
-        e_mu = ((link.e0 * eff.y0 + eff.e_d_eff * (1.0 - math.exp(-eff.eta * mu))) / q_mu
-                if q_mu > 0 else link.e0)
-        n_sift, trials = _sample_fraction(rng, round(n_pulses * q_sift), q_mu)
-        n_err, _ = _sample_fraction(rng, n_sift, e_mu)
+        g = bb84_gains(mu, eff.eta, eff.y0, eff.e_d_eff, link.e0)
+        n_sift, trials = _sample_fraction(rng, round(n_pulses * q_sift), g.q_mu)
+        n_err, _ = _sample_fraction(rng, n_sift, g.e_mu)
         n_mon, _ = _sample_fraction(
-            rng, round(n_pulses * proto.cow.monitor_fraction), q_mu)
+            rng, round(n_pulses * proto.cow.monitor_fraction), g.q_mu)
         n_mon_err, _ = _sample_fraction(rng, n_mon, eff.e_ph)
         q_mu_hat = n_sift / trials if trials else 0.0
         mu_for_eta = mu
@@ -438,8 +430,6 @@ def step_block(
         y0_hat=eff.y0,
         eta_hat=_estimate_eta(q_mu_hat, eff.y0, mu_for_eta),
         aborted=bool(exceeded and prev_exceeded),
-        n_sifted_w=n_sift_w,
-        n_errors_w=n_err_w,
         q_w_hat=q_w_hat,
         e_w_hat=e_w_hat,
     )

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime or divergence error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -114,12 +115,18 @@ def _outdir(args) -> Path:
 
 
 def cmd_rates(args) -> int:
+    if not all(map(math.isfinite, (args.dmin, args.dmax, args.dstep))):
+        raise UsageError("--dmin, --dmax and --dstep must be finite")
+    if args.dstep <= 0:
+        raise UsageError(f"--dstep must be positive, got {args.dstep:g}")
+    if args.dmax < args.dmin:
+        raise UsageError(f"--dmax {args.dmax:g} is below --dmin {args.dmin:g}")
     cfg = _load_cfg(args)
     link0 = cfgmod.make_link(cfg)
     proto = cfgmod.make_protocol(cfg, args.protocol)
     out = _outdir(args)
     lines = [RATES_CSV_HEADER]
-    n_steps = int(round((args.dmax - args.dmin) / args.dstep)) if args.dstep > 0 else 0
+    n_steps = int(round((args.dmax - args.dmin) / args.dstep))
     grid = [args.dmin + i * args.dstep for i in range(n_steps + 1)]
     for d in grid:
         q_mu, e_mu, rep = ratesmod.operating_point(replace(link0, distance_km=d), proto)

@@ -2,72 +2,47 @@
 
 Every tunable in the workbench lives in one nested dictionary; a config
 file (JSON) and repeatable ``key=value`` overrides are applied on top.
-Builder helpers turn sections into the typed configs the modules consume.
+The ``link``, ``protocol``, ``tcn``, ``ppo`` and ``reward`` sections are
+read off the typed configs' own defaults, and builder helpers turn them
+back into the typed configs the modules consume.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+from dataclasses import fields, is_dataclass
 from typing import Any, Dict, Optional, Sequence
 
 from .controller import PpoConfig, RewardConfig
-from .rates import (Bb84Config, CowConfig, E91Config, FiniteKeyConfig,
-                    LinkParams, ProtocolConfig)
+from .rates import LinkParams, ProtocolConfig
 from .tcn import TcnConfig
 
+
+def _section(obj: Any, skip: Sequence[str] = ()) -> Dict[str, Any]:
+    """A typed config's defaults as a config section: nested configs become
+    sub-sections and tuples become lists."""
+    def plain(val: Any) -> Any:
+        if is_dataclass(val):
+            return _section(val)
+        return list(val) if isinstance(val, tuple) else val
+
+    return {f.name: plain(getattr(obj, f.name)) for f in fields(obj) if f.name not in skip}
+
+
+# The typed configs own their defaults; ``TcnConfig.features`` and
+# ``RewardConfig.skr_ref`` are fixed by the code, not configured.
 DEFAULTS: Dict[str, Any] = {
-    "link": {
-        "alpha_db_per_km": 0.2,
-        "distance_km": 50.0,
-        "eta_det": 0.2,
-        "y0": 5e-06,
-        "e_d": 0.015,
-        "e0": 0.5,
-        "f_rep": 2.5e8,
-        "theta": None,
-    },
-    "protocol": {
-        "kind": "bb84",
-        "q": 0.5,
-        "f_ec": 1.16,
-        "bb84": {"mu_s": 0.5, "mu_w": 0.1, "p_s": 0.8},
-        "e91": {"v_source": 0.98},
-        "cow": {"alpha_sq": 0.5, "monitor_fraction": 0.1},
-        "finite_key": {"n_block": 1e6, "epsilon": 1e-10},
-    },
+    "link": _section(LinkParams()),
+    "protocol": _section(ProtocolConfig()),
     "channel": {
         "n_pulses": 1_000_000,
         "abort_qber": 0.11,
         "block_seconds": 1.0,
     },
-    "tcn": {
-        "layers": 4,
-        "dilations": [1, 2, 4, 8],
-        "kernel": 3,
-        "hidden": 16,
-        "window": 32,
-        "lr": 3e-3,
-        "epochs": 60,
-        "batch_size": 64,
-    },
-    "ppo": {
-        "gamma": 0.9,
-        "clip_eps": 0.2,
-        "lr": 3e-4,
-        "epochs": 4,
-        "rollout": 256,
-        "minibatch": 64,
-        "entropy_weight": 0.01,
-        "log_std_init": -0.7,
-        "hidden": [64, 64],
-    },
-    "reward": {
-        "w_rate": 1.0,
-        "w_err": 0.5,
-        "qber_ref": 0.11,
-        "abort_penalty": 1.0,
-    },
+    "tcn": _section(TcnConfig(), skip=("features",)),
+    "ppo": _section(PpoConfig()),
+    "reward": _section(RewardConfig(), skip=("skr_ref",)),
     "loop": {
         "warmup": 100,
     },
@@ -162,69 +137,47 @@ def config_json(cfg: Dict[str, Any]) -> str:
 
 # -- typed builders -------------------------------------------------------
 
+def _cast(key: str, val: Any, default: Any) -> Any:
+    if is_dataclass(default):
+        if not isinstance(val, dict):
+            raise ValueError(f"configuration key {key!r} must be a section")
+        return _build(type(default), val, prefix=key + ".")
+    try:
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(v) for v in val)
+        if default is None:
+            return None if val is None else float(val)
+        return type(default)(val)
+    except (TypeError, ValueError):
+        raise ValueError(f"configuration key {key!r} has unreadable value {val!r}") from None
+
+
+def _build(cls, section: Dict[str, Any], prefix: str = "", **fixed: Any):
+    """Typed config from a section, each value cast to the type of the
+    field's default (a ``None`` default takes a float); ``fixed`` fields
+    are passed as given."""
+    default = cls()
+    return cls(**fixed, **{
+        f.name: _cast(prefix + f.name, section[f.name], getattr(default, f.name))
+        for f in fields(cls) if f.name in section and f.name not in fixed})
+
+
 def make_link(cfg: Dict[str, Any]) -> LinkParams:
-    c = cfg["link"]
-    return LinkParams(
-        alpha_db_per_km=float(c["alpha_db_per_km"]),
-        distance_km=float(c["distance_km"]),
-        eta_det=float(c["eta_det"]),
-        y0=float(c["y0"]),
-        e_d=float(c["e_d"]),
-        e0=float(c["e0"]),
-        f_rep=float(c["f_rep"]),
-        theta=None if c["theta"] is None else float(c["theta"]),
-    )
+    return _build(LinkParams, cfg["link"], "link.")
 
 
 def make_protocol(cfg: Dict[str, Any], kind: Optional[str] = None) -> ProtocolConfig:
-    c = cfg["protocol"]
-    return ProtocolConfig(
-        kind=kind or c["kind"],
-        q=float(c["q"]),
-        f_ec=float(c["f_ec"]),
-        bb84=Bb84Config(**{k: float(v) for k, v in c["bb84"].items()}),
-        e91=E91Config(v_source=float(c["e91"]["v_source"])),
-        cow=CowConfig(**{k: float(v) for k, v in c["cow"].items()}),
-        finite_key=FiniteKeyConfig(n_block=float(c["finite_key"]["n_block"]),
-                                   epsilon=float(c["finite_key"]["epsilon"])),
-    )
+    return _build(ProtocolConfig, cfg["protocol"], "protocol.",
+                  **({"kind": kind} if kind else {}))
 
 
 def make_tcn_config(cfg: Dict[str, Any]) -> TcnConfig:
-    c = cfg["tcn"]
-    return TcnConfig(
-        layers=int(c["layers"]),
-        dilations=tuple(int(d) for d in c["dilations"]),
-        kernel=int(c["kernel"]),
-        hidden=int(c["hidden"]),
-        window=int(c["window"]),
-        lr=float(c["lr"]),
-        epochs=int(c["epochs"]),
-        batch_size=int(c["batch_size"]),
-    )
+    return _build(TcnConfig, cfg["tcn"], "tcn.")
 
 
 def make_ppo_config(cfg: Dict[str, Any]) -> PpoConfig:
-    c = cfg["ppo"]
-    return PpoConfig(
-        gamma=float(c["gamma"]),
-        clip_eps=float(c["clip_eps"]),
-        lr=float(c["lr"]),
-        epochs=int(c["epochs"]),
-        rollout=int(c["rollout"]),
-        minibatch=int(c["minibatch"]),
-        entropy_weight=float(c["entropy_weight"]),
-        log_std_init=float(c["log_std_init"]),
-        hidden=tuple(int(h) for h in c["hidden"]),
-    )
+    return _build(PpoConfig, cfg["ppo"], "ppo.")
 
 
 def make_reward_config(cfg: Dict[str, Any], skr_ref: float) -> RewardConfig:
-    c = cfg["reward"]
-    return RewardConfig(
-        w_rate=float(c["w_rate"]),
-        w_err=float(c["w_err"]),
-        skr_ref=float(skr_ref),
-        qber_ref=float(c["qber_ref"]),
-        abort_penalty=float(c["abort_penalty"]),
-    )
+    return _build(RewardConfig, cfg["reward"], "reward.", skr_ref=float(skr_ref))

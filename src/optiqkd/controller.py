@@ -143,7 +143,11 @@ def _mlp(sizes: Sequence[int], rng: np.random.Generator,
 
 
 class ActorCritic:
-    """Gaussian policy with tanh squashing plus a state-value critic."""
+    """Gaussian policy with tanh squashing plus a state-value critic.
+
+    ``named`` maps each parameter's checkpoint name to its ``Var``, in
+    checkpoint order: the actor layers, the critic layers, ``log_std``.
+    """
 
     def __init__(self, cfg: PpoConfig, obs_dim: int = OBS_DIM, act_dim: int = 5,
                  rng: Optional[np.random.Generator] = None):
@@ -155,20 +159,18 @@ class ActorCritic:
         self.actor = _mlp((obs_dim, h1, h2, act_dim), rng, out_scale=0.01)
         self.critic = _mlp((obs_dim, h1, h2, 1), rng)
         self.log_std = nn.Var(np.full(act_dim, cfg.log_std_init))
+        self.named: Dict[str, nn.Var] = {}
+        for name, layers in (("actor", self.actor), ("critic", self.critic)):
+            for i, layer in enumerate(layers):
+                self.named.update(layer.named(f"{name}{i}"))
+        self.named["log_std"] = self.log_std
         self.act_calls = 0
 
     def actor_params(self) -> List[nn.Var]:
-        out: List[nn.Var] = []
-        for layer in self.actor:
-            out += layer.params()
-        out.append(self.log_std)
-        return out
+        return [p for name, p in self.named.items() if not name.startswith("critic")]
 
     def critic_params(self) -> List[nn.Var]:
-        out: List[nn.Var] = []
-        for layer in self.critic:
-            out += layer.params()
-        return out
+        return [p for name, p in self.named.items() if name.startswith("critic")]
 
     def forward_actor(self, obs: nn.Var) -> nn.Var:
         h = obs
@@ -185,28 +187,8 @@ class ActorCritic:
     def sigma(self) -> np.ndarray:
         return np.exp(np.clip(self.log_std.data, -5.0, 2.0))
 
-    def snapshot(self) -> List[np.ndarray]:
-        return [p.data.copy() for p in self.actor_params() + self.critic_params()]
-
-    def restore(self, snap: List[np.ndarray]) -> None:
-        for p, s in zip(self.actor_params() + self.critic_params(), snap):
-            p.data = s.copy()
-
-    def state_arrays(self) -> dict:
-        arrays = {}
-        for name, layers in (("actor", self.actor), ("critic", self.critic)):
-            for i, layer in enumerate(layers):
-                arrays[f"{name}{i}.w"] = layer.w.data
-                arrays[f"{name}{i}.b"] = layer.b.data
-        arrays["log_std"] = self.log_std.data
-        return arrays
-
-    def load_state_arrays(self, arrays: dict) -> None:
-        for name, layers in (("actor", self.actor), ("critic", self.critic)):
-            for i, layer in enumerate(layers):
-                layer.w.data = arrays[f"{name}{i}.w"]
-                layer.b.data = arrays[f"{name}{i}.b"]
-        self.log_std.data = arrays["log_std"]
+    def state_arrays(self) -> Dict[str, np.ndarray]:
+        return {name: p.data for name, p in self.named.items()}
 
 
 def observe(forecast: Forecast, telem: Telemetry, ctrl: ControlState,
@@ -332,7 +314,7 @@ def ppo_update(buffer: RolloutBuffer, cfg: PpoConfig, nets: ActorCritic,
     adv = returns - np.asarray(buffer.values)
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
-    snap = nets.snapshot()
+    snap = {name: p.data.copy() for name, p in nets.named.items()}
     rng = np.random.Generator(np.random.Philox(key=len(buffer)))
     policy_losses, value_losses, entropies = [], [], []
     try:
@@ -364,7 +346,7 @@ def ppo_update(buffer: RolloutBuffer, cfg: PpoConfig, nets: ActorCritic,
                 value_losses.append(float(value_loss.data))
                 entropies.append(float(entropy.data))
     except (DivergenceError, nn.NonFiniteGradientError):
-        nets.restore(snap)
+        nn.set_params(nets.named, snap)
         buffer.clear()
         raise
     report = {
@@ -392,5 +374,5 @@ def load_policy(path: str, cfg: Optional[PpoConfig] = None) -> ActorCritic:
     cfg = cfg or PpoConfig()
     cfg = PpoConfig(**{**cfg.__dict__, "hidden": tuple(meta["hidden"])})
     nets = ActorCritic(cfg, obs_dim=int(meta["obs_dim"]), act_dim=int(meta["act_dim"]))
-    nets.load_state_arrays(arrays)
+    nn.set_params(nets.named, arrays)
     return nets

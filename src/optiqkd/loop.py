@@ -21,8 +21,8 @@ from .channel import (ControlState, DEFAULT_ABORT_QBER, DEFAULT_N_PULSES,
 from .controller import (ActorCritic, PpoConfig, RewardConfig, RolloutBuffer,
                          act, apply_action, observe, ppo_update,
                          reward as reward_fn)
-from .rates import (PROTOCOLS, LinkParams, ProtocolConfig, block_key_rate,
-                    operating_point)
+from .rates import (NOMINAL_P_Z, PROTOCOLS, LinkParams, ProtocolConfig,
+                    block_key_rate, operating_point)
 from .tcn import Forecaster, Normalizer, TcnModel, telemetry_features
 from . import nn
 
@@ -96,7 +96,6 @@ class RunMetrics:
     abort_count: float
     adaptation_blocks: Optional[float]
     adaptation_seconds: Optional[float]
-    per_seed: Dict[int, Dict[str, Optional[float]]]
     skr_ci: Tuple[float, float]
     qber_ci: Tuple[float, float]
     abort_ci: Tuple[float, float]
@@ -104,7 +103,7 @@ class RunMetrics:
 
 def nominal_control(proto: ProtocolConfig) -> ControlState:
     mu_s, mu_w = PROTOCOLS[proto.kind].nominal(proto)
-    return ControlState(mu_s=mu_s, mu_w=mu_w, p_z=0.5)
+    return ControlState(mu_s=mu_s, mu_w=mu_w, p_z=NOMINAL_P_Z)
 
 
 def nominal_skr_ref(link: LinkParams, proto: ProtocolConfig) -> float:
@@ -156,7 +155,6 @@ def run_episode(
     opt_actor: Optional[nn.Adam] = None,
     opt_critic: Optional[nn.Adam] = None,
     update_log: Optional[List[Dict[str, float]]] = None,
-    online_updates: bool = True,
 ) -> EpisodeLog:
     """One (scenario, seed, controller) run; deterministic under fixed inputs.
 
@@ -185,9 +183,8 @@ def run_episode(
         policy_rng = np.random.Generator(np.random.Philox(key=seed * 4 + 2))
         ppo_cfg = ppo_cfg or nets.cfg
         buffer = buffer if buffer is not None else RolloutBuffer()
-        if online_updates:
-            opt_actor = opt_actor or nn.Adam(nets.actor_params(), lr=ppo_cfg.lr)
-            opt_critic = opt_critic or nn.Adam(nets.critic_params(), lr=ppo_cfg.lr)
+        opt_actor = opt_actor or nn.Adam(nets.actor_params(), lr=ppo_cfg.lr)
+        opt_critic = opt_critic or nn.Adam(nets.critic_params(), lr=ppo_cfg.lr)
     elif kind == "recalib":
         recalib = _RecalibState(nominal)
 
@@ -220,7 +217,7 @@ def run_episode(
             buffer.add(obs, sample.pre_squash, sample.log_prob, sample.value,
                        r, sample.action.mask)
             pending = None
-            if online_updates and len(buffer) >= ppo_cfg.rollout:
+            if len(buffer) >= ppo_cfg.rollout:
                 report = ppo_update(buffer, ppo_cfg, nets, opt_actor, opt_critic)
                 if update_log is not None:
                     update_log.append(report)
@@ -337,7 +334,7 @@ class ComparisonResult:
                 ("median_qber", m.median_qber, *m.qber_ci),
                 ("abort_count", m.abort_count, *m.abort_ci),
             ]
-            if m.adaptation_blocks is not None or self._has_event():
+            if m.adaptation_blocks is not None:
                 rows.append(("adaptation_blocks", m.adaptation_blocks, math.nan, math.nan))
                 rows.append(("adaptation_seconds", m.adaptation_seconds, math.nan, math.nan))
             for metric, val, lo, hi in rows:
@@ -345,9 +342,6 @@ class ComparisonResult:
         for ctrl, metric, val, lo, hi in self.improvements:
             lines.append(f"{ctrl},{self.scenario},{metric},{fmt(val)},{fmt(lo)},{fmt(hi)}")
         return "\n".join(lines) + "\n"
-
-    def _has_event(self) -> bool:
-        return any(m.adaptation_blocks is not None for m in self.metrics.values())
 
 
 def compare(runs: Dict[str, List[EpisodeLog]], warmup: int = WARMUP_BLOCKS,
@@ -370,23 +364,17 @@ def compare(runs: Dict[str, List[EpisodeLog]], warmup: int = WARMUP_BLOCKS,
     seed_meds: Dict[str, Dict[str, List[float]]] = {}
     for name, logs in runs.items():
         pooled_skr, pooled_qber = [], []
-        per_seed: Dict[int, Dict[str, Optional[float]]] = {}
         skr_meds, qber_meds, aborts, adapts = [], [], [], []
         for log in logs:
             skr = log.skr_series()[warmup:]
             qber = log.qber_series()[warmup:]
             pooled_skr.append(skr)
             pooled_qber.append(qber)
-            med_s, med_q = float(np.median(skr)), float(np.median(qber))
-            n_ab = log.abort_count()
+            skr_meds.append(float(np.median(skr)))
+            qber_meds.append(float(np.median(qber)))
+            aborts.append(float(log.abort_count()))
             adapt = (adaptation_time(log, event_block)
                      if event_block is not None else None)
-            per_seed[log.seed] = {"median_skr_bps": med_s, "median_qber": med_q,
-                                  "aborts": float(n_ab),
-                                  "adaptation_blocks": None if adapt is None else float(adapt)}
-            skr_meds.append(med_s)
-            qber_meds.append(med_q)
-            aborts.append(float(n_ab))
             if adapt is not None:
                 adapts.append(float(adapt))
         adapt_agg = float(np.median(adapts)) if adapts else (
@@ -400,7 +388,6 @@ def compare(runs: Dict[str, List[EpisodeLog]], warmup: int = WARMUP_BLOCKS,
             adaptation_blocks=adapt_agg,
             adaptation_seconds=(None if adapt_agg is None
                                 else adapt_agg * block_seconds),
-            per_seed=per_seed,
             skr_ci=bootstrap_ci(skr_meds, n_boot, seed=1),
             qber_ci=bootstrap_ci(qber_meds, n_boot, seed=2),
             abort_ci=bootstrap_ci(aborts, n_boot, seed=3),

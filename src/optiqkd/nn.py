@@ -144,10 +144,6 @@ def exp(a: Var) -> Var:
     return Var(out, [(a, lambda g: g * out)])
 
 
-def log(a: Var) -> Var:
-    return Var(np.log(a.data), [(a, lambda g: g / a.data)])
-
-
 def square(a: Var) -> Var:
     return Var(a.data * a.data, [(a, lambda g: g * 2.0 * a.data)])
 
@@ -303,6 +299,9 @@ class DenseLayer:
     def params(self) -> List[Var]:
         return [self.w, self.b]
 
+    def named(self, prefix: str) -> Dict[str, Var]:
+        return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
+
 
 class Conv1dCausalLayer:
     def __init__(self, kernel: np.ndarray, bias: np.ndarray, dilation: int = 1):
@@ -321,6 +320,9 @@ class Conv1dCausalLayer:
 
     def params(self) -> List[Var]:
         return [self.kernel, self.bias]
+
+    def named(self, prefix: str) -> Dict[str, Var]:
+        return {f"{prefix}.kernel": self.kernel, f"{prefix}.bias": self.bias}
 
 
 # -- optimizer -----------------------------------------------------------
@@ -410,3 +412,21 @@ def load_checkpoint(path: str) -> Tuple[Dict[str, np.ndarray], dict]:
         for entry in doc["arrays"]
     }
     return arrays, doc.get("meta", {})
+
+
+def set_params(params: Dict[str, Var], arrays: Dict[str, np.ndarray]) -> None:
+    """Set each named parameter from checkpoint ``arrays``.
+
+    Every name is checked before any is set: an array that is missing, has
+    another shape than its parameter, or names no parameter raises
+    :class:`ValueError` naming it.
+    """
+    problems = [f"missing array {name!r}" for name in params if name not in arrays]
+    problems += [f"array {name!r} has shape {np.shape(arrays[name])}, expected {p.data.shape}"
+                 for name, p in params.items()
+                 if name in arrays and np.shape(arrays[name]) != p.data.shape]
+    problems += [f"unexpected array {name!r}" for name in arrays if name not in params]
+    if problems:
+        raise ValueError("checkpoint does not fit the model: " + "; ".join(problems))
+    for name, p in params.items():
+        p.data = arrays[name]

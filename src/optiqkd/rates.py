@@ -24,6 +24,7 @@ if TYPE_CHECKING:
     from .channel import ControlState, Telemetry
 
 DEFAULT_F_REP = 2.5e8
+NOMINAL_P_Z = 0.5  # basis bias a run starts from
 CHSH_MAX = 2.0 * math.sqrt(2.0)
 
 # Photon-number cutoff for the exact Poisson expansion. For mu <= 1 the
@@ -125,7 +126,6 @@ class ProtocolConfig:
     """
 
     kind: str = "bb84"
-    q: float = 0.5
     f_ec: float = 1.16
     bb84: Bb84Config = field(default_factory=Bb84Config)
     e91: E91Config = field(default_factory=E91Config)
@@ -135,8 +135,6 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.kind not in PROTOCOLS:
             raise ValueError(f"unknown protocol kind {self.kind!r}")
-        if not 0.0 < self.q <= 1.0:
-            raise ValueError("q must be in (0, 1]")
         if self.f_ec < 1.0:
             raise ValueError("f_ec must be >= 1")
 
@@ -305,8 +303,8 @@ def bb84_key_rate(
     q_mu: float,
     e_mu: float,
     cfg: ProtocolConfig,
+    q: float,
     f_rep: float = DEFAULT_F_REP,
-    q: Optional[float] = None,
 ) -> KeyRateReport:
     """Decoy-state BB84 secure fraction per emitted pulse.
 
@@ -316,14 +314,13 @@ def bb84_key_rate(
     """
     _check_prob("q_mu", q_mu)
     _check_prob("e_mu", e_mu)
-    q_sift = cfg.q if q is None else q
     if isinstance(bounds_or_gains, DecoyBounds):
         q1, e1 = bounds_or_gains.q1_lower, bounds_or_gains.e1_upper
     else:
         q1, e1 = bounds_or_gains.q1, bounds_or_gains.e1
     ec_leak = q_mu * cfg.f_ec * binary_entropy(min(e_mu, 0.5))
     pa_term = q1 * (1.0 - binary_entropy(min(e1, 0.5)))
-    raw = q_sift * (pa_term - ec_leak)
+    raw = q * (pa_term - ec_leak)
     return _report(raw, ec_leak, pa_term, cfg, f_rep)
 
 
@@ -331,15 +328,14 @@ def bb84_sifted_key_rate(
     q_mu: float,
     e_mu: float,
     cfg: ProtocolConfig,
+    q: float,
     f_rep: float = DEFAULT_F_REP,
-    q: Optional[float] = None,
 ) -> KeyRateReport:
     """Sifted-key approximation R ~ q * Q_mu * [1 - 2 H2(E_mu)]."""
     _check_prob("q_mu", q_mu)
     _check_prob("e_mu", e_mu)
-    q_sift = cfg.q if q is None else q
     h = binary_entropy(min(e_mu, 0.5))
-    raw = q_sift * q_mu * (1.0 - 2.0 * h)
+    raw = q * q_mu * (1.0 - 2.0 * h)
     return _report(raw, q_mu * h, q_mu * (1.0 - h), cfg, f_rep)
 
 
@@ -353,21 +349,20 @@ def e91_key_rate(
     s: float,
     q_err: float,
     cfg: ProtocolConfig,
+    q: float,
     f_rep: float = DEFAULT_F_REP,
-    q: Optional[float] = None,
 ) -> KeyRateReport:
     """Entanglement-based rate with a CHSH-dependent privacy term.
 
-    R = q_sift * [1 - f(Q) H2(Q) - H2((1 + sqrt(max(0, (S/2)^2 - 1))) / 2)].
+    R = q * [1 - f(Q) H2(Q) - H2((1 + sqrt(max(0, (S/2)^2 - 1))) / 2)].
     """
     _check_prob("q_err", q_err, 0.5)
     if not 0.0 <= s <= CHSH_MAX + 1e-12:
         raise ValueError(f"CHSH value must be in [0, 2*sqrt(2)], got {s!r}")
-    q_sift = cfg.q if q is None else q
     ec_leak = cfg.f_ec * binary_entropy(q_err)
     holevo_arg = (1.0 + math.sqrt(max(0.0, (s / 2.0) ** 2 - 1.0))) / 2.0
     pa_term = 1.0 - binary_entropy(min(holevo_arg, 1.0))
-    raw = q_sift * (pa_term - ec_leak)
+    raw = q * (pa_term - ec_leak)
     return _report(raw, ec_leak, pa_term, cfg, f_rep)
 
 
@@ -388,8 +383,8 @@ def cow_key_rate(
     e_mu: float,
     e_ph: float,
     cfg: ProtocolConfig,
+    q: float,
     f_rep: float = DEFAULT_F_REP,
-    q: Optional[float] = None,
 ) -> KeyRateReport:
     """Coherent one-way rate per emitted signal bin.
 
@@ -399,10 +394,9 @@ def cow_key_rate(
     _check_prob("q_mu", q_mu)
     _check_prob("e_mu", e_mu)
     _check_prob("e_ph", e_ph)
-    q_sift = cfg.q if q is None else q
     ec_leak = q_mu * cfg.f_ec * binary_entropy(min(e_mu, 0.5))
     pa_term = q_mu * (1.0 - binary_entropy(min(e_ph, 0.5)))
-    raw = q_sift * (pa_term - ec_leak)
+    raw = q * (pa_term - ec_leak)
     return _report(raw, ec_leak, pa_term, cfg, f_rep)
 
 
@@ -430,14 +424,14 @@ class ProtocolSpec:
     the knobs the controller may move, in ``controller.ACTION_ORDER``
     order; ``key_fraction`` is the share of pulses kept for the key at
     basis bias ``p_z``; ``operating_point`` is the model's (Q_mu, E_mu,
-    report) on a link; ``block_rate`` is the report from one block's
-    telemetry at key fraction ``q``.
+    report) on a link at key fraction ``q``; ``block_rate`` is the report
+    from one block's telemetry at key fraction ``q``.
     """
 
     nominal: Callable[[ProtocolConfig], Tuple[float, float]]
     mask: Tuple[float, ...]
     key_fraction: Callable[[ProtocolConfig, float], float]
-    operating_point: Callable[[LinkParams, ProtocolConfig],
+    operating_point: Callable[[LinkParams, ProtocolConfig, float],
                               Tuple[float, float, KeyRateReport]]
     block_rate: Callable[[LinkParams, ProtocolConfig, ControlState, Telemetry, float],
                          KeyRateReport]
@@ -448,7 +442,7 @@ def _basis_match(proto: ProtocolConfig, p_z: float) -> float:
     return p_z**2 + (1.0 - p_z) ** 2
 
 
-def _cow_key_fraction(proto: ProtocolConfig, p_z: float = 0.5) -> float:
+def _cow_key_fraction(proto: ProtocolConfig, p_z: float) -> float:
     """A fixed share of the non-monitor bins; ``p_z`` plays no part."""
     return 0.9 * (1.0 - proto.cow.monitor_fraction)
 
@@ -466,26 +460,24 @@ def _decoy_rate(obs_s: Tuple[float, float], obs_w: Tuple[float, float],
                          f_rep=f_rep, q=q)
 
 
-def _bb84_point(link: LinkParams, proto: ProtocolConfig):
+def _bb84_point(link: LinkParams, proto: ProtocolConfig, q: float):
     gs = bb84_model_gains(link, proto.bb84.mu_s)
     gw = bb84_model_gains(link, proto.bb84.mu_w)
     rep = _decoy_rate((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu), proto,
-                      link.y0, link.e0, link.f_rep, proto.q)
+                      link.y0, link.e0, link.f_rep, q)
     return gs.q_mu, gs.e_mu, rep
 
 
-def _e91_point(link: LinkParams, proto: ProtocolConfig):
+def _e91_point(link: LinkParams, proto: ProtocolConfig, q: float):
     s, q_err = e91_quantities(proto.e91.v_source)
     # source at the transmitter: one arm sees its detector, the other the link
     q_pair = min(link.y0 + transmittance(link) * link.eta_det, 1.0)
-    return q_pair, q_err, e91_key_rate(s, q_err, proto, f_rep=link.f_rep, q=proto.q)
+    return q_pair, q_err, e91_key_rate(s, q_err, proto, f_rep=link.f_rep, q=q)
 
 
-def _cow_point(link: LinkParams, proto: ProtocolConfig):
+def _cow_point(link: LinkParams, proto: ProtocolConfig, q: float):
     gs = bb84_gains(proto.cow.alpha_sq, transmittance(link), link.y0, link.e_d, link.e0)
-    rep = cow_key_rate(gs.q_mu, gs.e_mu, 0.0, proto, f_rep=link.f_rep,
-                       q=_cow_key_fraction(proto))
-    return gs.q_mu, gs.e_mu, rep
+    return gs.q_mu, gs.e_mu, cow_key_rate(gs.q_mu, gs.e_mu, 0.0, proto, f_rep=link.f_rep, q=q)
 
 
 def _bb84_block(link: LinkParams, proto: ProtocolConfig, ctrl: ControlState,
@@ -526,8 +518,10 @@ PROTOCOLS: Dict[str, ProtocolSpec] = {
 def operating_point(link: LinkParams,
                     proto: ProtocolConfig) -> Tuple[float, float, KeyRateReport]:
     """Model-predicted (gain, QBER, rate report) of ``proto`` on ``link``
-    at its configured parameters and zero added noise."""
-    return PROTOCOLS[proto.kind].operating_point(link, proto)
+    at its configured parameters, the nominal basis bias and zero added
+    noise."""
+    spec = PROTOCOLS[proto.kind]
+    return spec.operating_point(link, proto, spec.key_fraction(proto, NOMINAL_P_Z))
 
 
 def block_key_rate(link: LinkParams, proto: ProtocolConfig, ctrl: ControlState,

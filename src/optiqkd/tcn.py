@@ -9,7 +9,7 @@ is single-threaded per model instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class Forecast:
 
     y_next: np.ndarray
     y_norm: np.ndarray
-    horizon: int = 1
 
 
 class Normalizer:
@@ -87,7 +86,11 @@ def telemetry_features(telem: Telemetry) -> np.ndarray:
 
 class TcnModel:
     """Stack of {dilated causal conv -> ReLU -> residual add} blocks with a
-    linear head reading the final time step."""
+    linear head reading the final time step.
+
+    ``named`` maps each parameter's checkpoint name to its ``Var``, in
+    checkpoint order; ``params``, ``state_arrays`` and ``load_tcn`` read it.
+    """
 
     def __init__(self, cfg: TcnConfig, rng: np.random.Generator,
                  normalizer: Optional[Normalizer] = None):
@@ -96,24 +99,23 @@ class TcnModel:
         n_feat = len(cfg.features)
         self.convs: List[nn.Conv1dCausalLayer] = []
         self.projs: List[Optional[nn.Conv1dCausalLayer]] = []
+        self.named: Dict[str, nn.Var] = {}
         c_in = n_feat
-        for d in cfg.dilations:
-            self.convs.append(nn.Conv1dCausalLayer.create(c_in, cfg.hidden, cfg.kernel, d, rng))
+        for i, d in enumerate(cfg.dilations):
+            conv = nn.Conv1dCausalLayer.create(c_in, cfg.hidden, cfg.kernel, d, rng)
+            self.named.update(conv.named(f"conv{i}"))
+            proj = None
             if c_in != cfg.hidden:
-                self.projs.append(nn.Conv1dCausalLayer.create(c_in, cfg.hidden, 1, 1, rng))
-            else:
-                self.projs.append(None)
+                proj = nn.Conv1dCausalLayer.create(c_in, cfg.hidden, 1, 1, rng)
+                self.named.update(proj.named(f"proj{i}"))
+            self.convs.append(conv)
+            self.projs.append(proj)
             c_in = cfg.hidden
         self.head = nn.DenseLayer.create(cfg.hidden, n_feat, rng)
+        self.named.update(self.head.named("head"))
 
     def params(self) -> List[nn.Var]:
-        out: List[nn.Var] = []
-        for conv, proj in zip(self.convs, self.projs):
-            out += conv.params()
-            if proj is not None:
-                out += proj.params()
-        out += self.head.params()
-        return out
+        return list(self.named.values())
 
     def forward_batch(self, windows: np.ndarray) -> nn.Var:
         """windows: (B, W, F) normalized. Returns Var (B, F)."""
@@ -126,30 +128,11 @@ class TcnModel:
         last = nn.index(h, (slice(None), slice(None), -1))  # (B, hidden)
         return self.head(last)
 
-    def state_arrays(self) -> dict:
-        arrays = {}
-        for i, (conv, proj) in enumerate(zip(self.convs, self.projs)):
-            arrays[f"conv{i}.kernel"] = conv.kernel.data
-            arrays[f"conv{i}.bias"] = conv.bias.data
-            if proj is not None:
-                arrays[f"proj{i}.kernel"] = proj.kernel.data
-                arrays[f"proj{i}.bias"] = proj.bias.data
-        arrays["head.w"] = self.head.w.data
-        arrays["head.b"] = self.head.b.data
+    def state_arrays(self) -> Dict[str, np.ndarray]:
+        arrays = {name: p.data for name, p in self.named.items()}
         arrays["norm.mean"] = self.normalizer.mean
         arrays["norm.std"] = self.normalizer.std
         return arrays
-
-    def load_state_arrays(self, arrays: dict) -> None:
-        for i, (conv, proj) in enumerate(zip(self.convs, self.projs)):
-            conv.kernel.data = arrays[f"conv{i}.kernel"]
-            conv.bias.data = arrays[f"conv{i}.bias"]
-            if proj is not None:
-                proj.kernel.data = arrays[f"proj{i}.kernel"]
-                proj.bias.data = arrays[f"proj{i}.bias"]
-        self.head.w.data = arrays["head.w"]
-        self.head.b.data = arrays["head.b"]
-        self.normalizer = Normalizer(arrays["norm.mean"], arrays["norm.std"])
 
 
 def tcn_forward(window: np.ndarray, model: TcnModel) -> Forecast:
@@ -305,5 +288,7 @@ def load_tcn(path: str) -> TcnModel:
         features=tuple(meta["features"]),
     )
     model = TcnModel(cfg, np.random.Generator(np.random.Philox(key=0)))
-    model.load_state_arrays(arrays)
+    norm = {"norm.mean": nn.Var(model.normalizer.mean), "norm.std": nn.Var(model.normalizer.std)}
+    nn.set_params({**model.named, **norm}, arrays)
+    model.normalizer = Normalizer(norm["norm.mean"].data, norm["norm.std"].data)
     return model

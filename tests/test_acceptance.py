@@ -134,7 +134,7 @@ def test_01_rate_engine_exactness():
         worst = max(worst, max_rel_err(gs.q_mu, ob_s["q_mu"], floor=1e-30),
                     max_rel_err(gs.e_mu, ob_s["e_mu"], floor=1e-30))
         bounds = decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu), PROTO, link.y0)
-        rep = bb84_key_rate(bounds, gs.q_mu, gs.e_mu, PROTO)
+        rep = bb84_key_rate(bounds, gs.q_mu, gs.e_mu, PROTO, q=0.5)
         from oracles import decoy_bounds_oracle
         y1o, e1o = decoy_bounds_oracle(ob_s["q_mu"], ob_w["q_mu"], ob_w["e_mu"],
                                        0.5, 0.1, link.y0)
@@ -143,16 +143,16 @@ def test_01_rate_engine_exactness():
                                1.16, 0.5)
         worst = max(worst, max_rel_err(rep.r_per_pulse, max(ref, 0.0), floor=1e-30))
 
-        e91_cfg = ProtocolConfig(kind="e91", q=0.5)
+        e91_cfg = ProtocolConfig(kind="e91")
         s, q_err = e91_quantities(e91_cfg.e91.v_source)
-        rep = e91_key_rate(s, q_err, e91_cfg)
+        rep = e91_key_rate(s, q_err, e91_cfg, q=0.5)
         ref = max(e91_rate_oracle(e91_cfg.e91.v_source, 1.16, 0.5), 0.0)
         worst = max(worst, max_rel_err(rep.r_per_pulse, ref, floor=1e-30))
 
-        cow_cfg = ProtocolConfig(kind="cow", q=0.81)
+        cow_cfg = ProtocolConfig(kind="cow")
         g = bb84_gains(0.5, eta, link.y0, link.e_d)
         e_ph = cow_phase_error(0.5, 0.0)
-        rep = cow_key_rate(g.q_mu, g.e_mu, e_ph, cow_cfg)
+        rep = cow_key_rate(g.q_mu, g.e_mu, e_ph, cow_cfg, q=0.81)
         ref = max(cow_rate_oracle(ob_s["q_mu"], ob_s["e_mu"], 0.0, 1.16, 0.81), 0.0)
         worst = max(worst, max_rel_err(rep.r_per_pulse, ref, floor=1e-30))
     elapsed = time.monotonic() - t0
@@ -187,16 +187,16 @@ def test_02_decoy_bound_safety():
 
 
 def test_03_e91_threshold_window():
-    e91_cfg = ProtocolConfig(kind="e91", q=1.0, f_ec=1.0)
-    sifted_cfg = ProtocolConfig(q=1.0, f_ec=1.0)
+    e91_cfg = ProtocolConfig(kind="e91", f_ec=1.0)
+    sifted_cfg = ProtocolConfig(f_ec=1.0)
 
     def e91_raw(q_err):
         # Werner-state parameterization: S = 2*sqrt(2)*(1 - 2Q)
         s, _ = e91_quantities(1.0 - 2.0 * q_err)
-        return e91_key_rate(s, q_err, e91_cfg).components.raw
+        return e91_key_rate(s, q_err, e91_cfg, q=1.0).components.raw
 
     def sifted_raw(q_err):
-        return bb84_sifted_key_rate(1.0, q_err, sifted_cfg).components.raw
+        return bb84_sifted_key_rate(1.0, q_err, sifted_cfg, q=1.0).components.raw
 
     def zero(rate):
         a, b = 0.02, 0.2

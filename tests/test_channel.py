@@ -133,7 +133,7 @@ class TestStepBlock:
         assert abs(t.q_mu_hat - g.q_mu) < 5 * sigma
 
     def test_determinism(self):
-        for proto in (PROTO, ProtocolConfig(kind="e91"), ProtocolConfig(kind="cow", q=0.81)):
+        for proto in (PROTO, ProtocolConfig(kind="e91"), ProtocolConfig(kind="cow")):
             a = Simulator(LINK, proto, make_scenario("noise-sweep", 30), seed=9)
             b = Simulator(LINK, proto, make_scenario("noise-sweep", 30), seed=9)
             for _ in range(30):

@@ -53,6 +53,13 @@ class TestRates:
     def test_unknown_protocol_usage_error(self, tmp_path, capsys):
         assert run(["rates", "--protocol", "b92", "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("grid", [["--dmin", "50", "--dmax", "10"],
+                                      ["--dstep", "-5"], ["--dstep", "0"],
+                                      ["--dmax", "inf"], ["--dstep", "nan"]])
+    def test_unrunnable_grid_usage_error(self, tmp_path, grid):
+        assert run(["rates", "--out", str(tmp_path)] + grid) == 1
+        assert not (tmp_path / "rates_bb84.csv").exists()
+
 
 class TestShowConfig:
     def test_prints_defaults(self, capsys):
@@ -88,11 +95,12 @@ class TestSimulate:
         assert len(lines) == 21
 
     def test_fixed_recalib_schedule_not_configurable(self, tmp_path):
-        # the recalib scan and the adaptation window are module constants
-        for key in ("recalib_period=30", "recalib_grid=[0.2,0.6]",
-                    "pre_event_window=20"):
+        # the recalib scan and the adaptation window are module constants,
+        # and the key fraction follows p_z (or COW's monitor share)
+        for key in ("loop.recalib_period=30", "loop.recalib_grid=[0.2,0.6]",
+                    "loop.pre_event_window=20", "protocol.q=0.8"):
             assert run(["simulate", "--controller", "recalib", "--blocks", "20",
-                        "--out", str(tmp_path), "--set", f"loop.{key}"]) == 1
+                        "--out", str(tmp_path), "--set", key]) == 1
 
     def test_unknown_scenario_usage_error(self, tmp_path):
         assert run(["simulate", "--scenario", "hurricane", "--out",

@@ -120,7 +120,7 @@ class TestRunEpisode:
 
         monkeypatch.setattr(Forecaster, "forecast", spy)
         log = run_episode(LINK, PROTO, "noise-sweep", "ml", seed=4, blocks=300,
-                          tcn_model=model, nets=nets, online_updates=False)
+                          tcn_model=model, nets=nets)
         assert len(rows) == 299
         assert max(rows) == cfg.window
         assert log.tcn_calls == 299 - (cfg.window - 1)  # warm-up falls back
@@ -221,7 +221,7 @@ class TestCompare:
 
 def test_nominal_skr_ref_positive_all_protocols():
     for kind, q in (("bb84", 0.5), ("e91", 0.5), ("cow", 0.81)):
-        proto = ProtocolConfig(kind=kind, q=q)
+        proto = ProtocolConfig(kind=kind)
         ref = nominal_skr_ref(LINK, proto)
         assert ref > 0.0
         _, _, r_pp = operating_point_oracle(kind, LINK.distance_km, q)

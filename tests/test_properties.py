@@ -1,0 +1,253 @@
+"""Property tests of the two hand-off edges: the config document and the
+model checkpoints.
+
+- A ``--set key=v`` override of any numeric leaf reaches its typed config
+  as exactly ``v`` (or fails with the dataclass's own ``ValueError``), and
+  a JSON overlay of the same value gives the same document.
+- Random small TCN and PPO architectures save and load bit-exactly.
+- A checkpoint array that is missing, mis-shaped or unknown is rejected
+  with an error naming it, and ``optiqkd eval`` exits with code 2.
+"""
+
+import dataclasses
+import json
+import os
+import re
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from optiqkd import config as cfgmod
+from optiqkd import nn
+from optiqkd.cli import main
+from optiqkd.controller import (ActorCritic, PpoConfig, RewardConfig, load_policy,
+                                save_policy)
+from optiqkd.rates import LinkParams, ProtocolConfig
+from optiqkd.tcn import (Normalizer, TcnConfig, TcnModel, load_tcn, save_tcn,
+                         tcn_forward)
+
+# a fixed example sequence keeps the suite deterministic
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+# section -> (builder, the default typed config the section mirrors)
+TYPED = {
+    "link": (cfgmod.make_link, LinkParams()),
+    "protocol": (cfgmod.make_protocol, ProtocolConfig()),
+    "tcn": (cfgmod.make_tcn_config, TcnConfig()),
+    "ppo": (cfgmod.make_ppo_config, PpoConfig()),
+    "reward": (lambda cfg: cfgmod.make_reward_config(cfg, 1.0), RewardConfig(skr_ref=1.0)),
+}
+
+
+def numeric_leaves(node, prefix=""):
+    """Dotted keys of every scalar numeric (or ``None``) leaf."""
+    for key, val in node.items():
+        path = prefix + key
+        if isinstance(val, dict):
+            yield from numeric_leaves(val, path + ".")
+        elif val is None or (isinstance(val, (int, float)) and not isinstance(val, bool)):
+            yield path
+
+
+LEAVES = sorted(numeric_leaves(cfgmod.default_config()))
+FLOATS = st.floats(-1e3, 1e3, allow_nan=False) | st.floats(-1e12, 1e12, allow_nan=False)
+
+
+@st.composite
+def leaf_and_value(draw):
+    key = draw(st.sampled_from(LEAVES))
+    node = cfgmod.default_config()
+    for part in key.split(".")[:-1]:
+        node = node[part]
+    if isinstance(node[key.split(".")[-1]], int):
+        return key, draw(st.integers(-5, 5000))
+    return key, draw(FLOATS)
+
+
+def nested(key, val):
+    doc = val
+    for part in reversed(key.split(".")):
+        doc = {part: doc}
+    return doc
+
+
+def own_error(key, val):
+    """Whether the dataclass holding ``key`` rejects ``val`` by itself."""
+    section, *inner, field = key.split(".")
+    owner = TYPED[section][1]
+    for part in inner:
+        owner = getattr(owner, part)
+    try:
+        dataclasses.replace(owner, **{field: val})
+    except ValueError:
+        return True
+    return False
+
+
+def test_leaves_cover_every_typed_section():
+    sections = {key.split(".")[0] for key in LEAVES}
+    assert set(TYPED) <= sections
+    assert "protocol.q" not in LEAVES
+
+
+@SETTINGS
+@given(leaf_and_value())
+def test_config_override_round_trip(kv):
+    key, val = kv
+    by_set = cfgmod.apply_overrides(cfgmod.default_config(), [f"{key}={val!r}"])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(nested(key, val), fh)
+        by_json = cfgmod.load_config(path)
+    assert by_set == by_json
+    section, *inner, field = key.split(".")
+    node = by_set[section]
+    for part in inner:
+        node = node[part]
+    assert node[field] == val
+    if section not in TYPED:
+        return
+    rejected = own_error(key, val)
+    try:
+        typed = TYPED[section][0](by_set)
+    except ValueError:
+        assert rejected, f"{key}={val!r} rejected by the builder only"
+        return
+    assert not rejected
+    for part in inner:
+        typed = getattr(typed, part)
+    got = getattr(typed, field)
+    assert got == val and type(got) is type(val)
+
+
+# -- checkpoints --------------------------------------------------------
+
+@st.composite
+def tcn_models(draw):
+    layers = draw(st.integers(1, 3))
+    cfg = TcnConfig(layers=layers,
+                    dilations=tuple(draw(st.lists(st.integers(1, 4), min_size=layers,
+                                                  max_size=layers))),
+                    kernel=draw(st.integers(1, 3)), hidden=draw(st.integers(1, 6)),
+                    window=draw(st.integers(2, 10)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    norm = Normalizer(rng.normal(size=5), rng.uniform(0.1, 2.0, size=5))
+    return TcnModel(cfg, rng, norm), rng
+
+
+@st.composite
+def policies(draw):
+    cfg = PpoConfig(hidden=(draw(st.integers(1, 8)), draw(st.integers(1, 8))),
+                    log_std_init=draw(st.floats(-3, 1)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    nets = ActorCritic(cfg, obs_dim=draw(st.integers(1, 6)),
+                       act_dim=draw(st.integers(1, 5)),
+                       rng=np.random.Generator(np.random.Philox(key=seed)))
+    return nets
+
+
+def assert_same_arrays(a, b):
+    assert list(a) == list(b)
+    for name in a:
+        assert a[name].shape == b[name].shape, name
+        assert np.array_equal(a[name], b[name]), name
+
+
+@SETTINGS
+@given(tcn_models())
+def test_tcn_checkpoint_round_trip(model_rng):
+    model, rng = model_rng
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tcn.ckpt")
+        save_tcn(path, model)
+        loaded = load_tcn(path)
+    assert_same_arrays(model.state_arrays(), loaded.state_arrays())
+    window = rng.uniform(0.0, 1.0, size=(model.cfg.window, 5))
+    a, b = tcn_forward(window, model), tcn_forward(window, loaded)
+    assert np.array_equal(a.y_norm, b.y_norm)
+    assert np.array_equal(a.y_next, b.y_next)
+
+
+@SETTINGS
+@given(policies())
+def test_policy_checkpoint_round_trip(nets):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "policy.ckpt")
+        save_policy(path, nets)
+        loaded = load_policy(path)
+    assert_same_arrays(nets.state_arrays(), loaded.state_arrays())
+    obs = nn.Var(np.linspace(-1.0, 1.0, 3 * nets.obs_dim).reshape(3, nets.obs_dim))
+    assert np.array_equal(nets.forward_actor(obs).data, loaded.forward_actor(obs).data)
+    assert np.array_equal(nets.forward_critic(obs).data, loaded.forward_critic(obs).data)
+
+
+def break_checkpoint(path, pick, mode):
+    """Rewrite one array of a checkpoint file; returns the name to expect."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    entry = doc["arrays"][pick % len(doc["arrays"])]
+    if mode == "missing":
+        doc["arrays"].remove(entry)
+    elif mode == "longer":
+        entry["data"].append(0.0)
+        entry["shape"] = [len(entry["data"])]
+    elif mode == "length-1":
+        assume(entry["shape"] != [1])
+        entry["data"], entry["shape"] = entry["data"][:1], [1]
+    else:
+        entry = {"name": "extra.w", "shape": [1], "data": [0.0]}
+        doc["arrays"].append(entry)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return entry["name"]
+
+
+MODES = st.sampled_from(["missing", "longer", "length-1", "unexpected"])
+
+
+@SETTINGS
+@given(st.one_of(tcn_models().map(lambda model_rng: model_rng[0]), policies()),
+       st.integers(0, 10**6), MODES)
+def test_broken_checkpoint_names_the_array(model, pick, mode):
+    save, load = ((save_tcn, load_tcn) if isinstance(model, TcnModel)
+                  else (save_policy, load_policy))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.ckpt")
+        save(path, model)
+        name = break_checkpoint(path, pick, mode)
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            load(path)
+
+
+def test_short_conv_kernel_rejected(tmp_path):
+    # a kernel with fewer taps would otherwise run as a different model
+    model = TcnModel(TcnConfig(layers=1, dilations=(1,), kernel=3, hidden=4),
+                     np.random.default_rng(0))
+    arrays = model.state_arrays()
+    arrays["conv0.kernel"] = arrays["conv0.kernel"][:, :, :2]
+    path = tmp_path / "tcn.ckpt"
+    nn.save_checkpoint(str(path), arrays, {
+        "kind": "tcn", "layers": 1, "dilations": [1], "kernel": 3, "hidden": 4,
+        "window": 32, "features": list(model.cfg.features)})
+    with pytest.raises(ValueError, match=r"'conv0\.kernel' has shape \(4, 5, 2\)"):
+        load_tcn(str(path))
+
+
+@pytest.mark.parametrize("which", ["tcn", "policy"])
+def test_eval_rejects_broken_checkpoint(tmp_path, capsys, which):
+    tcn_path, policy_path = tmp_path / "tcn.ckpt", tmp_path / "policy.ckpt"
+    save_tcn(str(tcn_path), TcnModel(TcnConfig(), np.random.default_rng(1)))
+    save_policy(str(policy_path), ActorCritic(PpoConfig(), rng=np.random.default_rng(2)))
+    broken = tcn_path if which == "tcn" else policy_path
+    name = break_checkpoint(str(broken), 1, "missing")
+    code = main(["eval", "--controllers", "ml,static", "--seeds", "1", "--blocks", "20",
+                 "--tcn", str(tcn_path), "--policy", str(policy_path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"missing array {name!r}" in capsys.readouterr().err

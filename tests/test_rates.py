@@ -146,15 +146,15 @@ class TestDecoyBounds:
 class TestBb84KeyRate:
     def test_error_free_channel(self):
         g = GainStats(q_mu=0.01, e_mu=0.0, q1=0.01, e1=0.0, y1=0.02)
-        cfg = ProtocolConfig(q=0.5, f_ec=1.0)
-        rep = bb84_key_rate(g, 0.01, 0.0, cfg)
+        cfg = ProtocolConfig(f_ec=1.0)
+        rep = bb84_key_rate(g, 0.01, 0.0, cfg, q=0.5)
         assert rep.r_per_pulse == pytest.approx(0.5 * 0.01, rel=1e-12)
 
     def test_defaults_against_oracle(self):
         gs = bb84_model_gains(LINK, 0.5)
         gw = bb84_model_gains(LINK, 0.1)
         b = decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu), PROTO, LINK.y0)
-        rep = bb84_key_rate(b, gs.q_mu, gs.e_mu, PROTO)
+        rep = bb84_key_rate(b, gs.q_mu, gs.e_mu, PROTO, q=0.5)
         expected = bb84_rate_oracle(gs.q_mu, gs.e_mu, b.q1_lower, b.e1_upper,
                                     1.16, 0.5)
         assert rep.r_per_pulse == pytest.approx(expected, rel=1e-12)
@@ -163,22 +163,22 @@ class TestBb84KeyRate:
 
     def test_sifted_variant_near_threshold(self):
         q_mu = 0.01
-        rep = bb84_sifted_key_rate(q_mu, 0.11, ProtocolConfig(q=0.5, f_ec=1.0))
+        rep = bb84_sifted_key_rate(q_mu, 0.11, ProtocolConfig(f_ec=1.0), q=0.5)
         assert abs(rep.components.raw) <= 1e-3 * q_mu
 
     def test_sifted_consistency_with_full_rate(self):
         # Q1 = Q_mu, e1 = E_mu, f = 1 collapses Eq-style rate to the
         # sifted approximation exactly
-        cfg = ProtocolConfig(q=0.5, f_ec=1.0)
+        cfg = ProtocolConfig(f_ec=1.0)
         for e in (0.01, 0.05, 0.11, 0.2):
             g = GainStats(q_mu=0.01, e_mu=e, q1=0.01, e1=e, y1=0.02)
-            full = bb84_key_rate(g, 0.01, e, cfg).components.raw
-            sift = bb84_sifted_key_rate(0.01, e, cfg).components.raw
+            full = bb84_key_rate(g, 0.01, e, cfg, q=0.5).components.raw
+            sift = bb84_sifted_key_rate(0.01, e, cfg, q=0.5).components.raw
             assert abs(full - sift) < 1e-12
 
     def test_negative_raw_preserved_and_clamped(self):
         g = GainStats(q_mu=0.01, e_mu=0.2, q1=0.002, e1=0.2, y1=0.02)
-        rep = bb84_key_rate(g, 0.01, 0.2, PROTO)
+        rep = bb84_key_rate(g, 0.01, 0.2, PROTO, q=0.5)
         assert rep.components.raw < 0.0
         assert rep.r_per_pulse == 0.0
         assert rep.r_finite == 0.0
@@ -190,7 +190,7 @@ class TestBb84KeyRate:
             gs = bb84_model_gains(link, 0.5)
             gw = bb84_model_gains(link, 0.1)
             b = decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu), PROTO, link.y0)
-            r = bb84_key_rate(b, gs.q_mu, gs.e_mu, PROTO).r_per_pulse
+            r = bb84_key_rate(b, gs.q_mu, gs.e_mu, PROTO, q=0.5).r_per_pulse
             assert r <= prev + 1e-15
             prev = r
 
@@ -207,32 +207,32 @@ class TestE91:
         assert s == 0.0 and q == 0.5
 
     def test_perfect_singlet_rate(self):
-        cfg = ProtocolConfig(kind="e91", q=0.5, f_ec=1.0)
-        rep = e91_key_rate(2.0 * math.sqrt(2.0), 0.0, cfg)
+        cfg = ProtocolConfig(kind="e91", f_ec=1.0)
+        rep = e91_key_rate(2.0 * math.sqrt(2.0), 0.0, cfg, q=0.5)
         assert rep.r_per_pulse == pytest.approx(0.5, rel=1e-12)
 
     def test_no_violation_yields_zero(self):
-        cfg = ProtocolConfig(kind="e91", q=0.5, f_ec=1.16)
+        cfg = ProtocolConfig(kind="e91", f_ec=1.16)
         for q_err in (0.0, 0.05, 0.3):
-            rep = e91_key_rate(2.0, q_err, cfg)
+            rep = e91_key_rate(2.0, q_err, cfg, q=0.5)
             assert rep.components.pa_term == pytest.approx(0.0, abs=1e-12)
             assert rep.r_per_pulse == 0.0
 
     def test_oracle_agreement(self):
-        cfg = ProtocolConfig(kind="e91", q=0.5, f_ec=1.16)
+        cfg = ProtocolConfig(kind="e91", f_ec=1.16)
         for v in (0.99, 0.95, 0.9, 0.85):
             s, q_err = e91_quantities(v)
-            rep = e91_key_rate(s, q_err, cfg)
+            rep = e91_key_rate(s, q_err, cfg, q=0.5)
             assert rep.components.raw == pytest.approx(
                 e91_rate_oracle(v, 1.16, 0.5), rel=1e-12)
 
     def test_bracket_changes_sign_exactly_once(self):
-        cfg = ProtocolConfig(kind="e91", q=1.0, f_ec=1.0)
+        cfg = ProtocolConfig(kind="e91", f_ec=1.0)
         grid = np.arange(0.05, 0.2001, 0.0025)
         raws = []
         for q_err in grid:
             s, _ = e91_quantities(1.0 - 2.0 * q_err)
-            raws.append(e91_key_rate(s, q_err, cfg).components.raw)
+            raws.append(e91_key_rate(s, q_err, cfg, q=1.0).components.raw)
         signs = np.sign(raws)
         changes = np.sum(signs[:-1] != signs[1:])
         assert changes == 1
@@ -255,12 +255,12 @@ class TestCow:
             cow_visibility_oracle(0.25, math.pi), rel=1e-12)
 
     def test_perfect_coherence_rate(self):
-        cfg = ProtocolConfig(kind="cow", q=0.81, f_ec=1.0)
-        rep = cow_key_rate(0.03, 0.0, 0.0, cfg)
+        cfg = ProtocolConfig(kind="cow", f_ec=1.0)
+        rep = cow_key_rate(0.03, 0.0, 0.0, cfg, q=0.81)
         assert rep.r_per_pulse == pytest.approx(0.81 * 0.03, rel=1e-12)
 
     def test_visibility_collapse(self):
-        rep = cow_key_rate(0.03, 0.01, 0.5, ProtocolConfig(kind="cow", q=0.81))
+        rep = cow_key_rate(0.03, 0.01, 0.5, ProtocolConfig(kind="cow"), q=0.81)
         assert rep.r_per_pulse == 0.0
 
     def test_oracle_point_25km(self):
@@ -268,8 +268,8 @@ class TestCow:
         eta = transmittance(link)
         g = bb84_gains(0.5, eta, link.y0, link.e_d)
         e_ph = cow_phase_error(0.5, 0.3)
-        cfg = ProtocolConfig(kind="cow", q=0.81, f_ec=1.16)
-        rep = cow_key_rate(g.q_mu, g.e_mu, e_ph, cfg)
+        cfg = ProtocolConfig(kind="cow", f_ec=1.16)
+        rep = cow_key_rate(g.q_mu, g.e_mu, e_ph, cfg, q=0.81)
         assert rep.r_per_pulse == pytest.approx(
             cow_rate_oracle(g.q_mu, g.e_mu, e_ph, 1.16, 0.81), rel=1e-12)
         assert rep.r_per_pulse == pytest.approx(0.018092809490448086, rel=1e-9)
