@@ -30,7 +30,9 @@ print(f"trained MSE      {trained:.5f}")
 print(f"persistence MSE  {baseline:.5f}")
 print(f"ratio            {trained / baseline:.3f}  (the forecaster wins below 1.0)")
 
-fc = tcn_forward(features[:cfg.window + 40], model)
+normalizer = model.normalizer
+z = normalizer.normalize(features[40:cfg.window + 40])
+pred_next = normalizer.denormalize(tcn_forward(z, model))
 print("\none-step forecast vs next observation:")
-for name, pred, obs in zip(cfg.features, fc.y_next, features[cfg.window + 40]):
+for name, pred, obs in zip(cfg.features, pred_next, features[cfg.window + 40]):
     print(f"  {name:>5}: {pred:.5f} vs {obs:.5f}")

@@ -20,13 +20,11 @@ for seed in (1, 2, 3):
     nets = ActorCritic(cfg, obs_dim=1, act_dim=1, rng=np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1000)
     buf = RolloutBuffer()
-    opt_a = nn.Adam(nets.actor_params(), lr=cfg.lr)
-    opt_c = nn.Adam(nets.critic_params(), lr=cfg.lr)
     obs, mask = np.array([1.0]), np.ones(1)
     for update in range(200):
         if update == 120:
-            opt_a.lr /= 10.0
-            opt_c.lr /= 10.0
+            nets.opt_actor.lr /= 10.0
+            nets.opt_critic.lr /= 10.0
         for _ in range(cfg.rollout):
             mean = nets.forward_actor(nn.Var(obs[None, :])).data[0]
             sigma = nets.sigma()
@@ -37,7 +35,7 @@ for seed in (1, 2, 3):
                                 - 0.5 * math.log(2 * math.pi)))
             value = float(nets.forward_critic(nn.Var(obs[None, :])).data[0])
             buf.add(obs, u, logp, value, -(action - TARGET) ** 2, mask)
-        ppo_update(buf, cfg, nets, opt_a, opt_c)
+        ppo_update(buf, nets)
     final = math.tanh(float(nets.forward_actor(nn.Var(obs[None, :])).data[0, 0]))
     print(f"seed {seed}: deterministic action {final:.4f} "
           f"(optimum {TARGET}, rel err {abs(final - TARGET) / TARGET:.3f})")

@@ -12,9 +12,8 @@ from .rates import (PROTOCOLS, Bb84Config, BoundInfeasibleError, CowConfig,
 from .channel import (ControlState, NoiseSchedule, ScheduleEvent, Simulator,
                       Telemetry, UnknownScenarioError, effective_link,
                       make_scenario, step_block, wilson_interval)
-from .tcn import (Forecast, Forecaster, Normalizer, TcnConfig, TcnModel,
-                  load_tcn, make_dataset, save_tcn, tcn_forward, tcn_train,
-                  train_forecaster)
+from .tcn import (Forecaster, Normalizer, TcnConfig, TcnModel, load_tcn,
+                  make_dataset, save_tcn, tcn_forward, tcn_train, train_forecaster)
 from .controller import (Action, ActorCritic, PpoConfig, RewardConfig,
                          RolloutBuffer, act, advantages, apply_action,
                          load_policy, observe, ppo_update, reward, save_policy)

@@ -138,18 +138,16 @@ def cmd_rates(args) -> int:
     return 0
 
 
-def _load_models(args, cfg) -> tuple:
-    tcn_model = None
-    nets = None
-    if args.tcn is not None:
-        if not Path(args.tcn).exists():
-            raise FileNotFoundError(f"missing forecaster checkpoint {args.tcn}")
-        tcn_model = load_tcn(args.tcn)
-    if getattr(args, "policy", None) is not None:
-        if not Path(args.policy).exists():
-            raise FileNotFoundError(f"missing policy checkpoint {args.policy}")
-        nets = load_policy(args.policy, cfgmod.make_ppo_config(cfg))
-    return tcn_model, nets
+def _load_models(args, cfg, policy: bool = True) -> tuple:
+    """The ``--tcn`` model and ``--policy`` nets, None where not given; with
+    ``policy=False`` the policy checkpoint is only checked to exist."""
+    policy_path = getattr(args, "policy", None)
+    for what, path in (("forecaster", args.tcn), ("policy", policy_path)):
+        if path is not None and not Path(path).exists():
+            raise FileNotFoundError(f"missing {what} checkpoint {path}")
+    return (load_tcn(args.tcn) if args.tcn is not None else None,
+            load_policy(policy_path, cfgmod.make_ppo_config(cfg))
+            if policy_path is not None and policy else None)
 
 
 def cmd_simulate(args) -> int:
@@ -188,17 +186,22 @@ def _tcn_training_features(cfg, link, proto, seed: int) -> np.ndarray:
     return np.asarray(rows)
 
 
+def _train_tcn(cfg, link, proto, seed: int) -> tuple:
+    """Train the forecaster on the static-control corpus: (dataset, model,
+    loss curve)."""
+    tcn_cfg = cfgmod.make_tcn_config(cfg)
+    dataset = make_dataset(_tcn_training_features(cfg, link, proto, seed), tcn_cfg.window)
+    rng = np.random.Generator(np.random.Philox(key=seed * 4 + 3))
+    return (dataset, *train_forecaster(dataset, tcn_cfg, rng))
+
+
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     link = cfgmod.make_link(cfg)
     proto = cfgmod.make_protocol(cfg, args.protocol)
     out = _outdir(args)
     if args.model == "tcn":
-        tcn_cfg = cfgmod.make_tcn_config(cfg)
-        feats = _tcn_training_features(cfg, link, proto, args.seed)
-        dataset = make_dataset(feats, tcn_cfg.window)
-        rng = np.random.Generator(np.random.Philox(key=args.seed * 4 + 3))
-        model, curve = train_forecaster(dataset, tcn_cfg, rng)
+        dataset, model, curve = _train_tcn(cfg, link, proto, args.seed)
         ckpt = out / f"tcn_seed{args.seed}.ckpt"
         save_tcn(str(ckpt), model)
         loss_csv = out / f"tcn_loss_seed{args.seed}.csv"
@@ -210,15 +213,9 @@ def cmd_train(args) -> int:
         print(loss_csv)
         return 0
     # ppo
-    if args.tcn is not None:
-        if not Path(args.tcn).exists():
-            raise FileNotFoundError(f"missing forecaster checkpoint {args.tcn}")
-        tcn_model = load_tcn(args.tcn)
-    else:
-        tcn_cfg = cfgmod.make_tcn_config(cfg)
-        feats = _tcn_training_features(cfg, link, proto, args.seed)
-        rng = np.random.Generator(np.random.Philox(key=args.seed * 4 + 3))
-        tcn_model, _ = train_forecaster(make_dataset(feats, tcn_cfg.window), tcn_cfg, rng)
+    tcn_model, _ = _load_models(args, cfg)
+    if tcn_model is None:
+        _, tcn_model, _ = _train_tcn(cfg, link, proto, args.seed)
     nets, progress = train_policy(
         link, proto, tcn_model, seed=args.seed,
         updates=int(cfg["train"]["ppo_updates"]),
@@ -253,15 +250,15 @@ def cmd_eval(args) -> int:
     seeds = parse_seeds(args.seeds)
     if not seeds:
         raise UsageError("empty seeds list")
-    tcn_model, nets = _load_models(args, cfg)
-    if "ml" in controllers and nets is None:
+    # each ml run loads its own copy of the policy, which updates online
+    tcn_model, _ = _load_models(args, cfg, policy=False)
+    if "ml" in controllers and args.policy is None:
         raise FileNotFoundError("eval with the ml controller requires --policy")
     reward_cfg = cfgmod.make_reward_config(cfg, loopmod.nominal_skr_ref(link, proto))
     sched_probe = make_scenario(args.scenario, args.blocks)
     event_block = sched_probe.events[0].block_index if sched_probe.events else None
 
     def job(ctrl_kind: str, seed: int) -> EpisodeLog:
-        # the ml policy updates online: every run starts from the checkpoint
         job_nets = None
         if ctrl_kind == "ml":
             job_nets = load_policy(args.policy, cfgmod.make_ppo_config(cfg))
@@ -270,7 +267,6 @@ def cmd_eval(args) -> int:
             n_pulses=int(cfg["channel"]["n_pulses"]),
             abort_threshold=float(cfg["channel"]["abort_qber"]),
             tcn_model=tcn_model, nets=job_nets, reward_cfg=reward_cfg,
-            ppo_cfg=cfgmod.make_ppo_config(cfg),
         )
 
     runs: Dict[str, List[EpisodeLog]] = {c: [job(c, s) for s in seeds]

@@ -10,11 +10,14 @@ back into the typed configs the modules consume.
 from __future__ import annotations
 
 import copy
+import inspect
 import json
 from dataclasses import fields, is_dataclass
 from typing import Any, Dict, Optional, Sequence
 
+from .channel import DEFAULT_ABORT_QBER, DEFAULT_N_PULSES
 from .controller import PpoConfig, RewardConfig
+from .loop import BLOCK_SECONDS, WARMUP_BLOCKS, train_policy
 from .rates import LinkParams, ProtocolConfig
 from .tcn import TcnConfig
 
@@ -30,34 +33,38 @@ def _section(obj: Any, skip: Sequence[str] = ()) -> Dict[str, Any]:
     return {f.name: plain(getattr(obj, f.name)) for f in fields(obj) if f.name not in skip}
 
 
-# The typed configs own their defaults; ``TcnConfig.features`` and
-# ``RewardConfig.skr_ref`` are fixed by the code, not configured.
+_TRAIN_POLICY = inspect.signature(train_policy).parameters
+
+# The typed configs, the module constants and ``train_policy``'s arguments
+# own their defaults; ``TcnConfig.features`` and ``RewardConfig.skr_ref``
+# are fixed by the code, not configured.
 DEFAULTS: Dict[str, Any] = {
     "link": _section(LinkParams()),
     "protocol": _section(ProtocolConfig()),
     "channel": {
-        "n_pulses": 1_000_000,
-        "abort_qber": 0.11,
-        "block_seconds": 1.0,
+        "n_pulses": DEFAULT_N_PULSES,
+        "abort_qber": DEFAULT_ABORT_QBER,
+        "block_seconds": BLOCK_SECONDS,
     },
     "tcn": _section(TcnConfig(), skip=("features",)),
     "ppo": _section(PpoConfig()),
     "reward": _section(RewardConfig(), skip=("skr_ref",)),
     "loop": {
-        "warmup": 100,
+        "warmup": WARMUP_BLOCKS,
     },
     "train": {
         "tcn_scenarios": ["nominal", "sine-drift", "noise-sweep"],
         "tcn_blocks": 500,
-        "ppo_updates": 300,
-        "ppo_scenarios": ["noise-sweep", "splice-3db"],
-        "ppo_blocks": 600,
+        "ppo_updates": _TRAIN_POLICY["updates"].default,
+        "ppo_scenarios": list(_TRAIN_POLICY["scenarios"].default),
+        "ppo_blocks": _TRAIN_POLICY["blocks_per_episode"].default,
     },
 }
 
 
 class OverrideError(KeyError):
-    """An override referenced an unknown configuration key."""
+    """An override referenced an unknown configuration key or gave a value
+    its key cannot take."""
 
 
 def default_config() -> Dict[str, Any]:
@@ -101,34 +108,46 @@ def apply_overrides(cfg: Dict[str, Any], pairs: Sequence[str]) -> Dict[str, Any]
         leaf = parts[-1]
         if not isinstance(node, dict) or leaf not in node:
             raise OverrideError(f"unknown configuration key {key!r}")
-        node[leaf] = _coerce(raw.strip(), node[leaf])
+        node[leaf] = _coerce(key, raw.strip(), node[leaf])
     return cfg
 
 
-def _coerce(raw: str, current: Any) -> Any:
+def _coerce(key: str, raw: str, current: Any) -> Any:
+    """``raw`` read as the type of the key's current value: an int leaf
+    takes an integral number (``1e5`` too), a float or ``None`` leaf any
+    number; a value that does not fit is an :class:`OverrideError` naming
+    the key."""
     if raw.lower() in ("null", "none"):
         return None
     if isinstance(current, bool):
         return raw.lower() in ("1", "true", "yes", "on")
-    if isinstance(current, int) and not isinstance(current, bool):
+    if isinstance(current, int):
         try:
             return int(raw)
         except ValueError:
-            return int(float(raw))
+            pass
+        val = _number(key, raw)
+        if not val.is_integer():
+            raise OverrideError(f"configuration key {key!r} needs an integer, got {raw!r}")
+        return int(val)
     if isinstance(current, float) or current is None:
-        try:
-            return float(raw)
-        except ValueError:
-            return raw
+        return _number(key, raw)
     if isinstance(current, list):
         try:
             val = json.loads(raw)
         except json.JSONDecodeError:
-            val = [_coerce(x, current[0] if current else 0.0) for x in raw.split(",")]
+            val = [_coerce(key, x, current[0] if current else 0.0) for x in raw.split(",")]
         if not isinstance(val, list):
             raise OverrideError(f"expected a list value, got {raw!r}")
         return val
     return raw
+
+
+def _number(key: str, raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise OverrideError(f"configuration key {key!r} needs a number, got {raw!r}") from None
 
 
 def config_json(cfg: Dict[str, Any]) -> str:

@@ -16,9 +16,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import nn
-from .channel import ControlState, Telemetry
+from .channel import ControlState
 from .rates import PROTOCOLS
-from .tcn import DivergenceError, Forecast, Normalizer
+from .tcn import DivergenceError
 
 LOG2PI = math.log(2.0 * math.pi)
 
@@ -147,6 +147,9 @@ class ActorCritic:
 
     ``named`` maps each parameter's checkpoint name to its ``Var``, in
     checkpoint order: the actor layers, the critic layers, ``log_std``.
+    The learner state lives here too: the on-policy ``buffer`` and one
+    Adam optimizer (at ``cfg.lr``) each for the actor and the critic, so
+    it carries over from one episode to the next with the networks.
     """
 
     def __init__(self, cfg: PpoConfig, obs_dim: int = OBS_DIM, act_dim: int = 5,
@@ -165,6 +168,9 @@ class ActorCritic:
                 self.named.update(layer.named(f"{name}{i}"))
         self.named["log_std"] = self.log_std
         self.act_calls = 0
+        self.buffer = RolloutBuffer()
+        self.opt_actor = nn.Adam(self.actor_params(), lr=cfg.lr)
+        self.opt_critic = nn.Adam(self.critic_params(), lr=cfg.lr)
 
     def actor_params(self) -> List[nn.Var]:
         return [p for name, p in self.named.items() if not name.startswith("critic")]
@@ -191,15 +197,12 @@ class ActorCritic:
         return {name: p.data for name, p in self.named.items()}
 
 
-def observe(forecast: Forecast, telem: Telemetry, ctrl: ControlState,
-            normalizer: Normalizer) -> np.ndarray:
-    """Fixed-order observation: normalized forecast, normalized current
-    estimates, and control parameters scaled to [-1, 1]."""
-    from .tcn import telemetry_features
-
-    z_fc = np.clip(forecast.y_norm, -OBS_Z_CLIP, OBS_Z_CLIP) / OBS_Z_CLIP
-    z_tm = np.clip(normalizer.normalize(telemetry_features(telem)),
-                   -OBS_Z_CLIP, OBS_Z_CLIP) / OBS_Z_CLIP
+def observe(z_fc: np.ndarray, z_tm: np.ndarray, ctrl: ControlState) -> np.ndarray:
+    """Fixed-order observation: the normalized forecast and current
+    telemetry rows, each clipped to +-OBS_Z_CLIP and scaled to [-1, 1], and
+    the control parameters scaled to [-1, 1]."""
+    z_fc = np.clip(z_fc, -OBS_Z_CLIP, OBS_Z_CLIP) / OBS_Z_CLIP
+    z_tm = np.clip(z_tm, -OBS_Z_CLIP, OBS_Z_CLIP) / OBS_Z_CLIP
 
     def scale(x, box):
         lo, hi = box
@@ -293,19 +296,17 @@ def _gaussian_log_prob(mean: nn.Var, log_std: nn.Var, u: np.ndarray,
     return nn.vsum(nn.mul(terms, nn.Var(mask)), axis=1)
 
 
-def ppo_update(buffer: RolloutBuffer, cfg: PpoConfig, nets: ActorCritic,
-               opt_actor: Optional[nn.Adam] = None,
-               opt_critic: Optional[nn.Adam] = None) -> Dict[str, float]:
+def ppo_update(buffer: RolloutBuffer, nets: ActorCritic) -> Dict[str, float]:
     """Clipped-surrogate policy update plus squared-error critic fit.
 
-    Runs ``cfg.epochs`` passes of shuffled minibatches, then clears the
-    buffer. On a non-finite loss the parameters are restored to their
-    pre-update snapshot and :class:`DivergenceError` is raised.
+    Runs ``nets.cfg.epochs`` passes of shuffled minibatches through the
+    nets' own optimizers, then clears the buffer. On a non-finite loss the
+    parameters are restored to their pre-update snapshot and
+    :class:`DivergenceError` is raised.
     """
+    cfg = nets.cfg
     if len(buffer) < cfg.minibatch:
         raise ValueError("buffer shorter than one minibatch")
-    opt_actor = opt_actor or nn.Adam(nets.actor_params(), lr=cfg.lr)
-    opt_critic = opt_critic or nn.Adam(nets.critic_params(), lr=cfg.lr)
     obs = np.stack(buffer.obs)
     u = np.stack(buffer.pre_squash)
     masks = np.stack(buffer.masks)
@@ -339,9 +340,9 @@ def ppo_update(buffer: RolloutBuffer, cfg: PpoConfig, nets: ActorCritic,
                 if not (np.isfinite(policy_loss.data) and np.isfinite(value_loss.data)):
                     raise DivergenceError("non-finite PPO loss")
                 nn.backward(policy_loss)
-                opt_actor.step()
+                nets.opt_actor.step()
                 nn.backward(value_loss)
-                opt_critic.step()
+                nets.opt_critic.step()
                 policy_losses.append(float(policy_loss.data))
                 value_losses.append(float(value_loss.data))
                 entropies.append(float(entropy.data))

@@ -10,7 +10,6 @@ controller) run is an independent single-threaded job.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -18,13 +17,11 @@ import numpy as np
 
 from .channel import (ControlState, DEFAULT_ABORT_QBER, DEFAULT_N_PULSES,
                       NoiseSchedule, Simulator, Telemetry, make_scenario)
-from .controller import (ActorCritic, PpoConfig, RewardConfig, RolloutBuffer,
-                         act, apply_action, observe, ppo_update,
-                         reward as reward_fn)
+from .controller import (ActorCritic, PpoConfig, RewardConfig, act,
+                         apply_action, observe, ppo_update, reward as reward_fn)
 from .rates import (NOMINAL_P_Z, PROTOCOLS, LinkParams, ProtocolConfig,
                     block_key_rate, operating_point)
-from .tcn import Forecaster, Normalizer, TcnModel, telemetry_features
-from . import nn
+from .tcn import Forecaster, TcnModel, telemetry_features
 
 BLOCK_SECONDS = 1.0
 WARMUP_BLOCKS = 100
@@ -63,6 +60,7 @@ class EpisodeLog:
     records: List[BlockRecord] = field(default_factory=list)
     tcn_calls: int = 0
     policy_calls: int = 0
+    updates: List[Dict[str, float]] = field(default_factory=list)  # PPO reports
 
     def skr_series(self) -> np.ndarray:
         return np.array([r.skr_bps for r in self.records])
@@ -114,28 +112,25 @@ def nominal_skr_ref(link: LinkParams, proto: ProtocolConfig) -> float:
 class _RecalibState:
     """Grid scan of the signal intensity every RECALIB_PERIOD blocks."""
 
-    def __init__(self, base: ControlState, period: int = RECALIB_PERIOD,
-                 grid: Sequence[float] = RECALIB_GRID):
+    def __init__(self, base: ControlState):
         self.base = base
-        self.period = period
-        self.grid = tuple(grid)
         self.best_mu = base.mu_s
         self._scan_skr: List[float] = []
 
     def control_for(self, t: int) -> ControlState:
-        pos = t % self.period
-        if pos < len(self.grid):
+        pos = t % RECALIB_PERIOD
+        if pos < len(RECALIB_GRID):
             if pos == 0:
                 self._scan_skr = []
-            return replace(self.base, mu_s=self.grid[pos])
+            return replace(self.base, mu_s=RECALIB_GRID[pos])
         return replace(self.base, mu_s=self.best_mu)
 
     def record(self, t: int, skr: float) -> None:
-        pos = t % self.period
-        if pos < len(self.grid):
+        pos = t % RECALIB_PERIOD
+        if pos < len(RECALIB_GRID):
             self._scan_skr.append(skr)
-            if pos == len(self.grid) - 1:
-                self.best_mu = self.grid[int(np.argmax(self._scan_skr))]
+            if pos == len(RECALIB_GRID) - 1:
+                self.best_mu = RECALIB_GRID[int(np.argmax(self._scan_skr))]
 
 
 def run_episode(
@@ -149,19 +144,17 @@ def run_episode(
     abort_threshold: float = DEFAULT_ABORT_QBER,
     tcn_model: Optional[TcnModel] = None,
     nets: Optional[ActorCritic] = None,
-    ppo_cfg: Optional[PpoConfig] = None,
     reward_cfg: Optional[RewardConfig] = None,
-    buffer: Optional[RolloutBuffer] = None,
-    opt_actor: Optional[nn.Adam] = None,
-    opt_critic: Optional[nn.Adam] = None,
-    update_log: Optional[List[Dict[str, float]]] = None,
 ) -> EpisodeLog:
     """One (scenario, seed, controller) run; deterministic under fixed inputs.
 
-    The ML controller consumes the previous block's telemetry and forecast,
-    then acts; the transition is stored and a PPO update fires whenever the
-    rollout buffer reaches its configured length. An abort resets the
-    control state to nominal before the next block.
+    The ML controller consumes the previous block's normalized telemetry
+    and forecast, then acts; the transition goes to ``nets.buffer`` and a
+    PPO update fires whenever that buffer reaches ``nets.cfg.rollout``
+    (its report lands in ``EpisodeLog.updates``). The buffer and the
+    optimizers are the nets' own, so they carry over to the next episode
+    run with the same nets. An abort resets the control state to nominal
+    before the next block.
     """
     if kind not in CONTROLLER_KINDS:
         raise ConfigMismatchError(f"unknown controller kind {kind!r}")
@@ -181,25 +174,15 @@ def run_episode(
             raise ConfigMismatchError("ml controller requires trained networks")
         forecaster = Forecaster(tcn_model)
         policy_rng = np.random.Generator(np.random.Philox(key=seed * 4 + 2))
-        ppo_cfg = ppo_cfg or nets.cfg
-        buffer = buffer if buffer is not None else RolloutBuffer()
-        opt_actor = opt_actor or nn.Adam(nets.actor_params(), lr=ppo_cfg.lr)
-        opt_critic = opt_critic or nn.Adam(nets.critic_params(), lr=ppo_cfg.lr)
     elif kind == "recalib":
         recalib = _RecalibState(nominal)
 
-    # the forecaster reads only the last ``window`` rows
-    history: deque[np.ndarray] = deque(
-        maxlen=forecaster.window if forecaster is not None else 1)
-    prev_telem: Optional[Telemetry] = None
+    z_tm: Optional[np.ndarray] = None  # previous block's normalized telemetry
     pending: Optional[Tuple[np.ndarray, object]] = None
 
     for t in range(blocks):
-        if kind == "ml" and prev_telem is not None:
-            fc = forecaster.forecast(np.asarray(history))
-            normalizer = (tcn_model.normalizer if tcn_model is not None
-                          else Normalizer.identity(len(history[0])))
-            obs = observe(fc, prev_telem, ctrl, normalizer)
+        if z_tm is not None:  # the ml controller, from block 1 on
+            obs = observe(forecaster.forecast(), z_tm, ctrl)
             sample = act(nets, obs, policy_rng, protocol=proto.kind)
             ctrl = apply_action(ctrl, sample.action)
             pending = (obs, sample)
@@ -212,29 +195,26 @@ def run_episode(
             skr_bps, skr_finite = 0.0, 0.0
         r = reward_fn(skr_bps, min(telem.e_mu_hat, 0.5), telem.aborted, reward_cfg)
 
-        if kind == "ml" and pending is not None:
+        if pending is not None:
             obs, sample = pending
-            buffer.add(obs, sample.pre_squash, sample.log_prob, sample.value,
-                       r, sample.action.mask)
+            nets.buffer.add(obs, sample.pre_squash, sample.log_prob, sample.value,
+                            r, sample.action.mask)
             pending = None
-            if len(buffer) >= ppo_cfg.rollout:
-                report = ppo_update(buffer, ppo_cfg, nets, opt_actor, opt_critic)
-                if update_log is not None:
-                    update_log.append(report)
+            if len(nets.buffer) >= nets.cfg.rollout:
+                log.updates.append(ppo_update(nets.buffer, nets))
         if kind == "recalib":
             recalib.record(t, skr_bps)
 
         log.records.append(BlockRecord(block=t, ctrl=ctrl, telem=telem,
                                        skr_bps=skr_bps, skr_finite=skr_finite,
                                        reward=r, aborted=telem.aborted))
-        history.append(telemetry_features(telem))
-        prev_telem = telem
+        if forecaster is not None:
+            z_tm = forecaster.push(telemetry_features(telem))
         if telem.aborted:
             ctrl = nominal
 
-    if forecaster is not None:
+    if forecaster is not None:  # the ml controller
         log.tcn_calls = forecaster.calls
-    if nets is not None and kind == "ml":
         log.policy_calls = nets.act_calls
     return log
 
@@ -256,19 +236,15 @@ def train_policy(
     ppo_cfg = ppo_cfg or PpoConfig()
     reward_cfg = reward_cfg or RewardConfig(skr_ref=nominal_skr_ref(link, proto))
     nets = ActorCritic(ppo_cfg, rng=np.random.Generator(np.random.Philox(key=seed * 4 + 3)))
-    buffer = RolloutBuffer()
-    opt_actor = nn.Adam(nets.actor_params(), lr=ppo_cfg.lr)
-    opt_critic = nn.Adam(nets.critic_params(), lr=ppo_cfg.lr)
     progress: List[Dict[str, float]] = []
     episode = 0
     while len(progress) < updates:
         scen = scenarios[episode % len(scenarios)]
-        run_episode(
+        progress += run_episode(
             link, proto, scen, "ml", seed=100_000 + seed * 1_000 + episode,
             blocks=blocks_per_episode, n_pulses=n_pulses, tcn_model=tcn_model,
-            nets=nets, ppo_cfg=ppo_cfg, reward_cfg=reward_cfg, buffer=buffer,
-            opt_actor=opt_actor, opt_critic=opt_critic, update_log=progress,
-        )
+            nets=nets, reward_cfg=reward_cfg,
+        ).updates
         episode += 1
     return nets, progress[:updates]
 

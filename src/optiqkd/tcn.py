@@ -1,13 +1,14 @@
 """Dilated-causal residual convolution network forecasting the channel state.
 
-The forecaster ingests a fixed-length window of telemetry features and
-predicts the next block's feature vector. Inference is read-only on the
-parameters and safe to call concurrently; training mutates parameters and
+The forecaster ingests a fixed-length window of normalized telemetry
+features and predicts the next block's normalized feature vector.
+Inference is read-only on the parameters; training mutates parameters and
 is single-threaded per model instance.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -46,14 +47,6 @@ class TcnConfig:
     @property
     def receptive_field(self) -> int:
         return 1 + (self.kernel - 1) * sum(self.dilations)
-
-
-@dataclass(frozen=True)
-class Forecast:
-    """One-step-ahead prediction, in normalized and physical units."""
-
-    y_next: np.ndarray
-    y_norm: np.ndarray
 
 
 class Normalizer:
@@ -135,21 +128,14 @@ class TcnModel:
         return arrays
 
 
-def tcn_forward(window: np.ndarray, model: TcnModel) -> Forecast:
-    """Forecast the next block from a fully populated feature window.
-
-    ``window`` is (W, F) in physical units; raw predictions are clamped to
-    each feature's [0, 1] range.
-    """
+def tcn_forward(window: np.ndarray, model: TcnModel) -> np.ndarray:
+    """Normalized next-block prediction (F,) from the last ``cfg.window``
+    rows of a normalized (W, F) feature window."""
     window = np.asarray(window, dtype=float)
     w = model.cfg.window
     if window.ndim != 2 or window.shape[0] < w or window.shape[1] != len(model.cfg.features):
         raise ValueError(f"window must be at least ({w}, {len(model.cfg.features)})")
-    z = model.normalizer.normalize(window[-w:])
-    out = model.forward_batch(z[None, :, :])
-    y_norm = out.data[0]
-    y_raw = np.clip(model.normalizer.denormalize(y_norm), 0.0, 1.0)
-    return Forecast(y_next=y_raw, y_norm=y_norm)
+    return model.forward_batch(window[None, -w:, :]).data[0]
 
 
 def make_dataset(features: np.ndarray, window: int) -> List[Tuple[np.ndarray, np.ndarray]]:
@@ -242,26 +228,30 @@ def train_forecaster(
 
 
 class Forecaster:
-    """Inference wrapper with a persistence fallback during warm-up blocks."""
+    """Streaming one-step forecaster over the normalized telemetry rows.
 
-    def __init__(self, model: Optional[TcnModel], window: Optional[int] = None):
+    ``push`` normalizes one block's features once and keeps the last
+    ``window`` rows; ``forecast`` predicts the next normalized row, and
+    repeats the last row (persistence) until the window is full or when
+    there is no model.
+    """
+
+    def __init__(self, model: Optional[TcnModel]):
         self.model = model
-        self.window = window if window is not None else (model.cfg.window if model else 1)
+        self.rows: deque[np.ndarray] = deque(maxlen=model.cfg.window if model else 1)
         self.calls = 0  # counts model-backed forecasts, for isolation checks
 
-    def forecast(self, history: np.ndarray) -> Forecast:
-        history = np.asarray(history, dtype=float)
-        if history.ndim != 2 or history.shape[0] < 1:
-            raise ValueError("history must be a non-empty (t, F) matrix")
-        if self.model is None or history.shape[0] < self.window:
-            last = history[-1]
-            if self.model is not None:
-                z = self.model.normalizer.normalize(last)
-            else:
-                z = last
-            return Forecast(y_next=np.clip(last, 0.0, 1.0), y_norm=np.asarray(z))
+    def push(self, features: np.ndarray) -> np.ndarray:
+        z = (self.model.normalizer.normalize(features) if self.model is not None
+             else np.asarray(features, dtype=float))
+        self.rows.append(z)
+        return z
+
+    def forecast(self) -> np.ndarray:
+        if self.model is None or len(self.rows) < self.rows.maxlen:
+            return self.rows[-1]
         self.calls += 1
-        return tcn_forward(history, self.model)
+        return tcn_forward(np.asarray(self.rows), self.model)
 
 
 def save_tcn(path: str, model: TcnModel) -> None:

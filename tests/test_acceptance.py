@@ -295,14 +295,12 @@ def test_05_ppo_toy_convergence():
                            rng=np.random.default_rng(seed))
         rng = np.random.default_rng(seed + 1000)
         buf = RolloutBuffer()
-        opt_a = nn.Adam(nets.actor_params(), lr=cfg.lr)
-        opt_c = nn.Adam(nets.critic_params(), lr=cfg.lr)
         obs = np.array([1.0])
         mask = np.ones(1)
         for update in range(200):
             if update == 120:
-                opt_a.lr /= 10.0
-                opt_c.lr /= 10.0
+                nets.opt_actor.lr /= 10.0
+                nets.opt_critic.lr /= 10.0
             for _ in range(cfg.rollout):
                 mean = nets.forward_actor(nn.Var(obs[None, :])).data[0]
                 sigma = nets.sigma()
@@ -313,7 +311,7 @@ def test_05_ppo_toy_convergence():
                                     - 0.5 * math.log(2 * math.pi)))
                 v = float(nets.forward_critic(nn.Var(obs[None, :])).data[0])
                 buf.add(obs, u, logp, v, -(a - target) ** 2, mask)
-            ppo_update(buf, cfg, nets, opt_a, opt_c)
+            ppo_update(buf, nets)
         det = math.tanh(float(nets.forward_actor(nn.Var(obs[None, :])).data[0, 0]))
         final.append(det)
     rel_errs = [abs(a - target) / target for a in final]

@@ -1,0 +1,33 @@
+"""The benchmark in ``perfbench/`` times functions by replacing them at the
+names its ``tracer.CALL_SITES`` lists. Only its traced smoke test, outside
+this suite, runs those replacements; these checks fail here first when a
+listed name is renamed or moved."""
+
+import importlib.util
+from pathlib import Path
+
+from optiqkd.tcn import Forecaster
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_call_site_resolves_to_a_callable():
+    tracer = load_tracer()
+    assert tracer.CALL_SITES
+    for label, sites in tracer.CALL_SITES.items():
+        for owner, attr in sites:
+            # methods are patched on their class, as tracer.patched reads them
+            fn = owner.__dict__.get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
+            assert callable(fn), f"{label}: {owner.__name__}.{attr} is gone"
+
+
+def test_forecaster_counts_model_calls():
+    # the traced run reads Forecaster.calls to count persistence fallbacks
+    assert Forecaster(None).calls == 0

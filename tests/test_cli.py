@@ -76,6 +76,17 @@ class TestShowConfig:
     def test_unknown_key_usage_error(self):
         assert run(["show-config", "--set", "link.bogus=1"]) == 1
 
+    @pytest.mark.parametrize("pair", ["link.distance_km=abc", "link.theta=abc",
+                                      "tcn.epochs=abc", "tcn.dilations=1,x",
+                                      "tcn.epochs=2.5"])
+    def test_malformed_value_usage_error(self, capsys, pair):
+        assert run(["show-config", "--set", pair]) == 1
+        assert repr(pair.partition("=")[0]) in capsys.readouterr().err
+
+    def test_integral_float_for_int_key(self, capsys):
+        assert run(["show-config", "--set", "channel.n_pulses=1e5"]) == 0
+        assert json.loads(capsys.readouterr().out)["channel"]["n_pulses"] == 100000
+
     def test_config_file_overlay(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"link": {"distance_km": 10.0}}))

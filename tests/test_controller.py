@@ -14,7 +14,7 @@ from optiqkd.controller import (ACTION_CAPS, Action, ActorCritic,
                                 discounted_returns, load_policy, observe,
                                 ppo_update, reward, save_policy)
 from optiqkd.rates import PROTOCOLS
-from optiqkd.tcn import Forecast, Normalizer
+from optiqkd.tcn import Normalizer, telemetry_features
 
 
 def nominal_telemetry():
@@ -23,24 +23,24 @@ def nominal_telemetry():
                      v_hat=0.97, y0_hat=5e-6, eta_hat=0.02)
 
 
-def nominal_forecast():
-    y = np.array([0.00995, 0.015, 0.97, 0.02, 5e-6])
-    return Forecast(y_next=y, y_norm=np.zeros(5))
-
-
 NORM = Normalizer(np.array([0.00995, 0.015, 0.97, 0.02, 5e-6]),
                   np.array([0.001, 0.01, 0.02, 0.002, 1.0]))
 
 
+def nominal_rows():
+    """Normalized (forecast, telemetry) rows of a nominal block."""
+    return np.zeros(5), NORM.normalize(telemetry_features(nominal_telemetry()))
+
+
 class TestObserve:
     def test_nominal_in_unit_box(self):
-        obs = observe(nominal_forecast(), nominal_telemetry(), ControlState(), NORM)
+        obs = observe(*nominal_rows(), ControlState())
         assert obs.shape == (OBS_DIM,)
         assert np.all(obs >= -1.0) and np.all(obs <= 1.0)
 
     def test_deterministic(self):
-        a = observe(nominal_forecast(), nominal_telemetry(), ControlState(), NORM)
-        b = observe(nominal_forecast(), nominal_telemetry(), ControlState(), NORM)
+        a = observe(*nominal_rows(), ControlState())
+        b = observe(*nominal_rows(), ControlState())
         assert np.array_equal(a, b)
 
     def test_schema_order(self):
@@ -49,7 +49,7 @@ class TestObserve:
         # control scaling: mid-box maps to 0, box edges map to +-1
         ctrl = ControlState(mu_s=SAFE_MU_S[1], mu_w=SAFE_MU_W[0], p_z=0.725,
                             theta_c=0.0, phi_c=0.0)
-        obs = observe(nominal_forecast(), nominal_telemetry(), ctrl, NORM)
+        obs = observe(*nominal_rows(), ctrl)
         assert obs[10] == pytest.approx(1.0)
         assert obs[11] == pytest.approx(-1.0)
         assert obs[12] == pytest.approx(0.0)
@@ -220,13 +220,11 @@ class TestPpoUpdate:
                         entropy_weight=0.003, log_std_init=-0.5, hidden=(32, 32))
         nets = ActorCritic(cfg, obs_dim=1, act_dim=1, rng=np.random.default_rng(0))
         rng = np.random.default_rng(1)
-        opt_a = nn.Adam(nets.actor_params(), lr=cfg.lr)
-        opt_c = nn.Adam(nets.critic_params(), lr=cfg.lr)
         rewards = []
         for _ in range(60):
             buf = fill_buffer(nets, cfg, rng, cfg.rollout,
                               lambda a: -(a - 0.6) ** 2)
-            rep = ppo_update(buf, cfg, nets, opt_a, opt_c)
+            rep = ppo_update(buf, nets)
             rewards.append(rep["mean_reward"])
             assert len(buf) == 0  # buffer cleared after each update
         assert np.mean(rewards[-10:]) > np.mean(rewards[:10])
@@ -238,7 +236,7 @@ class TestPpoUpdate:
         buf = fill_buffer(nets, cfg, np.random.default_rng(3), 32,
                           lambda a: math.nan)
         with pytest.raises(DivergenceError):
-            ppo_update(buf, cfg, nets)
+            ppo_update(buf, nets)
         for b, p in zip(before, nets.actor_params()):
             assert np.array_equal(b, p.data)
         assert len(buf) == 0
@@ -248,7 +246,7 @@ class TestPpoUpdate:
         nets = ActorCritic(cfg, obs_dim=1, act_dim=1, rng=np.random.default_rng(4))
         buf = fill_buffer(nets, cfg, np.random.default_rng(5), 10, lambda a: 0.0)
         with pytest.raises(ValueError):
-            ppo_update(buf, cfg, nets)
+            ppo_update(buf, nets)
 
 
 class TestCheckpoint:

@@ -99,10 +99,8 @@ class TestRunEpisode:
         cfg = PpoConfig(rollout=64, minibatch=32)
         def fresh():
             return ActorCritic(cfg, rng=np.random.Generator(np.random.Philox(key=1)))
-        a = run_episode(LINK, PROTO, "nominal", "ml", seed=8, blocks=80,
-                        nets=fresh(), ppo_cfg=cfg)
-        b = run_episode(LINK, PROTO, "nominal", "ml", seed=8, blocks=80,
-                        nets=fresh(), ppo_cfg=cfg)
+        a = run_episode(LINK, PROTO, "nominal", "ml", seed=8, blocks=80, nets=fresh())
+        b = run_episode(LINK, PROTO, "nominal", "ml", seed=8, blocks=80, nets=fresh())
         assert a.csv() == b.csv()
         assert a.policy_calls == 79  # acts from block 1 on
         assert a.tcn_calls == 0  # no forecaster model: persistence fallback
@@ -114,9 +112,9 @@ class TestRunEpisode:
         rows = []
         original = Forecaster.forecast
 
-        def spy(self, history):
-            rows.append(np.asarray(history).shape[0])
-            return original(self, history)
+        def spy(self):
+            rows.append(len(self.rows))
+            return original(self)
 
         monkeypatch.setattr(Forecaster, "forecast", spy)
         log = run_episode(LINK, PROTO, "noise-sweep", "ml", seed=4, blocks=300,
@@ -124,6 +122,20 @@ class TestRunEpisode:
         assert len(rows) == 299
         assert max(rows) == cfg.window
         assert log.tcn_calls == 299 - (cfg.window - 1)  # warm-up falls back
+
+    def test_learner_state_carries_over_episodes(self):
+        # the buffer and the optimizers live on the nets, not the episode
+        cfg = PpoConfig(rollout=64, minibatch=32)
+        nets = ActorCritic(cfg, rng=np.random.Generator(np.random.Philox(key=1)))
+        first = run_episode(LINK, PROTO, "nominal", "ml", seed=1, blocks=50, nets=nets)
+        assert first.updates == []
+        assert len(nets.buffer) == 49  # acts from block 1 on
+        second = run_episode(LINK, PROTO, "noise-sweep", "ml", seed=2, blocks=50,
+                             nets=nets)
+        assert len(second.updates) == 1
+        assert len(nets.buffer) == 2 * 49 - cfg.rollout
+        assert nets.opt_actor.state["t"] == cfg.epochs * 2  # two minibatches an epoch
+        assert nets.opt_critic.state["t"] == cfg.epochs * 2
 
 
 class TestRecalib:
@@ -237,8 +249,7 @@ def test_all_protocols_run_closed_loop():
         st = run_episode(LINK, proto, "nominal", "static", seed=2, blocks=60)
         assert np.median(st.skr_series()) > 0.0
         nets = ActorCritic(ppo, rng=np.random.Generator(np.random.Philox(key=3)))
-        ml = run_episode(LINK, proto, "nominal", "ml", seed=2, blocks=60,
-                         nets=nets, ppo_cfg=ppo)
+        ml = run_episode(LINK, proto, "nominal", "ml", seed=2, blocks=60, nets=nets)
         nominal = nominal_control(proto)
         for rec in ml.records:
             for name in frozen:  # masked components never move

@@ -18,6 +18,14 @@ def collect_features(scenario, blocks, seed):
     return np.array([telemetry_features(sim.step(ctrl)) for _ in range(blocks)])
 
 
+def streamed(model, rows):
+    """Forecast after pushing ``rows`` one block at a time."""
+    fc = Forecaster(model)
+    for row in rows:
+        fc.push(row)
+    return fc.forecast()
+
+
 def small_cfg(**kw):
     base = dict(layers=2, dilations=(1, 2), kernel=3, hidden=8, window=8,
                 epochs=10, batch_size=32)
@@ -38,7 +46,7 @@ class TestForward:
         model.head.b.data[:] = 0.0
         window = np.random.default_rng(1).uniform(0.0, 1.0, size=(4, 5))
         fc = tcn_forward(window, model)
-        assert np.allclose(fc.y_next, window[-1], atol=1e-12)
+        assert np.allclose(fc, window[-1], atol=1e-12)
 
     def test_window_too_short(self):
         cfg = small_cfg()
@@ -53,13 +61,12 @@ class TestForward:
         cfg = small_cfg()
         model = TcnModel(cfg, np.random.default_rng(1),
                          Normalizer.calibrate(feats))
-        a = tcn_forward(feats[:40], model)
-        b = tcn_forward(feats[:40], model)  # same history, stream continued
-        assert np.array_equal(a.y_next, b.y_next)
-        fc_full = Forecaster(model)
-        fc_cut = Forecaster(model)
-        assert np.array_equal(fc_full.forecast(feats[:40]).y_next,
-                              fc_cut.forecast(feats[:40].copy()).y_next)
+        z = model.normalizer.normalize(feats)
+        a = tcn_forward(z[:40], model)
+        b = tcn_forward(z[:40], model)  # same history, stream continued
+        assert np.array_equal(a, b)
+        assert np.array_equal(streamed(model, feats[:40]),
+                              streamed(model, feats[:40].copy()))
 
     def test_receptive_field_covers_window(self):
         cfg = TcnConfig(layers=4, dilations=(1, 2, 4, 8), kernel=3, hidden=8,
@@ -68,18 +75,11 @@ class TestForward:
         model = TcnModel(cfg, np.random.default_rng(3), Normalizer.identity(5))
         rng = np.random.default_rng(4)
         window = rng.uniform(0.2, 0.8, size=(16, 5))
-        base = tcn_forward(window, model).y_norm
+        base = tcn_forward(window, model)
         perturbed = window.copy()
         perturbed[0] += 0.3
-        out = tcn_forward(perturbed, model).y_norm
+        out = tcn_forward(perturbed, model)
         assert not np.allclose(out, base)
-
-    def test_clamped_to_physical_range(self):
-        cfg = small_cfg()
-        model = TcnModel(cfg, np.random.default_rng(5), Normalizer.identity(5))
-        model.head.b.data[:] = 50.0
-        fc = tcn_forward(np.full((8, 5), 0.5), model)
-        assert np.all(fc.y_next <= 1.0) and np.all(fc.y_next >= 0.0)
 
 
 class TestTraining:
@@ -154,10 +154,11 @@ class TestCheckpoint:
         path = tmp_path / "tcn.ckpt"
         save_tcn(str(path), model)
         loaded = load_tcn(str(path))
-        a = tcn_forward(feats[-8:], model)
-        b = tcn_forward(feats[-8:], loaded)
-        assert np.array_equal(a.y_next, b.y_next)
-        assert np.array_equal(a.y_norm, b.y_norm)
+        a = tcn_forward(model.normalizer.normalize(feats[-8:]), model)
+        b = tcn_forward(loaded.normalizer.normalize(feats[-8:]), loaded)
+        assert np.array_equal(model.normalizer.denormalize(a),
+                              loaded.normalizer.denormalize(b))
+        assert np.array_equal(a, b)
 
 
 class TestForecaster:
@@ -166,8 +167,10 @@ class TestForecaster:
         model = TcnModel(cfg, np.random.default_rng(10), Normalizer.identity(5))
         fc = Forecaster(model)
         hist = np.random.default_rng(11).uniform(0, 1, size=(3, 5))
-        out = fc.forecast(hist)
-        assert np.allclose(out.y_next, hist[-1])
+        for row in hist:
+            fc.push(row)
+        out = fc.forecast()
+        assert np.allclose(out, hist[-1])
         assert fc.calls == 0  # fallback does not touch the model
 
     def test_counts_model_calls(self):
@@ -175,8 +178,10 @@ class TestForecaster:
         model = TcnModel(cfg, np.random.default_rng(12), Normalizer.identity(5))
         fc = Forecaster(model)
         hist = np.random.default_rng(13).uniform(0, 1, size=(20, 5))
-        fc.forecast(hist)
-        fc.forecast(hist)
+        for row in hist:
+            fc.push(row)
+        fc.forecast()
+        fc.forecast()
         assert fc.calls == 2
 
 
