@@ -293,7 +293,11 @@ def wilson_interval(n_err: int, n: int, conf: float = 0.95) -> Tuple[float, floa
     denom = 1.0 + z2 / n
     center = (p + z2 / (2.0 * n)) / denom
     margin = z * math.sqrt((p * (1.0 - p) + z2 / (4.0 * n)) / n) / denom
-    return max(0.0, center - margin), min(1.0, center + margin)
+    # no errors (or no successes) puts the bound exactly at 0 (or 1);
+    # center - margin would leave a rounding residue there
+    lo = 0.0 if n_err == 0 else max(0.0, center - margin)
+    hi = 1.0 if n_err == n else min(1.0, center + margin)
+    return lo, hi
 
 
 def normal_quantile(p: float) -> float:

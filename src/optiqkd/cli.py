@@ -186,10 +186,9 @@ def _tcn_training_features(cfg, link, proto, seed: int) -> np.ndarray:
     return np.asarray(rows)
 
 
-def _train_tcn(cfg, link, proto, seed: int) -> tuple:
+def _train_tcn(cfg, tcn_cfg, link, proto, seed: int) -> tuple:
     """Train the forecaster on the static-control corpus: (dataset, model,
     loss curve)."""
-    tcn_cfg = cfgmod.make_tcn_config(cfg)
     dataset = make_dataset(_tcn_training_features(cfg, link, proto, seed), tcn_cfg.window)
     rng = np.random.Generator(np.random.Philox(key=seed * 4 + 3))
     return (dataset, *train_forecaster(dataset, tcn_cfg, rng))
@@ -199,9 +198,11 @@ def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     link = cfgmod.make_link(cfg)
     proto = cfgmod.make_protocol(cfg, args.protocol)
+    # both training sections are checked before anything is trained or written
+    tcn_cfg, ppo_cfg = cfgmod.make_tcn_config(cfg), cfgmod.make_ppo_config(cfg)
     out = _outdir(args)
     if args.model == "tcn":
-        dataset, model, curve = _train_tcn(cfg, link, proto, args.seed)
+        dataset, model, curve = _train_tcn(cfg, tcn_cfg, link, proto, args.seed)
         ckpt = out / f"tcn_seed{args.seed}.ckpt"
         save_tcn(str(ckpt), model)
         loss_csv = out / f"tcn_loss_seed{args.seed}.csv"
@@ -215,13 +216,13 @@ def cmd_train(args) -> int:
     # ppo
     tcn_model, _ = _load_models(args, cfg)
     if tcn_model is None:
-        _, tcn_model, _ = _train_tcn(cfg, link, proto, args.seed)
+        _, tcn_model, _ = _train_tcn(cfg, tcn_cfg, link, proto, args.seed)
     nets, progress = train_policy(
         link, proto, tcn_model, seed=args.seed,
         updates=int(cfg["train"]["ppo_updates"]),
         scenarios=tuple(cfg["train"]["ppo_scenarios"]),
         blocks_per_episode=int(cfg["train"]["ppo_blocks"]),
-        ppo_cfg=cfgmod.make_ppo_config(cfg),
+        ppo_cfg=ppo_cfg,
         reward_cfg=cfgmod.make_reward_config(cfg, loopmod.nominal_skr_ref(link, proto)),
         n_pulses=int(cfg["channel"]["n_pulses"]),
     )

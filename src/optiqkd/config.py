@@ -133,14 +133,29 @@ def _coerce(key: str, raw: str, current: Any) -> Any:
     if isinstance(current, float) or current is None:
         return _number(key, raw)
     if isinstance(current, list):
+        proto = current[0] if current else 0.0
         try:
             val = json.loads(raw)
         except json.JSONDecodeError:
-            val = [_coerce(key, x, current[0] if current else 0.0) for x in raw.split(",")]
+            return [_coerce(key, x, proto) for x in raw.split(",")]
         if not isinstance(val, list):
             raise OverrideError(f"expected a list value, got {raw!r}")
+        for x in val:
+            if not _fits(x, proto):
+                raise OverrideError(
+                    f"configuration key {key!r} needs {type(proto).__name__} items, got {x!r}")
         return val
     return raw
+
+
+def _fits(val: Any, proto: Any) -> bool:
+    """Whether a JSON value can stand for one of ``proto``'s type: an int
+    takes an integral number, a float any number."""
+    if isinstance(val, bool) or not isinstance(proto, (int, float)):
+        return type(val) is type(proto)
+    if isinstance(proto, int):
+        return isinstance(val, int) or (isinstance(val, float) and val.is_integer())
+    return isinstance(val, (int, float))
 
 
 def _number(key: str, raw: str) -> float:
@@ -161,12 +176,17 @@ def _cast(key: str, val: Any, default: Any) -> Any:
         if not isinstance(val, dict):
             raise ValueError(f"configuration key {key!r} must be a section")
         return _build(type(default), val, prefix=key + ".")
+    if isinstance(default, tuple):
+        if not isinstance(val, (list, tuple)):
+            raise ValueError(f"configuration key {key!r} has unreadable value {val!r}")
+        return tuple(_cast(key, v, default[0]) for v in val)
+    if default is None and val is None:
+        return None
+    kind = float if default is None else type(default)
+    if kind is int and isinstance(val, float) and not val.is_integer():
+        raise ValueError(f"configuration key {key!r} needs an integer, got {val!r}")
     try:
-        if isinstance(default, tuple):
-            return tuple(type(default[0])(v) for v in val)
-        if default is None:
-            return None if val is None else float(val)
-        return type(default)(val)
+        return kind(val)
     except (TypeError, ValueError):
         raise ValueError(f"configuration key {key!r} has unreadable value {val!r}") from None
 

@@ -60,8 +60,15 @@ class PpoConfig:
             raise ValueError("gamma must be in (0, 1)")
         if not 0.0 < self.clip_eps < 1.0:
             raise ValueError("clip_eps must be in (0, 1)")
+        for name in ("epochs", "minibatch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.rollout < self.minibatch:
             raise ValueError("rollout length must be >= minibatch size")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
+        if len(self.hidden) != 2 or any(h < 1 for h in self.hidden):
+            raise ValueError(f"hidden must be two widths >= 1, got {self.hidden!r}")
 
 
 @dataclass

@@ -214,6 +214,15 @@ def residual_add(x: Var, y: Var) -> Var:
     return add(x, y)
 
 
+def flat_kernel(kernel: np.ndarray) -> np.ndarray:
+    """A conv kernel (C_out, C_in, k) as W (C_out, k*C_in), column
+    ``i*C_in + c`` being ``kernel[:, c, i]``: the weights of input channel
+    c delayed by i taps. :func:`conv1d_causal` and
+    :meth:`Conv1dCausalLayer.step` both read this layout."""
+    n_out, n_in, k = kernel.shape
+    return kernel.transpose(0, 2, 1).reshape(n_out, k * n_in)
+
+
 def conv1d_causal(x: Var, kernel: Var, bias: Var, dilation: int = 1) -> Var:
     """Dilated causal 1-D convolution with left zero-padding.
 
@@ -223,10 +232,10 @@ def conv1d_causal(x: Var, kernel: Var, bias: Var, dilation: int = 1) -> Var:
 
     Computed as im2col + GEMM: the columns cols (B, k*C_in, T) stack the
     k delayed copies of x, row ``i*C_in + c`` being channel c delayed by
-    ``i*dilation`` (zeros before t = 0); the kernel flattens to
-    W (C_out, k*C_in) with column ``i*C_in + c`` = ``kernel[:, c, i]``, and
-    the output is ``W @ cols``. The gradients take one matmul per tap, each
-    broadcast over the batch, on the tap's shift s = ``i*dilation``:
+    ``i*dilation`` (zeros before t = 0), and the output is ``W @ cols``
+    with W the :func:`flat_kernel`. The gradients take one matmul per
+    tap, each broadcast over the batch, on the tap's shift s =
+    ``i*dilation``:
 
     - w.r.t. x: ``kernel[:, :, i].T @ g[:, :, s:]`` added at times ``:T-s``;
     - w.r.t. the kernel: ``kernel[:, :, i]`` gets
@@ -238,7 +247,7 @@ def conv1d_causal(x: Var, kernel: Var, bias: Var, dilation: int = 1) -> Var:
         raise ValueError("dilation must be >= 1")
     if x.data.ndim != 3:
         raise ValueError("conv input must be (batch, channels, time)")
-    n_out, n_in, k = kernel.data.shape
+    _, n_in, k = kernel.data.shape
     if x.data.shape[1] != n_in:
         raise ValueError(
             f"conv channel mismatch: input has {x.data.shape[1]}, kernel wants {n_in}")
@@ -249,8 +258,7 @@ def conv1d_causal(x: Var, kernel: Var, bias: Var, dilation: int = 1) -> Var:
         shift = i * dilation
         if shift < t_len:
             cols[:, i, :, shift:] = x_data[:, :, :t_len - shift]
-    w = kernel.data.transpose(0, 2, 1).reshape(n_out, k * n_in)
-    out = w @ cols.reshape(b_sz, k * n_in, t_len)
+    out = flat_kernel(kernel.data) @ cols.reshape(b_sz, k * n_in, t_len)
     out += bias.data[None, :, None]
 
     def bw_x(g):
@@ -315,8 +323,25 @@ class Conv1dCausalLayer:
         return cls(kaiming_uniform((n_out, n_in, k), n_in * k, rng),
                    np.zeros(n_out), dilation)
 
+    @property
+    def span(self) -> int:
+        """How many past inputs, the current one included, one output reads."""
+        return (self.kernel.data.shape[2] - 1) * self.dilation + 1
+
     def __call__(self, x: Var) -> Var:
         return conv1d_causal(x, self.kernel, self.bias, self.dilation)
+
+    def step(self, hist: Sequence[np.ndarray]) -> np.ndarray:
+        """The newest output column (C_out,) from the layer's last ``span``
+        inputs, as a plain array: no graph is built. ``hist`` holds one
+        (C_in,) input per step, oldest first (a (span, C_in) array or a
+        deque of vectors); tap i reads ``hist[-1 - i*dilation]``, so the
+        taps stack in the :func:`flat_kernel` column order."""
+        if len(hist) != self.span:
+            raise ValueError(f"step needs the last {self.span} inputs, got {len(hist)}")
+        col = np.concatenate([hist[-1 - i * self.dilation]
+                              for i in range(self.kernel.data.shape[2])])
+        return flat_kernel(self.kernel.data) @ col + self.bias.data
 
     def params(self) -> List[Var]:
         return [self.kernel, self.bias]

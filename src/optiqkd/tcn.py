@@ -1,13 +1,19 @@
 """Dilated-causal residual convolution network forecasting the channel state.
 
-The forecaster ingests a fixed-length window of normalized telemetry
-features and predicts the next block's normalized feature vector.
-Inference is read-only on the parameters; training mutates parameters and
-is single-threaded per model instance.
+The network reads a fixed-length window of normalized telemetry features
+and predicts the next block's normalized feature vector. Training runs
+batches of windows through the ``nn`` graph (:func:`tcn_forward` does the
+same for one window). The closed loop's :class:`Forecaster` streams
+instead: each block advances every conv layer by one step, without a
+graph, which gives the same forecast because a config's window is never
+shorter than its receptive field. Inference is read-only on the
+parameters; training mutates parameters and is single-threaded per model
+instance.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -43,6 +49,15 @@ class TcnConfig:
             raise ValueError("window must be >= 2")
         if self.kernel < 1 or any(d < 1 for d in self.dilations):
             raise ValueError("kernel and dilations must be >= 1")
+        if self.window < self.receptive_field:
+            raise ValueError(
+                f"window ({self.window}) must be >= the receptive field "
+                f"({self.receptive_field}); a shorter window would cut taps off")
+        for name in ("hidden", "epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
 
     @property
     def receptive_field(self) -> int:
@@ -230,28 +245,46 @@ def train_forecaster(
 class Forecaster:
     """Streaming one-step forecaster over the normalized telemetry rows.
 
-    ``push`` normalizes one block's features once and keeps the last
-    ``window`` rows; ``forecast`` predicts the next normalized row, and
-    repeats the last row (persistence) until the window is full or when
-    there is no model.
+    Each conv layer keeps a zero-initialised queue of its last ``span``
+    inputs (Fast WaveNet; Paine et al. 2016, arXiv:1611.09482). ``push``
+    normalizes one block's features once and advances every layer by one
+    step, so a block costs one new column per layer; ``forecast`` applies
+    the head to the newest hidden vector. Because ``window`` is at least
+    the receptive field, this equals :func:`tcn_forward` over the last
+    ``window`` rows, up to rounding. ``forecast`` repeats the last row
+    (persistence) until ``window`` rows have been pushed, or when there is
+    no model.
     """
 
     def __init__(self, model: Optional[TcnModel]):
         self.model = model
-        self.rows: deque[np.ndarray] = deque(maxlen=model.cfg.window if model else 1)
+        self.queues: List[deque[np.ndarray]] = [
+            deque([np.zeros(conv.kernel.data.shape[1])] * conv.span, maxlen=conv.span)
+            for conv in (model.convs if model else ())]
+        self.pushed = 0
+        self.last: Optional[np.ndarray] = None  # newest normalized row
+        self.hidden: Optional[np.ndarray] = None  # newest top-layer column
         self.calls = 0  # counts model-backed forecasts, for isolation checks
 
     def push(self, features: np.ndarray) -> np.ndarray:
-        z = (self.model.normalizer.normalize(features) if self.model is not None
-             else np.asarray(features, dtype=float))
-        self.rows.append(z)
-        return z
+        if self.model is None:
+            self.last = np.asarray(features, dtype=float)
+            return self.last
+        h = self.last = self.model.normalizer.normalize(features)
+        for conv, proj, queue in zip(self.model.convs, self.model.projs, self.queues):
+            queue.append(h)
+            y = conv.step(queue)
+            # np.maximum is nn.relu on finite values, at half its cost here
+            h = np.maximum(y, 0.0) + (proj.step((h,)) if proj is not None else h)
+        self.hidden = h
+        self.pushed += 1
+        return self.last
 
     def forecast(self) -> np.ndarray:
-        if self.model is None or len(self.rows) < self.rows.maxlen:
-            return self.rows[-1]
+        if self.model is None or self.pushed < self.model.cfg.window:
+            return self.last
         self.calls += 1
-        return tcn_forward(np.asarray(self.rows), self.model)
+        return self.model.head.w.data @ self.hidden + self.model.head.b.data
 
 
 def save_tcn(path: str, model: TcnModel) -> None:

@@ -83,6 +83,17 @@ class TestShowConfig:
         assert run(["show-config", "--set", pair]) == 1
         assert repr(pair.partition("=")[0]) in capsys.readouterr().err
 
+    def test_non_integral_list_item_usage_error(self, capsys):
+        assert run(["show-config", "--set", "tcn.dilations=[1.5,2,4,8]"]) == 1
+        assert "'tcn.dilations'" in capsys.readouterr().err
+
+    def test_non_integral_config_file_value_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"tcn": {"epochs": 2.5}}))
+        assert run(["train", "tcn", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "'tcn.epochs'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_integral_float_for_int_key(self, capsys):
         assert run(["show-config", "--set", "channel.n_pulses=1e5"]) == 0
         assert json.loads(capsys.readouterr().out)["channel"]["n_pulses"] == 100000
@@ -149,6 +160,25 @@ class TestTrain:
         mse = dataset_mse(make_dataset(feats, model.cfg.window), model)
         logged = float(loss_rows[-1].split(",")[1])
         assert mse == pytest.approx(logged, rel=1e-9)
+
+    @pytest.mark.parametrize("what,pair,field", [
+        ("tcn", "tcn.window=16", "receptive field"),  # the default field is 31
+        ("tcn", "tcn.epochs=0", "epochs"),
+        ("tcn", "tcn.batch_size=0", "batch_size"),
+        ("tcn", "tcn.lr=0", "lr"),
+        ("tcn", "tcn.lr=nan", "lr"),
+        ("tcn", "tcn.hidden=0", "hidden"),
+        ("ppo", "ppo.epochs=0", "epochs"),
+        ("ppo", "ppo.minibatch=0", "minibatch"),
+        ("ppo", "ppo.lr=inf", "lr"),
+        ("ppo", "ppo.hidden=[0,64]", "hidden"),
+    ])
+    def test_unrunnable_training_config_runtime_error(self, tmp_path, capsys, what, pair,
+                                                      field):
+        out = tmp_path / "o"
+        assert run(["train", what, "--out", str(out), "--set", pair]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     def test_tcn_divergence_exit_code(self, tmp_path):
         assert run(["train", "tcn", "--seed", "1", "--out", str(tmp_path),

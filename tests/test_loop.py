@@ -109,18 +109,20 @@ class TestRunEpisode:
         cfg = TcnConfig(layers=2, dilations=(1, 2), hidden=6, window=8)
         model = TcnModel(cfg, np.random.Generator(np.random.Philox(key=3)))
         nets = ActorCritic(PpoConfig(), rng=np.random.Generator(np.random.Philox(key=1)))
-        rows = []
+        spans = []
         original = Forecaster.forecast
 
         def spy(self):
-            rows.append(len(self.rows))
+            spans.append([len(q) for q in self.queues])
             return original(self)
 
         monkeypatch.setattr(Forecaster, "forecast", spy)
         log = run_episode(LINK, PROTO, "noise-sweep", "ml", seed=4, blocks=300,
                           tcn_model=model, nets=nets)
-        assert len(rows) == 299
-        assert max(rows) == cfg.window
+        assert len(spans) == 299
+        # each layer keeps its (k-1)*d + 1 inputs, never more than the window
+        assert all(s == [3, 5] for s in spans)
+        assert max(map(max, spans)) <= cfg.window
         assert log.tcn_calls == 299 - (cfg.window - 1)  # warm-up falls back
 
     def test_learner_state_carries_over_episodes(self):

@@ -65,6 +65,22 @@ class TestConvCausal:
         assert max_rel_err(kv.grad, ref_gk, floor=1.0) < 1e-12
         assert np.allclose(bv.grad, g.sum(axis=(0, 2)), rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("c_in,k,dilation", [(5, 3, 1), (16, 3, 8), (4, 1, 1), (3, 2, 5)])
+    def test_step_is_the_last_column(self, c_in, k, dilation):
+        rng = np.random.default_rng(c_in * 100 + k * 10 + dilation)
+        layer = Conv1dCausalLayer.create(c_in, 6, k, dilation, rng)
+        layer.bias.data = rng.normal(size=6)
+        x = rng.normal(size=(1, c_in, 40))
+        full = layer(Var(x)).data[0]
+        assert layer.span == (k - 1) * dilation + 1
+        for t in range(layer.span - 1, 40):
+            hist = x[0, :, t + 1 - layer.span:t + 1].T  # one row per step, oldest first
+            step = layer.step(hist)
+            assert isinstance(step, np.ndarray)
+            np.testing.assert_allclose(step, full[:, t], rtol=1e-12, atol=1e-12)
+        with pytest.raises(ValueError, match="last"):
+            layer.step(hist[1:])
+
 
 class TestElementwise:
     def test_relu(self):

@@ -1,5 +1,5 @@
-"""Property tests of the two hand-off edges: the config document and the
-model checkpoints.
+"""Property tests of the hand-off edges (the config document and the
+model checkpoints), the streaming forecaster and the rate engine's bounds.
 
 - A ``--set key=v`` override of any numeric leaf reaches its typed config
   as exactly ``v`` (or fails with the dataclass's own ``ValueError``), and
@@ -7,6 +7,11 @@ model checkpoints.
 - Random small TCN and PPO architectures save and load bit-exactly.
 - A checkpoint array that is missing, mis-shaped or unknown is rejected
   with an error naming it, and ``optiqkd eval`` exits with code 2.
+- The streaming ``Forecaster`` matches ``tcn_forward`` over the last
+  ``window`` rows on every block.
+- The asymptotic key rate never rises with distance; the decoy bounds
+  bracket the single-photon yield and error (Lo, Ma & Chen 2005); Wilson
+  intervals lie in [0, 1] and nest as the confidence level grows.
 """
 
 import dataclasses
@@ -17,7 +22,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from optiqkd import config as cfgmod
@@ -25,9 +30,12 @@ from optiqkd import nn
 from optiqkd.cli import main
 from optiqkd.controller import (ActorCritic, PpoConfig, RewardConfig, load_policy,
                                 save_policy)
-from optiqkd.rates import LinkParams, ProtocolConfig
-from optiqkd.tcn import (Normalizer, TcnConfig, TcnModel, load_tcn, save_tcn,
-                         tcn_forward)
+from optiqkd.channel import wilson_interval
+from optiqkd.rates import (PROTOCOLS, BoundInfeasibleError, Bb84Config, CowConfig,
+                           E91Config, LinkParams, ProtocolConfig, bb84_gains,
+                           decoy_bounds, operating_point)
+from optiqkd.tcn import (Forecaster, Normalizer, TcnConfig, TcnModel, load_tcn,
+                         save_tcn, tcn_forward)
 
 # a fixed example sequence keeps the suite deterministic
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None,
@@ -129,12 +137,14 @@ def test_config_override_round_trip(kv):
 
 @st.composite
 def tcn_models(draw):
-    layers = draw(st.integers(1, 3))
-    cfg = TcnConfig(layers=layers,
-                    dilations=tuple(draw(st.lists(st.integers(1, 4), min_size=layers,
-                                                  max_size=layers))),
-                    kernel=draw(st.integers(1, 3)), hidden=draw(st.integers(1, 6)),
-                    window=draw(st.integers(2, 10)))
+    """A small TCN whose window covers its receptive field."""
+    layers = draw(st.integers(1, 4))
+    dilations = tuple(draw(st.lists(st.integers(1, 8), min_size=layers, max_size=layers)))
+    kernel = draw(st.integers(1, 3))
+    field = 1 + (kernel - 1) * sum(dilations)
+    cfg = TcnConfig(layers=layers, dilations=dilations, kernel=kernel,
+                    hidden=draw(st.integers(1, 6)),
+                    window=draw(st.integers(max(2, field), field + 8)))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.Generator(np.random.Philox(key=seed))
     norm = Normalizer(rng.normal(size=5), rng.uniform(0.1, 2.0, size=5))
@@ -173,6 +183,24 @@ def test_tcn_checkpoint_round_trip(model_rng):
     b = tcn_forward(loaded.normalizer.normalize(window), loaded)
     assert np.array_equal(a, b)
     assert np.array_equal(model.normalizer.denormalize(a), loaded.normalizer.denormalize(b))
+
+
+@SETTINGS
+@given(tcn_models())
+@example((TcnModel(TcnConfig(), np.random.default_rng(0)), np.random.default_rng(1)))
+def test_streaming_forecast_matches_window_forward(model_rng):
+    model, rng = model_rng
+    w = model.cfg.window
+    fc = Forecaster(model)
+    rows = []
+    for row in rng.uniform(0.0, 1.0, size=(200, 5)):
+        rows.append(fc.push(row))
+        if len(rows) < w:
+            assert fc.forecast() is rows[-1]  # persistence until the window fills
+        else:
+            np.testing.assert_allclose(fc.forecast(), tcn_forward(np.array(rows[-w:]), model),
+                                       rtol=1e-12, atol=1e-12)
+    assert fc.calls == 200 - w + 1
 
 
 @SETTINGS
@@ -252,3 +280,48 @@ def test_eval_rejects_broken_checkpoint(tmp_path, capsys, which):
                  "--out", str(tmp_path / "out")])
     assert code == 2
     assert f"missing array {name!r}" in capsys.readouterr().err
+
+
+# -- rate engine ----------------------------------------------------------
+
+@SETTINGS
+@given(st.sampled_from(sorted(PROTOCOLS)), st.floats(0.0, 0.5), st.floats(0.01, 1.0),
+       st.floats(-8.0, -3.0), st.floats(0.0, 0.1), st.floats(0.05, 1.0), st.floats(0.01, 0.99),
+       st.floats(0.5, 1.0), st.floats(0.0, 200.0), st.floats(0.0, 100.0))
+def test_key_rate_never_rises_with_distance(kind, alpha, eta_det, log_y0, e_d, mu_s, weak,
+                                            v_source, d_near, d_extra):
+    proto = ProtocolConfig(kind=kind, bb84=Bb84Config(mu_s=mu_s, mu_w=weak * mu_s),
+                           e91=E91Config(v_source=v_source), cow=CowConfig(alpha_sq=mu_s))
+    rates = [operating_point(LinkParams(alpha_db_per_km=alpha, distance_km=d, eta_det=eta_det,
+                                        y0=10.0**log_y0, e_d=e_d), proto)[2].r_per_pulse
+             for d in (d_near, d_near + d_extra)]
+    assert rates[1] <= rates[0]
+
+
+@SETTINGS
+@given(st.floats(0.05, 1.0), st.floats(0.01, 0.99), st.floats(-6.0, 0.0),
+       st.floats(-8.0, -3.0), st.floats(0.0, 0.5))
+def test_decoy_bounds_bracket_single_photon_terms(mu_s, weak, log_eta, log_y0, e_d):
+    # noise-free gains; the true single-photon yield is Y0 + eta and its
+    # error (e0*Y0 + e_d*eta) / (Y0 + eta)
+    eta, y0, e0 = 10.0**log_eta, 10.0**log_y0, 0.5
+    mu_w = weak * mu_s
+    gs, gw = bb84_gains(mu_s, eta, y0, e_d, e0), bb84_gains(mu_w, eta, y0, e_d, e0)
+    cfg = ProtocolConfig(bb84=Bb84Config(mu_s=mu_s, mu_w=mu_w))
+    try:
+        bounds = decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu), cfg, y0, e0)
+    except BoundInfeasibleError:
+        return  # no bound is claimed
+    assert bounds.y1_lower <= y0 + eta
+    assert bounds.e1_upper >= (e0 * y0 + e_d * eta) / (y0 + eta)
+
+
+@SETTINGS
+@given(st.integers(0, 10**9), st.floats(0.0, 1.0), st.sampled_from(["any", "none", "all"]))
+def test_wilson_intervals_nest(n, frac, where):
+    n_err = {"any": round(frac * n), "none": 0, "all": n}[where]
+    intervals = [wilson_interval(n_err, n, conf) for conf in (0.90, 0.95, 0.99)]
+    for lo, hi in intervals:
+        assert 0.0 <= lo <= hi <= 1.0
+    for (lo_in, hi_in), (lo_out, hi_out) in zip(intervals, intervals[1:]):
+        assert lo_out <= lo_in and hi_in <= hi_out

@@ -68,28 +68,34 @@ class TestForward:
         assert np.array_equal(streamed(model, feats[:40]),
                               streamed(model, feats[:40].copy()))
 
+    def test_window_shorter_than_receptive_field_rejected(self):
+        # taps past the window would only ever read zero padding
+        with pytest.raises(ValueError, match=r"window \(16\).*receptive field \(31\)"):
+            TcnConfig(layers=4, dilations=(1, 2, 4, 8), kernel=3, hidden=8, window=16)
+
     def test_receptive_field_covers_window(self):
         cfg = TcnConfig(layers=4, dilations=(1, 2, 4, 8), kernel=3, hidden=8,
-                        window=16)
-        assert cfg.receptive_field == 31
+                        window=31)
+        assert cfg.receptive_field == cfg.window
         model = TcnModel(cfg, np.random.default_rng(3), Normalizer.identity(5))
         rng = np.random.default_rng(4)
-        window = rng.uniform(0.2, 0.8, size=(16, 5))
-        base = tcn_forward(window, model)
+        window = rng.uniform(0.2, 0.8, size=(31, 5))
+        base = streamed(model, window)
+        assert np.allclose(base, tcn_forward(window, model), rtol=1e-12, atol=1e-12)
         perturbed = window.copy()
         perturbed[0] += 0.3
-        out = tcn_forward(perturbed, model)
-        assert not np.allclose(out, base)
+        assert not np.allclose(streamed(model, perturbed), base)
 
 
 class TestTraining:
     def test_zero_epochs_leaves_params(self):
         feats = collect_features("nominal", 40, seed=3)
         ds = make_dataset(feats, 8)
-        cfg = small_cfg(epochs=0)
+        cfg = small_cfg()
         model = TcnModel(cfg, np.random.default_rng(0), Normalizer.calibrate(feats))
         before = [p.data.copy() for p in model.params()]
-        model2, curve = tcn_train(ds, cfg, np.random.default_rng(1), model=model)
+        model2, curve = tcn_train(ds, cfg, np.random.default_rng(1), epochs=0,
+                                  model=model)
         assert curve == []
         for b, p in zip(before, model2.params()):
             assert np.array_equal(b, p.data)
@@ -183,6 +189,14 @@ class TestForecaster:
         fc.forecast()
         fc.forecast()
         assert fc.calls == 2
+
+    def test_no_model_repeats_last_row(self):
+        fc = Forecaster(None)
+        rows = np.random.default_rng(16).uniform(0, 1, size=(40, 5))
+        for row in rows:
+            fc.push(row)
+        assert np.array_equal(fc.forecast(), rows[-1])
+        assert fc.calls == 0
 
 
 def test_training_improves_on_sine_benchmark_all_seeds():
