@@ -11,14 +11,14 @@ import numpy as np
 
 from optiqkd import LinkParams, operating_point
 from optiqkd.cli import RATES_CSV_HEADER
-from optiqkd.config import default_config, make_protocol
+from optiqkd.config import default_config, typed
 
 OUT = Path("out")
 OUT.mkdir(exist_ok=True)
 
 cfg = default_config()
 for kind in ("bb84", "e91", "cow"):
-    proto = make_protocol(cfg, kind)
+    proto = typed(cfg, "protocol", kind=kind)
     lines = [RATES_CSV_HEADER]
     for d in np.arange(0.0, 201.0, 5.0):
         link = LinkParams(distance_km=float(d))
@@ -31,7 +31,7 @@ for kind in ("bb84", "e91", "cow"):
 
 print("\nBB84 decoy-bounded throughput (bits/s):")
 print(f"{'km':>6} {'Q_mu':>12} {'E_mu':>8} {'R (bps)':>12}")
-proto = make_protocol(cfg, "bb84")
+proto = typed(cfg, "protocol", kind="bb84")
 for d in (0, 25, 50, 75, 100, 125, 150):
     q_mu, e_mu, rep = operating_point(LinkParams(distance_km=float(d)), proto)
     print(f"{d:>6} {q_mu:>12.4e} {e_mu:>8.4f} {rep.r_bps:>12.4e}")

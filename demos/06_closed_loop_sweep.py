@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from optiqkd import ControlState, LinkParams, ProtocolConfig, Simulator, make_scenario
-from optiqkd.loop import compare, run_episode, train_policy
+from optiqkd.loop import TrainConfig, compare, run_episode, train_policy
 from optiqkd.controller import load_policy, save_policy
 from optiqkd.tcn import TcnConfig, make_dataset, telemetry_features, train_forecaster
 
@@ -33,7 +33,8 @@ tcn_model, _ = train_forecaster(make_dataset(np.asarray(rows), cfg.window), cfg,
 print(f"forecaster trained in {time.time() - t0:.0f}s")
 
 t0 = time.time()
-nets, progress = train_policy(link, proto, tcn_model, seed=0, updates=300)
+nets, progress = train_policy(link, proto, tcn_model, seed=0,
+                             train=TrainConfig(ppo_updates=300))
 print(f"controller trained in {time.time() - t0:.0f}s "
       f"(reward {progress[0]['mean_reward']:.2f} -> {progress[-1]['mean_reward']:.2f})")
 ckpt = OUT / "demo_policy.ckpt"

@@ -9,7 +9,7 @@ from .rates import (PROTOCOLS, Bb84Config, BoundInfeasibleError, CowConfig,
                     cow_phase_error, cow_visibility, decoy_bounds, e91_key_rate,
                     e91_quantities, finite_key_penalty, finite_key_rate,
                     operating_point, transmittance)
-from .channel import (ControlState, NoiseSchedule, ScheduleEvent, Simulator,
+from .channel import (ChannelConfig, ControlState, NoiseSchedule, ScheduleEvent, Simulator,
                       Telemetry, UnknownScenarioError, effective_link,
                       make_scenario, step_block, wilson_interval)
 from .tcn import (Forecaster, Normalizer, TcnConfig, TcnModel, load_tcn,
@@ -17,7 +17,7 @@ from .tcn import (Forecaster, Normalizer, TcnConfig, TcnModel, load_tcn,
 from .controller import (Action, ActorCritic, PpoConfig, RewardConfig,
                          RolloutBuffer, act, advantages, apply_action,
                          load_policy, observe, ppo_update, reward, save_policy)
-from .loop import (ComparisonResult, EpisodeLog, RunMetrics, adaptation_time,
-                   compare, nominal_skr_ref, run_episode, train_policy)
+from .loop import (ComparisonResult, EpisodeLog, LoopConfig, RunMetrics, TrainConfig,
+                   adaptation_time, compare, nominal_skr_ref, run_episode, train_policy)
 
 __version__ = "0.1.0"

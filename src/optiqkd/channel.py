@@ -31,12 +31,27 @@ MISALIGN_FRACTION = 0.07
 
 SWEEP_LEVELS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
 
-DEFAULT_N_PULSES = 1_000_000
-DEFAULT_ABORT_QBER = 0.11
-
 TELEMETRY_CSV_HEADER = (
     "block,n_pulses,n_sifted,n_errors,q_mu_hat,e_mu_hat,e_lo,e_hi,v_hat,eta_hat,aborted"
 )
+
+
+@dataclass(frozen=True)
+class ChannelConfig:
+    """Per-block measurement settings: pulses sent per block, the QBER above
+    which a second consecutive block aborts, and the block's duration."""
+
+    n_pulses: int = 1_000_000
+    abort_qber: float = 0.11
+    block_seconds: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.n_pulses < 1:
+            raise ValueError(f"n_pulses must be >= 1, got {self.n_pulses!r}")
+        if not 0.0 < self.abort_qber <= 0.5:
+            raise ValueError(f"abort_qber must be in (0, 0.5], got {self.abort_qber!r}")
+        if not 0.0 < self.block_seconds < math.inf:
+            raise ValueError(f"block_seconds must be finite and > 0, got {self.block_seconds!r}")
 
 
 class UnknownScenarioError(ValueError):
@@ -354,10 +369,9 @@ def step_block(
     proto: ProtocolConfig,
     t: int,
     rng: np.random.Generator,
-    n_pulses: int = DEFAULT_N_PULSES,
+    channel: ChannelConfig = ChannelConfig(),
     dphi: float = 0.0,
     prev_exceeded: bool = False,
-    abort_threshold: float = DEFAULT_ABORT_QBER,
 ) -> Telemetry:
     """Simulate one measurement block and return its telemetry.
 
@@ -374,8 +388,8 @@ def step_block(
     q_w_hat = e_w_hat = 0.0
 
     if proto.kind == "bb84":
-        n_sig = int(round(n_pulses * proto.bb84.p_s))
-        n_weak = n_pulses - n_sig
+        n_sig = int(round(channel.n_pulses * proto.bb84.p_s))
+        n_weak = channel.n_pulses - n_sig
         gs = bb84_gains(ctrl.mu_s, eff.eta, eff.y0, eff.e_d_eff, link.e0)
         gw = bb84_gains(ctrl.mu_w, eff.eta, eff.y0, eff.e_d_eff, link.e0)
         n_sift, trials = _sample_fraction(rng, round(n_sig * q_sift), gs.q_mu)
@@ -393,17 +407,17 @@ def step_block(
         v_pair = proto.e91.v_source * eff.v
         q_c = min(eff.y0 + eta_pair, 1.0)
         e_pair = (link.e0 * eff.y0 + (1.0 - v_pair) / 2.0 * eta_pair) / q_c if q_c > 0 else link.e0
-        n_sift, trials = _sample_fraction(rng, round(n_pulses * q_sift), q_c)
+        n_sift, trials = _sample_fraction(rng, round(channel.n_pulses * q_sift), q_c)
         n_err, _ = _sample_fraction(rng, n_sift, e_pair)
         q_mu_hat = n_sift / trials if trials else 0.0
         mu_for_eta = 1.0
     else:  # cow
         mu = ctrl.mu_s  # mean photon number per signal bin
         g = bb84_gains(mu, eff.eta, eff.y0, eff.e_d_eff, link.e0)
-        n_sift, trials = _sample_fraction(rng, round(n_pulses * q_sift), g.q_mu)
+        n_sift, trials = _sample_fraction(rng, round(channel.n_pulses * q_sift), g.q_mu)
         n_err, _ = _sample_fraction(rng, n_sift, g.e_mu)
         n_mon, _ = _sample_fraction(
-            rng, round(n_pulses * proto.cow.monitor_fraction), g.q_mu)
+            rng, round(channel.n_pulses * proto.cow.monitor_fraction), g.q_mu)
         n_mon_err, _ = _sample_fraction(rng, n_mon, eff.e_ph)
         q_mu_hat = n_sift / trials if trials else 0.0
         mu_for_eta = mu
@@ -420,10 +434,10 @@ def step_block(
     else:
         v_hat = min(max(1.0 - 2.0 * e_mu_hat, 0.0), 1.0)
 
-    exceeded = n_sift > 0 and e_mu_hat > abort_threshold
+    exceeded = n_sift > 0 and e_mu_hat > channel.abort_qber
     return Telemetry(
         block_index=t,
-        n_pulses=n_pulses,
+        n_pulses=channel.n_pulses,
         n_sifted=n_sift,
         n_errors=n_err,
         q_mu_hat=q_mu_hat,
@@ -449,14 +463,12 @@ class Simulator:
         proto: ProtocolConfig,
         sched: NoiseSchedule,
         seed: int,
-        n_pulses: int = DEFAULT_N_PULSES,
-        abort_threshold: float = DEFAULT_ABORT_QBER,
+        channel: ChannelConfig = ChannelConfig(),
     ):
         self.link = link
         self.proto = proto
         self.sched = sched
-        self.n_pulses = n_pulses
-        self.abort_threshold = abort_threshold
+        self.channel = channel
         self.rng = np.random.Generator(np.random.Philox(key=seed))
         self.dphi = 0.0
         self.t = 0
@@ -467,14 +479,12 @@ class Simulator:
             raise IndexError("schedule exhausted")
         telem = step_block(
             self.link, self.sched, ctrl, self.proto, self.t, self.rng,
-            n_pulses=self.n_pulses, dphi=self.dphi,
-            prev_exceeded=self._prev_exceeded,
-            abort_threshold=self.abort_threshold,
+            channel=self.channel, dphi=self.dphi, prev_exceeded=self._prev_exceeded,
         )
         if telem.aborted:
             self._prev_exceeded = False  # session restarts after an abort
         else:
-            self._prev_exceeded = telem.n_sifted > 0 and telem.e_mu_hat > self.abort_threshold
+            self._prev_exceeded = telem.n_sifted > 0 and telem.e_mu_hat > self.channel.abort_qber
         if self.proto.kind == "cow":
             ph = self.sched.phase
             xi = self.rng.standard_normal()

@@ -93,19 +93,30 @@ def build_parser() -> _Parser:
 
 
 def parse_seeds(text: str) -> List[int]:
-    text = text.strip()
-    if not text:
+    lo, dots, hi = text.partition("..")
+    try:
+        seeds = (list(range(int(lo), int(hi) + 1)) if dots
+                 else [int(s) for s in text.split(",") if s.strip()])
+    except ValueError:
+        raise UsageError(f"--seeds takes N..M or a comma list of integers, got {text!r}") from None
+    if not seeds:
         raise UsageError("empty seeds list")
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",") if s.strip()]
+    return seeds
 
 
 def _load_cfg(args) -> dict:
     cfg = cfgmod.load_config(args.config)
     cfgmod.apply_overrides(cfg, args.overrides)
     return cfg
+
+
+def _link_configs(cfg, args) -> tuple:
+    """The link, the ``--protocol`` protocol, the channel, and the reward
+    scaled to the link's nominal throughput."""
+    link = cfgmod.typed(cfg, "link")
+    proto = cfgmod.typed(cfg, "protocol", kind=args.protocol)
+    reward = cfgmod.typed(cfg, "reward", skr_ref=loopmod.nominal_skr_ref(link, proto))
+    return link, proto, cfgmod.typed(cfg, "channel"), reward
 
 
 def _outdir(args) -> Path:
@@ -122,8 +133,8 @@ def cmd_rates(args) -> int:
     if args.dmax < args.dmin:
         raise UsageError(f"--dmax {args.dmax:g} is below --dmin {args.dmin:g}")
     cfg = _load_cfg(args)
-    link0 = cfgmod.make_link(cfg)
-    proto = cfgmod.make_protocol(cfg, args.protocol)
+    link0 = cfgmod.typed(cfg, "link")
+    proto = cfgmod.typed(cfg, "protocol", kind=args.protocol)
     out = _outdir(args)
     lines = [RATES_CSV_HEADER]
     n_steps = int(round((args.dmax - args.dmin) / args.dstep))
@@ -146,23 +157,20 @@ def _load_models(args, cfg, policy: bool = True) -> tuple:
         if path is not None and not Path(path).exists():
             raise FileNotFoundError(f"missing {what} checkpoint {path}")
     return (load_tcn(args.tcn) if args.tcn is not None else None,
-            load_policy(policy_path, cfgmod.make_ppo_config(cfg))
+            load_policy(policy_path, cfgmod.typed(cfg, "ppo"))
             if policy_path is not None and policy else None)
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
-    link = cfgmod.make_link(cfg)
-    proto = cfgmod.make_protocol(cfg, args.protocol)
+    link, proto, channel, reward_cfg = _link_configs(cfg, args)
     tcn_model, nets = _load_models(args, cfg)
     if args.controller == "ml" and nets is None:
         raise FileNotFoundError("ml controller requires --policy checkpoint")
     log = run_episode(
         link, proto, args.scenario, args.controller, seed=args.seed,
-        blocks=args.blocks, n_pulses=int(cfg["channel"]["n_pulses"]),
-        abort_threshold=float(cfg["channel"]["abort_qber"]),
-        tcn_model=tcn_model, nets=nets,
-        reward_cfg=cfgmod.make_reward_config(cfg, loopmod.nominal_skr_ref(link, proto)),
+        blocks=args.blocks, channel=channel, tcn_model=tcn_model, nets=nets,
+        reward_cfg=reward_cfg,
     )
     out = _outdir(args)
     path = out / f"episode_{args.scenario}_{args.controller}_seed{args.seed}.csv"
@@ -171,38 +179,36 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _tcn_training_features(cfg, link, proto, seed: int) -> np.ndarray:
-    """Static-control telemetry across the configured scenario suite."""
+def _tcn_training_features(train, link, proto, channel, seed: int) -> np.ndarray:
+    """Static-control telemetry across ``train.tcn_scenarios``."""
     rows = []
-    blocks = int(cfg["train"]["tcn_blocks"])
     ctrl = loopmod.nominal_control(proto)
-    for i, scen in enumerate(cfg["train"]["tcn_scenarios"]):
-        sim = Simulator(link, proto, make_scenario(scen, blocks),
-                        seed=(seed * 977 + i) * 4 + 1,
-                        n_pulses=int(cfg["channel"]["n_pulses"]),
-                        abort_threshold=float(cfg["channel"]["abort_qber"]))
-        for _ in range(blocks):
+    for i, scen in enumerate(train.tcn_scenarios):
+        sim = Simulator(link, proto, make_scenario(scen, train.tcn_blocks),
+                        seed=(seed * 977 + i) * 4 + 1, channel=channel)
+        for _ in range(train.tcn_blocks):
             rows.append(telemetry_features(sim.step(ctrl)))
     return np.asarray(rows)
 
 
-def _train_tcn(cfg, tcn_cfg, link, proto, seed: int) -> tuple:
+def _train_tcn(train, tcn_cfg, link, proto, channel, seed: int) -> tuple:
     """Train the forecaster on the static-control corpus: (dataset, model,
     loss curve)."""
-    dataset = make_dataset(_tcn_training_features(cfg, link, proto, seed), tcn_cfg.window)
+    dataset = make_dataset(_tcn_training_features(train, link, proto, channel, seed),
+                           tcn_cfg.window)
     rng = np.random.Generator(np.random.Philox(key=seed * 4 + 3))
     return (dataset, *train_forecaster(dataset, tcn_cfg, rng))
 
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    link = cfgmod.make_link(cfg)
-    proto = cfgmod.make_protocol(cfg, args.protocol)
-    # both training sections are checked before anything is trained or written
-    tcn_cfg, ppo_cfg = cfgmod.make_tcn_config(cfg), cfgmod.make_ppo_config(cfg)
+    link, proto, channel, reward_cfg = _link_configs(cfg, args)
+    # every section is checked before anything is trained or written
+    train = cfgmod.typed(cfg, "train")
+    tcn_cfg, ppo_cfg = cfgmod.typed(cfg, "tcn"), cfgmod.typed(cfg, "ppo")
     out = _outdir(args)
     if args.model == "tcn":
-        dataset, model, curve = _train_tcn(cfg, tcn_cfg, link, proto, args.seed)
+        dataset, model, curve = _train_tcn(train, tcn_cfg, link, proto, channel, args.seed)
         ckpt = out / f"tcn_seed{args.seed}.ckpt"
         save_tcn(str(ckpt), model)
         loss_csv = out / f"tcn_loss_seed{args.seed}.csv"
@@ -216,16 +222,9 @@ def cmd_train(args) -> int:
     # ppo
     tcn_model, _ = _load_models(args, cfg)
     if tcn_model is None:
-        _, tcn_model, _ = _train_tcn(cfg, tcn_cfg, link, proto, args.seed)
-    nets, progress = train_policy(
-        link, proto, tcn_model, seed=args.seed,
-        updates=int(cfg["train"]["ppo_updates"]),
-        scenarios=tuple(cfg["train"]["ppo_scenarios"]),
-        blocks_per_episode=int(cfg["train"]["ppo_blocks"]),
-        ppo_cfg=ppo_cfg,
-        reward_cfg=cfgmod.make_reward_config(cfg, loopmod.nominal_skr_ref(link, proto)),
-        n_pulses=int(cfg["channel"]["n_pulses"]),
-    )
+        _, tcn_model, _ = _train_tcn(train, tcn_cfg, link, proto, channel, args.seed)
+    nets, progress = train_policy(link, proto, tcn_model, seed=args.seed, train=train,
+                                  ppo_cfg=ppo_cfg, reward_cfg=reward_cfg, channel=channel)
     ckpt = out / f"policy_seed{args.seed}.ckpt"
     save_policy(str(ckpt), nets)
     prog_csv = out / f"ppo_progress_seed{args.seed}.csv"
@@ -240,8 +239,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
-    link = cfgmod.make_link(cfg)
-    proto = cfgmod.make_protocol(cfg, args.protocol)
+    link, proto, channel, reward_cfg = _link_configs(cfg, args)
+    loop_cfg, ppo_cfg = cfgmod.typed(cfg, "loop"), cfgmod.typed(cfg, "ppo")
     controllers = [c.strip() for c in args.controllers.split(",") if c.strip()]
     if not controllers:
         raise UsageError("no controllers given")
@@ -249,25 +248,18 @@ def cmd_eval(args) -> int:
         if c not in loopmod.CONTROLLER_KINDS:
             raise UsageError(f"unknown controller {c!r}")
     seeds = parse_seeds(args.seeds)
-    if not seeds:
-        raise UsageError("empty seeds list")
     # each ml run loads its own copy of the policy, which updates online
     tcn_model, _ = _load_models(args, cfg, policy=False)
     if "ml" in controllers and args.policy is None:
         raise FileNotFoundError("eval with the ml controller requires --policy")
-    reward_cfg = cfgmod.make_reward_config(cfg, loopmod.nominal_skr_ref(link, proto))
     sched_probe = make_scenario(args.scenario, args.blocks)
     event_block = sched_probe.events[0].block_index if sched_probe.events else None
 
     def job(ctrl_kind: str, seed: int) -> EpisodeLog:
-        job_nets = None
-        if ctrl_kind == "ml":
-            job_nets = load_policy(args.policy, cfgmod.make_ppo_config(cfg))
+        job_nets = load_policy(args.policy, ppo_cfg) if ctrl_kind == "ml" else None
         return run_episode(
             link, proto, args.scenario, ctrl_kind, seed=seed, blocks=args.blocks,
-            n_pulses=int(cfg["channel"]["n_pulses"]),
-            abort_threshold=float(cfg["channel"]["abort_qber"]),
-            tcn_model=tcn_model, nets=job_nets, reward_cfg=reward_cfg,
+            channel=channel, tcn_model=tcn_model, nets=job_nets, reward_cfg=reward_cfg,
         )
 
     runs: Dict[str, List[EpisodeLog]] = {c: [job(c, s) for s in seeds]
@@ -279,9 +271,8 @@ def cmd_eval(args) -> int:
             path = out / f"episode_{args.scenario}_{c}_seed{log.seed}.csv"
             path.write_text(log.csv())
     if len(controllers) >= 2:
-        result = loopmod.compare(runs, warmup=int(cfg["loop"]["warmup"]),
-                                 event_block=event_block,
-                                 block_seconds=float(cfg["channel"]["block_seconds"]))
+        result = loopmod.compare(runs, warmup=loop_cfg.warmup, event_block=event_block,
+                                 block_seconds=channel.block_seconds)
         metrics_path = out / f"metrics_{args.scenario}.csv"
         metrics_path.write_text(result.csv())
         print(metrics_path)

@@ -2,67 +2,57 @@
 
 Every tunable in the workbench lives in one nested dictionary; a config
 file (JSON) and repeatable ``key=value`` overrides are applied on top.
-The ``link``, ``protocol``, ``tcn``, ``ppo`` and ``reward`` sections are
-read off the typed configs' own defaults, and builder helpers turn them
-back into the typed configs the modules consume.
+Each section is read off the defaults of its typed config in
+:data:`SECTIONS`, and :func:`typed` turns it back into that config. A
+``--config`` value and a ``--set`` value go through the same cast to the
+type of the field's default.
 """
 
 from __future__ import annotations
 
 import copy
-import inspect
 import json
 from dataclasses import fields, is_dataclass
 from typing import Any, Dict, Optional, Sequence
 
-from .channel import DEFAULT_ABORT_QBER, DEFAULT_N_PULSES
+from .channel import ChannelConfig
 from .controller import PpoConfig, RewardConfig
-from .loop import BLOCK_SECONDS, WARMUP_BLOCKS, train_policy
+from .loop import LoopConfig, TrainConfig
 from .rates import LinkParams, ProtocolConfig
 from .tcn import TcnConfig
 
+SECTIONS = {
+    "link": LinkParams,
+    "protocol": ProtocolConfig,
+    "channel": ChannelConfig,
+    "tcn": TcnConfig,
+    "ppo": PpoConfig,
+    "reward": RewardConfig,
+    "loop": LoopConfig,
+    "train": TrainConfig,
+}
+# Fields the caller sets, not the document: ``--protocol`` picks the kind,
+# the features are fixed by the code and the reward scale by the link.
+_NOT_CONFIGURED = {"protocol": ("kind",), "tcn": ("features",), "reward": ("skr_ref",)}
+
+
+def _plain(val: Any) -> Any:
+    """A typed value as a document value: a config becomes a section and a
+    tuple a list."""
+    if is_dataclass(val):
+        return _section(val)
+    return list(val) if isinstance(val, tuple) else val
+
 
 def _section(obj: Any, skip: Sequence[str] = ()) -> Dict[str, Any]:
-    """A typed config's defaults as a config section: nested configs become
-    sub-sections and tuples become lists."""
-    def plain(val: Any) -> Any:
-        if is_dataclass(val):
-            return _section(val)
-        return list(val) if isinstance(val, tuple) else val
-
-    return {f.name: plain(getattr(obj, f.name)) for f in fields(obj) if f.name not in skip}
+    return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj) if f.name not in skip}
 
 
-_TRAIN_POLICY = inspect.signature(train_policy).parameters
-
-# The typed configs, the module constants and ``train_policy``'s arguments
-# own their defaults; ``TcnConfig.features`` and ``RewardConfig.skr_ref``
-# are fixed by the code, not configured.
 DEFAULTS: Dict[str, Any] = {
-    "link": _section(LinkParams()),
-    "protocol": _section(ProtocolConfig()),
-    "channel": {
-        "n_pulses": DEFAULT_N_PULSES,
-        "abort_qber": DEFAULT_ABORT_QBER,
-        "block_seconds": BLOCK_SECONDS,
-    },
-    "tcn": _section(TcnConfig(), skip=("features",)),
-    "ppo": _section(PpoConfig()),
-    "reward": _section(RewardConfig(), skip=("skr_ref",)),
-    "loop": {
-        "warmup": WARMUP_BLOCKS,
-    },
-    "train": {
-        "tcn_scenarios": ["nominal", "sine-drift", "noise-sweep"],
-        "tcn_blocks": 500,
-        "ppo_updates": _TRAIN_POLICY["updates"].default,
-        "ppo_scenarios": list(_TRAIN_POLICY["scenarios"].default),
-        "ppo_blocks": _TRAIN_POLICY["blocks_per_episode"].default,
-    },
-}
+    name: _section(cls(), skip=_NOT_CONFIGURED.get(name, ())) for name, cls in SECTIONS.items()}
 
 
-class OverrideError(KeyError):
+class OverrideError(ValueError):
     """An override referenced an unknown configuration key or gave a value
     its key cannot take."""
 
@@ -94,87 +84,52 @@ def _merge(base: Dict[str, Any], overlay: Dict[str, Any], prefix: str) -> None:
 
 
 def apply_overrides(cfg: Dict[str, Any], pairs: Sequence[str]) -> Dict[str, Any]:
-    """Apply repeatable ``section.key=value`` overrides in place."""
+    """Apply repeatable ``section.key=value`` overrides in place. The value
+    is read as JSON (a bare word as a string; for a list key, a comma list
+    as a list) and cast as :func:`typed` casts it, so an integral ``1e5``
+    sets an int key; a value the key cannot take is an
+    :class:`OverrideError` naming the key."""
     for pair in pairs:
         if "=" not in pair:
             raise OverrideError(f"override must look like key=value, got {pair!r}")
         key, _, raw = pair.partition("=")
+        key = key.strip()
+        *path, leaf = key.split(".")
         node = cfg
-        parts = key.strip().split(".")
-        for part in parts[:-1]:
-            if not isinstance(node, dict) or part not in node:
-                raise OverrideError(f"unknown configuration key {key!r}")
-            node = node[part]
-        leaf = parts[-1]
-        if not isinstance(node, dict) or leaf not in node:
+        for part in path:
+            node = node.get(part) if isinstance(node, dict) else None
+        if not isinstance(node, dict) or leaf not in node or isinstance(node[leaf], dict):
             raise OverrideError(f"unknown configuration key {key!r}")
-        node[leaf] = _coerce(key, raw.strip(), node[leaf])
+        default = SECTIONS[path[0]]()
+        for part in [*path[1:], leaf]:
+            default = getattr(default, part)
+        try:
+            node[leaf] = _plain(_cast(key, _parse(raw.strip(), default), default))
+        except ValueError as exc:
+            raise OverrideError(str(exc)) from None
     return cfg
 
 
-def _coerce(key: str, raw: str, current: Any) -> Any:
-    """``raw`` read as the type of the key's current value: an int leaf
-    takes an integral number (``1e5`` too), a float or ``None`` leaf any
-    number; a value that does not fit is an :class:`OverrideError` naming
-    the key."""
-    if raw.lower() in ("null", "none"):
-        return None
-    if isinstance(current, bool):
-        return raw.lower() in ("1", "true", "yes", "on")
-    if isinstance(current, int):
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-        val = _number(key, raw)
-        if not val.is_integer():
-            raise OverrideError(f"configuration key {key!r} needs an integer, got {raw!r}")
-        return int(val)
-    if isinstance(current, float) or current is None:
-        return _number(key, raw)
-    if isinstance(current, list):
-        proto = current[0] if current else 0.0
-        try:
-            val = json.loads(raw)
-        except json.JSONDecodeError:
-            return [_coerce(key, x, proto) for x in raw.split(",")]
-        if not isinstance(val, list):
-            raise OverrideError(f"expected a list value, got {raw!r}")
-        for x in val:
-            if not _fits(x, proto):
-                raise OverrideError(
-                    f"configuration key {key!r} needs {type(proto).__name__} items, got {x!r}")
-        return val
-    return raw
-
-
-def _fits(val: Any, proto: Any) -> bool:
-    """Whether a JSON value can stand for one of ``proto``'s type: an int
-    takes an integral number, a float any number."""
-    if isinstance(val, bool) or not isinstance(proto, (int, float)):
-        return type(val) is type(proto)
-    if isinstance(proto, int):
-        return isinstance(val, int) or (isinstance(val, float) and val.is_integer())
-    return isinstance(val, (int, float))
-
-
-def _number(key: str, raw: str) -> float:
+def _parse(raw: str, default: Any) -> Any:
     try:
-        return float(raw)
-    except ValueError:
-        raise OverrideError(f"configuration key {key!r} needs a number, got {raw!r}") from None
+        return json.loads(raw)
+    except json.JSONDecodeError:
+        if isinstance(default, tuple):
+            return [_parse(item.strip(), default[0]) for item in raw.split(",")]
+        return raw
 
 
 def config_json(cfg: Dict[str, Any]) -> str:
     return json.dumps(cfg, indent=2, sort_keys=True) + "\n"
 
 
-# -- typed builders -------------------------------------------------------
+# -- typed configs --------------------------------------------------------
 
 def _cast(key: str, val: Any, default: Any) -> Any:
+    """``val`` as the type of ``default``: a config takes a section, a tuple
+    a list, an int an integral number, a float (or a ``None`` default) any
+    number, a string a string; a number may also be written as a string."""
     if is_dataclass(default):
-        if not isinstance(val, dict):
-            raise ValueError(f"configuration key {key!r} must be a section")
         return _build(type(default), val, prefix=key + ".")
     if isinstance(default, tuple):
         if not isinstance(val, (list, tuple)):
@@ -186,37 +141,26 @@ def _cast(key: str, val: Any, default: Any) -> Any:
     if kind is int and isinstance(val, float) and not val.is_integer():
         raise ValueError(f"configuration key {key!r} needs an integer, got {val!r}")
     try:
+        if isinstance(val, bool) or (kind is str and not isinstance(val, str)):
+            raise TypeError
         return kind(val)
     except (TypeError, ValueError):
         raise ValueError(f"configuration key {key!r} has unreadable value {val!r}") from None
 
 
-def _build(cls, section: Dict[str, Any], prefix: str = "", **fixed: Any):
+def _build(cls, section: Any, prefix: str, **fixed: Any):
     """Typed config from a section, each value cast to the type of the
-    field's default (a ``None`` default takes a float); ``fixed`` fields
-    are passed as given."""
+    field's default; ``fixed`` fields are passed as given."""
+    if not isinstance(section, dict):
+        raise ValueError(f"configuration key {prefix[:-1]!r} must be a section")
     default = cls()
     return cls(**fixed, **{
         f.name: _cast(prefix + f.name, section[f.name], getattr(default, f.name))
         for f in fields(cls) if f.name in section and f.name not in fixed})
 
 
-def make_link(cfg: Dict[str, Any]) -> LinkParams:
-    return _build(LinkParams, cfg["link"], "link.")
-
-
-def make_protocol(cfg: Dict[str, Any], kind: Optional[str] = None) -> ProtocolConfig:
-    return _build(ProtocolConfig, cfg["protocol"], "protocol.",
-                  **({"kind": kind} if kind else {}))
-
-
-def make_tcn_config(cfg: Dict[str, Any]) -> TcnConfig:
-    return _build(TcnConfig, cfg["tcn"], "tcn.")
-
-
-def make_ppo_config(cfg: Dict[str, Any]) -> PpoConfig:
-    return _build(PpoConfig, cfg["ppo"], "ppo.")
-
-
-def make_reward_config(cfg: Dict[str, Any], skr_ref: float) -> RewardConfig:
-    return _build(RewardConfig, cfg["reward"], "reward.", skr_ref=float(skr_ref))
+def typed(cfg: Dict[str, Any], name: str, **fixed: Any) -> Any:
+    """Section ``name`` of ``cfg`` as its typed config, checked by the
+    config's own range checks; ``fixed`` gives the fields the document does
+    not hold (``protocol`` takes ``kind``, ``reward`` takes ``skr_ref``)."""
+    return _build(SECTIONS[name], cfg[name], name + ".", **fixed)

@@ -15,16 +15,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .channel import (ControlState, DEFAULT_ABORT_QBER, DEFAULT_N_PULSES,
-                      NoiseSchedule, Simulator, Telemetry, make_scenario)
+from .channel import (ChannelConfig, ControlState, NoiseSchedule, Simulator, Telemetry,
+                      make_scenario)
 from .controller import (ActorCritic, PpoConfig, RewardConfig, act,
                          apply_action, observe, ppo_update, reward as reward_fn)
 from .rates import (NOMINAL_P_Z, PROTOCOLS, LinkParams, ProtocolConfig,
                     block_key_rate, operating_point)
 from .tcn import Forecaster, TcnModel, telemetry_features
 
-BLOCK_SECONDS = 1.0
-WARMUP_BLOCKS = 100
 PRE_EVENT_WINDOW = 50
 RECALIB_PERIOD = 15
 RECALIB_GRID = (0.3, 0.4, 0.5, 0.6, 0.7)
@@ -39,6 +37,40 @@ METRICS_CSV_HEADER = "controller,scenario,metric,value,ci_lo,ci_hi"
 
 class ConfigMismatchError(ValueError):
     """Requested controller/protocol combination is not runnable."""
+
+
+@dataclass(frozen=True)
+class LoopConfig:
+    """The first ``warmup`` blocks of each episode are left out of the
+    comparison medians."""
+
+    warmup: int = 100
+
+    def __post_init__(self) -> None:
+        if self.warmup < 0:
+            raise ValueError(f"warmup must be >= 0, got {self.warmup!r}")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Training runs: the static-control scenarios and blocks per scenario
+    of the forecaster's corpus, and the PPO updates, scenario mixture and
+    episode length of the controller's."""
+
+    tcn_scenarios: Tuple[str, ...] = ("nominal", "sine-drift", "noise-sweep")
+    tcn_blocks: int = 500
+    ppo_updates: int = 300
+    ppo_scenarios: Tuple[str, ...] = ("noise-sweep", "splice-3db")
+    ppo_blocks: int = 600
+
+    def __post_init__(self) -> None:
+        for name in ("tcn_scenarios", "ppo_scenarios"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must name at least one scenario")
+        # an ml episode first acts on its second block, so ppo_blocks >= 2
+        for name, low in (("tcn_blocks", 1), ("ppo_updates", 1), ("ppo_blocks", 2)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -71,7 +103,7 @@ class EpisodeLog:
     def abort_count(self) -> int:
         return sum(1 for r in self.records if r.aborted)
 
-    def total_secret_bits(self, block_seconds: float = BLOCK_SECONDS) -> float:
+    def total_secret_bits(self, block_seconds: float = ChannelConfig.block_seconds) -> float:
         return float(sum(r.skr_bps * block_seconds for r in self.records))
 
     def csv(self) -> str:
@@ -140,8 +172,7 @@ def run_episode(
     kind: str,
     seed: int,
     blocks: int,
-    n_pulses: int = DEFAULT_N_PULSES,
-    abort_threshold: float = DEFAULT_ABORT_QBER,
+    channel: ChannelConfig = ChannelConfig(),
     tcn_model: Optional[TcnModel] = None,
     nets: Optional[ActorCritic] = None,
     reward_cfg: Optional[RewardConfig] = None,
@@ -159,8 +190,7 @@ def run_episode(
     if kind not in CONTROLLER_KINDS:
         raise ConfigMismatchError(f"unknown controller kind {kind!r}")
     sched = scenario if isinstance(scenario, NoiseSchedule) else make_scenario(scenario, blocks)
-    sim = Simulator(link, proto, sched, seed=seed * 4 + 1, n_pulses=n_pulses,
-                    abort_threshold=abort_threshold)
+    sim = Simulator(link, proto, sched, seed=seed * 4 + 1, channel=channel)
     reward_cfg = reward_cfg or RewardConfig(skr_ref=nominal_skr_ref(link, proto))
     nominal = nominal_control(proto)
     ctrl = nominal
@@ -224,29 +254,28 @@ def train_policy(
     proto: ProtocolConfig,
     tcn_model: Optional[TcnModel],
     seed: int,
-    updates: int = 300,
-    scenarios: Sequence[str] = ("noise-sweep", "splice-3db"),
-    blocks_per_episode: int = 600,
+    train: TrainConfig = TrainConfig(),
     ppo_cfg: Optional[PpoConfig] = None,
     reward_cfg: Optional[RewardConfig] = None,
-    n_pulses: int = DEFAULT_N_PULSES,
+    channel: ChannelConfig = ChannelConfig(),
 ) -> Tuple[ActorCritic, List[Dict[str, float]]]:
-    """Train the PPO controller on a scenario mixture until ``updates``
-    policy updates have run, streaming rollouts across episode resets."""
+    """Train the PPO controller on ``train.ppo_scenarios`` in turn until
+    ``train.ppo_updates`` policy updates have run, streaming rollouts
+    across episode resets."""
     ppo_cfg = ppo_cfg or PpoConfig()
     reward_cfg = reward_cfg or RewardConfig(skr_ref=nominal_skr_ref(link, proto))
     nets = ActorCritic(ppo_cfg, rng=np.random.Generator(np.random.Philox(key=seed * 4 + 3)))
     progress: List[Dict[str, float]] = []
     episode = 0
-    while len(progress) < updates:
-        scen = scenarios[episode % len(scenarios)]
+    while len(progress) < train.ppo_updates:
+        scen = train.ppo_scenarios[episode % len(train.ppo_scenarios)]
         progress += run_episode(
             link, proto, scen, "ml", seed=100_000 + seed * 1_000 + episode,
-            blocks=blocks_per_episode, n_pulses=n_pulses, tcn_model=tcn_model,
+            blocks=train.ppo_blocks, channel=channel, tcn_model=tcn_model,
             nets=nets, reward_cfg=reward_cfg,
         ).updates
         episode += 1
-    return nets, progress[:updates]
+    return nets, progress[:train.ppo_updates]
 
 
 def adaptation_time(log: EpisodeLog, event_block: int,
@@ -320,9 +349,9 @@ class ComparisonResult:
         return "\n".join(lines) + "\n"
 
 
-def compare(runs: Dict[str, List[EpisodeLog]], warmup: int = WARMUP_BLOCKS,
+def compare(runs: Dict[str, List[EpisodeLog]], warmup: int = LoopConfig.warmup,
             event_block: Optional[int] = None, n_boot: int = 10_000,
-            block_seconds: float = BLOCK_SECONDS) -> ComparisonResult:
+            block_seconds: float = ChannelConfig.block_seconds) -> ComparisonResult:
     """Aggregate per-controller metrics and ML-vs-baseline improvements.
 
     Medians are taken over post-warm-up blocks pooled across seeds;

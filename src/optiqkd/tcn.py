@@ -32,7 +32,8 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class TcnConfig:
-    layers: int = 4
+    """One conv layer per entry of ``dilations``."""
+
     dilations: Tuple[int, ...] = (1, 2, 4, 8)
     kernel: int = 3
     hidden: int = 16
@@ -43,8 +44,8 @@ class TcnConfig:
     batch_size: int = 64
 
     def __post_init__(self) -> None:
-        if len(self.dilations) != self.layers:
-            raise ValueError("need one dilation per layer")
+        if not self.dilations:
+            raise ValueError("dilations must name at least one layer")
         if self.window < 2:
             raise ValueError("window must be >= 2")
         if self.kernel < 1 or any(d < 1 for d in self.dilations):
@@ -290,7 +291,6 @@ class Forecaster:
 def save_tcn(path: str, model: TcnModel) -> None:
     meta = {
         "kind": "tcn",
-        "layers": model.cfg.layers,
         "dilations": list(model.cfg.dilations),
         "kernel": model.cfg.kernel,
         "hidden": model.cfg.hidden,
@@ -301,9 +301,10 @@ def save_tcn(path: str, model: TcnModel) -> None:
 
 
 def load_tcn(path: str) -> TcnModel:
+    """The model a :func:`save_tcn` checkpoint holds; the ``layers`` entry of
+    older checkpoints, always ``len(dilations)``, is not read."""
     arrays, meta = nn.load_checkpoint(path)
     cfg = TcnConfig(
-        layers=int(meta["layers"]),
         dilations=tuple(int(d) for d in meta["dilations"]),
         kernel=int(meta["kernel"]),
         hidden=int(meta["hidden"]),

@@ -39,7 +39,7 @@ from optiqkd.channel import (ControlState, Simulator, make_scenario,
 from optiqkd.cli import main as cli_main
 from optiqkd.controller import (ActorCritic, PpoConfig, RolloutBuffer,
                                 load_policy, ppo_update, save_policy)
-from optiqkd.loop import (adaptation_time, bootstrap_ci, compare,
+from optiqkd.loop import (TrainConfig, adaptation_time, bootstrap_ci, compare,
                           run_episode, train_policy)
 from optiqkd.rates import (Bb84Config, LinkParams, ProtocolConfig, bb84_gains,
                            bb84_key_rate, bb84_model_gains,
@@ -83,7 +83,8 @@ def trained_tcn():
 @pytest.fixture(scope="module")
 def trained_policy(trained_tcn, tmp_path_factory):
     t0 = time.monotonic()
-    nets, _ = train_policy(LINK, PROTO, trained_tcn, seed=0, updates=300)
+    nets, _ = train_policy(LINK, PROTO, trained_tcn, seed=0,
+                           train=TrainConfig(ppo_updates=300))
     TIMINGS["ppo_train"] = time.monotonic() - t0
     path = tmp_path_factory.mktemp("ckpt") / "policy.ckpt"
     save_policy(str(path), nets)

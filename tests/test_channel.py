@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from optiqkd.channel import (ControlState, DEPOL_FRACTION, MISALIGN_FRACTION,
+from optiqkd.channel import (ChannelConfig, ControlState, DEPOL_FRACTION, MISALIGN_FRACTION,
                              NoiseSchedule, ScheduleEvent, Simulator,
                              TELEMETRY_CSV_HEADER,
                              UnknownScenarioError, effective_link,
@@ -126,7 +126,7 @@ class TestStepBlock:
     def test_estimate_concentration(self):
         rng = np.random.Generator(np.random.Philox(key=1))
         t = step_block(LINK, make_scenario("nominal", 5), CTRL, PROTO, 0, rng,
-                       n_pulses=1_000_000)
+                       channel=ChannelConfig(n_pulses=1_000_000))
         g = bb84_gains(0.5, transmittance(LINK), LINK.y0, LINK.e_d)
         n_trials = round(1_000_000 * PROTO.bb84.p_s * 0.5)
         sigma = math.sqrt(g.q_mu * (1 - g.q_mu) / n_trials)
@@ -152,7 +152,7 @@ class TestStepBlock:
         rng = np.random.Generator(np.random.Philox(key=2))
         for t in range(20):
             telem = step_block(LINK, make_scenario("noise-sweep", 20), CTRL, PROTO,
-                               t, rng, n_pulses=100_000)
+                               t, rng, channel=ChannelConfig(n_pulses=100_000))
             assert telem.n_errors <= telem.n_sifted <= telem.n_pulses
             assert telem.e_lo <= telem.e_mu_hat <= telem.e_hi
 
@@ -206,7 +206,8 @@ class TestWilson:
         trials = 500
         for seed in range(trials):
             rng = np.random.Generator(np.random.Philox(key=seed))
-            t = step_block(LINK, sched, CTRL, PROTO, 0, rng, n_pulses=10_000_000)
+            t = step_block(LINK, sched, CTRL, PROTO, 0, rng,
+                           channel=ChannelConfig(n_pulses=10_000_000))
             if t.e_lo <= g.e_mu <= t.e_hi:
                 hits += 1
         assert hits / trials >= 0.93

@@ -2,15 +2,15 @@ import json
 
 import pytest
 
-from optiqkd.cli import (RATES_CSV_HEADER, TRAIN_PROGRESS_HEADER, main,
+from optiqkd.cli import (RATES_CSV_HEADER, TRAIN_PROGRESS_HEADER, UsageError, main,
                          parse_seeds)
 from optiqkd.loop import EPISODE_CSV_HEADER
 
 from oracles import finite_penalty_oracle, operating_point_oracle
 
 FAST_TCN = [
-    "--set", "tcn.layers=2", "--set", "tcn.dilations=1,2", "--set",
-    "tcn.hidden=6", "--set", "tcn.window=8", "--set", "tcn.epochs=3",
+    "--set", "tcn.dilations=1,2", "--set", "tcn.hidden=6",
+    "--set", "tcn.window=8", "--set", "tcn.epochs=3",
     "--set", "train.tcn_blocks=60", "--set", "train.tcn_scenarios=[\"nominal\"]",
 ]
 FAST_PPO = [
@@ -74,7 +74,10 @@ class TestShowConfig:
         assert cfg["link"]["distance_km"] == 25.0
 
     def test_unknown_key_usage_error(self):
-        assert run(["show-config", "--set", "link.bogus=1"]) == 1
+        # --protocol alone picks the protocol; the layer count is len(tcn.dilations)
+        for pair in ("link.bogus=1", "link=5", "tcn.layers=2", "protocol.kind=cow",
+                     "protocol.kind=xyz"):
+            assert run(["show-config", "--set", pair]) == 1, pair
 
     @pytest.mark.parametrize("pair", ["link.distance_km=abc", "link.theta=abc",
                                       "tcn.epochs=abc", "tcn.dilations=1,x",
@@ -85,13 +88,29 @@ class TestShowConfig:
 
     def test_non_integral_list_item_usage_error(self, capsys):
         assert run(["show-config", "--set", "tcn.dilations=[1.5,2,4,8]"]) == 1
-        assert "'tcn.dilations'" in capsys.readouterr().err
+        # one unquoted line
+        assert capsys.readouterr().err == (
+            "usage error: configuration key 'tcn.dilations' needs an integer, got 1.5\n")
 
     def test_non_integral_config_file_value_runtime_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"tcn": {"epochs": 2.5}}))
         assert run(["train", "tcn", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "'tcn.epochs'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section,value", [
+        ("channel", {"n_pulses": 100000.7}),
+        ("train", {"tcn_scenarios": "nominal"}),
+        ("train", {"tcn_scenarios": [5]}),
+        ("channel", {"abort_qber": True}),
+    ])
+    def test_config_file_value_of_wrong_type_runtime_error(self, tmp_path, capsys, section,
+                                                           value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({section: value}))
+        assert run(["train", "tcn", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert repr(f"{section}.{next(iter(value))}") in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_integral_float_for_int_key(self, capsys):
@@ -153,9 +172,9 @@ class TestTrain:
                                   "--out", str(out1)] + FAST_TCN)
         cfg = _load_cfg(args)
         from optiqkd import config as cfgmod
-        link = cfgmod.make_link(cfg)
-        proto = cfgmod.make_protocol(cfg, "bb84")
-        feats = _tcn_training_features(cfg, link, proto, 1)
+        feats = _tcn_training_features(
+            cfgmod.typed(cfg, "train"), cfgmod.typed(cfg, "link"),
+            cfgmod.typed(cfg, "protocol"), cfgmod.typed(cfg, "channel"), 1)
         model = load_tcn(str(out1 / "tcn_seed1.ckpt"))
         mse = dataset_mse(make_dataset(feats, model.cfg.window), model)
         logged = float(loss_rows[-1].split(",")[1])
@@ -172,6 +191,15 @@ class TestTrain:
         ("ppo", "ppo.minibatch=0", "minibatch"),
         ("ppo", "ppo.lr=inf", "lr"),
         ("ppo", "ppo.hidden=[0,64]", "hidden"),
+        ("tcn", "tcn.dilations=[]", "dilations"),
+        ("tcn", "channel.n_pulses=0", "n_pulses"),
+        ("ppo", "channel.abort_qber=0.6", "abort_qber"),
+        ("tcn", "channel.block_seconds=0", "block_seconds"),
+        ("tcn", "train.tcn_blocks=0", "tcn_blocks"),
+        ("tcn", "train.tcn_scenarios=[]", "tcn_scenarios"),
+        ("ppo", "train.ppo_updates=0", "ppo_updates"),
+        ("ppo", "train.ppo_blocks=1", "ppo_blocks"),  # an episode that never acts
+        ("ppo", "train.ppo_scenarios=[]", "ppo_scenarios"),
     ])
     def test_unrunnable_training_config_runtime_error(self, tmp_path, capsys, what, pair,
                                                       field):
@@ -210,6 +238,16 @@ class TestTrain:
         assert rows[0] == TRAIN_PROGRESS_HEADER
         assert len(rows) == 3  # header + 2 updates
 
+    def test_ppo_reads_abort_threshold(self, tmp_path):
+        tcn_ckpt = tmp_path / "tcn_seed2.ckpt"
+        assert run(["train", "tcn", "--seed", "2", "--out", str(tmp_path)] + FAST_TCN) == 0
+        progress = []
+        for out, extra in (("a", []), ("b", ["--set", "channel.abort_qber=0.005"])):
+            assert run(["train", "ppo", "--seed", "2", "--out", str(tmp_path / out),
+                        "--tcn", str(tcn_ckpt)] + FAST_PPO + extra) == 0
+            progress.append((tmp_path / out / "ppo_progress_seed2.csv").read_text())
+        assert progress[0] != progress[1]
+
 
 class TestEval:
     def test_baselines_metrics_and_determinism(self, tmp_path):
@@ -247,6 +285,11 @@ def test_parse_seeds():
     assert parse_seeds("3,9,11") == [3, 9, 11]
     with pytest.raises(Exception):
         parse_seeds("")
+    for text in ("abc", "1..x", "1,,x"):
+        with pytest.raises(UsageError, match="--seeds"):
+            parse_seeds(text)
+    with pytest.raises(UsageError, match="empty seeds list"):
+        parse_seeds("5..1")
 
 
 def test_no_command_usage_error():

@@ -106,7 +106,7 @@ class TestRunEpisode:
         assert a.tcn_calls == 0  # no forecaster model: persistence fallback
 
     def test_ml_forecaster_sees_at_most_window_rows(self, monkeypatch):
-        cfg = TcnConfig(layers=2, dilations=(1, 2), hidden=6, window=8)
+        cfg = TcnConfig(dilations=(1, 2), hidden=6, window=8)
         model = TcnModel(cfg, np.random.Generator(np.random.Philox(key=3)))
         nets = ActorCritic(PpoConfig(), rng=np.random.Generator(np.random.Philox(key=1)))
         spans = []
@@ -243,11 +243,11 @@ def test_nominal_skr_ref_positive_all_protocols():
 
 
 def test_all_protocols_run_closed_loop():
-    from optiqkd.config import default_config, make_protocol
+    from optiqkd.config import default_config, typed
     cfg = default_config()
     ppo = PpoConfig(rollout=64, minibatch=32)
     for kind, frozen in (("e91", ("mu_s", "phi_c")), ("cow", ("p_z", "theta_c"))):
-        proto = make_protocol(cfg, kind)
+        proto = typed(cfg, "protocol", kind=kind)
         st = run_episode(LINK, proto, "nominal", "static", seed=2, blocks=60)
         assert np.median(st.skr_series()) > 0.0
         nets = ActorCritic(ppo, rng=np.random.Generator(np.random.Philox(key=3)))

@@ -28,9 +28,10 @@ from hypothesis import strategies as st
 from optiqkd import config as cfgmod
 from optiqkd import nn
 from optiqkd.cli import main
+from optiqkd.loop import LoopConfig, TrainConfig
 from optiqkd.controller import (ActorCritic, PpoConfig, RewardConfig, load_policy,
                                 save_policy)
-from optiqkd.channel import wilson_interval
+from optiqkd.channel import ChannelConfig, wilson_interval
 from optiqkd.rates import (PROTOCOLS, BoundInfeasibleError, Bb84Config, CowConfig,
                            E91Config, LinkParams, ProtocolConfig, bb84_gains,
                            decoy_bounds, operating_point)
@@ -41,14 +42,18 @@ from optiqkd.tcn import (Forecaster, Normalizer, TcnConfig, TcnModel, load_tcn,
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
-# section -> (builder, the default typed config the section mirrors)
+# section -> the default typed config the section mirrors
 TYPED = {
-    "link": (cfgmod.make_link, LinkParams()),
-    "protocol": (cfgmod.make_protocol, ProtocolConfig()),
-    "tcn": (cfgmod.make_tcn_config, TcnConfig()),
-    "ppo": (cfgmod.make_ppo_config, PpoConfig()),
-    "reward": (lambda cfg: cfgmod.make_reward_config(cfg, 1.0), RewardConfig(skr_ref=1.0)),
+    "link": LinkParams(),
+    "protocol": ProtocolConfig(),
+    "channel": ChannelConfig(),
+    "tcn": TcnConfig(),
+    "ppo": PpoConfig(),
+    "reward": RewardConfig(skr_ref=1.0),
+    "loop": LoopConfig(),
+    "train": TrainConfig(),
 }
+FIXED = {"reward": {"skr_ref": 1.0}}  # fields the document does not hold
 
 
 def numeric_leaves(node, prefix=""):
@@ -86,7 +91,7 @@ def nested(key, val):
 def own_error(key, val):
     """Whether the dataclass holding ``key`` rejects ``val`` by itself."""
     section, *inner, field = key.split(".")
-    owner = TYPED[section][1]
+    owner = TYPED[section]
     for part in inner:
         owner = getattr(owner, part)
     try:
@@ -98,8 +103,8 @@ def own_error(key, val):
 
 def test_leaves_cover_every_typed_section():
     sections = {key.split(".")[0] for key in LEAVES}
-    assert set(TYPED) <= sections
-    assert "protocol.q" not in LEAVES
+    assert set(TYPED) == sections == set(cfgmod.DEFAULTS)
+    assert "protocol.q" not in LEAVES and "tcn.layers" not in LEAVES
 
 
 @SETTINGS
@@ -118,11 +123,9 @@ def test_config_override_round_trip(kv):
     for part in inner:
         node = node[part]
     assert node[field] == val
-    if section not in TYPED:
-        return
     rejected = own_error(key, val)
     try:
-        typed = TYPED[section][0](by_set)
+        typed = cfgmod.typed(by_set, section, **FIXED.get(section, {}))
     except ValueError:
         assert rejected, f"{key}={val!r} rejected by the builder only"
         return
@@ -138,11 +141,10 @@ def test_config_override_round_trip(kv):
 @st.composite
 def tcn_models(draw):
     """A small TCN whose window covers its receptive field."""
-    layers = draw(st.integers(1, 4))
-    dilations = tuple(draw(st.lists(st.integers(1, 8), min_size=layers, max_size=layers)))
+    dilations = tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=4)))
     kernel = draw(st.integers(1, 3))
     field = 1 + (kernel - 1) * sum(dilations)
-    cfg = TcnConfig(layers=layers, dilations=dilations, kernel=kernel,
+    cfg = TcnConfig(dilations=dilations, kernel=kernel,
                     hidden=draw(st.integers(1, 6)),
                     window=draw(st.integers(max(2, field), field + 8)))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -256,7 +258,7 @@ def test_broken_checkpoint_names_the_array(model, pick, mode):
 
 def test_short_conv_kernel_rejected(tmp_path):
     # a kernel with fewer taps would otherwise run as a different model
-    model = TcnModel(TcnConfig(layers=1, dilations=(1,), kernel=3, hidden=4),
+    model = TcnModel(TcnConfig(dilations=(1,), kernel=3, hidden=4),
                      np.random.default_rng(0))
     arrays = model.state_arrays()
     arrays["conv0.kernel"] = arrays["conv0.kernel"][:, :, :2]

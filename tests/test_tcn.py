@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from optiqkd import nn
 from optiqkd.channel import ControlState, Simulator, make_scenario
 from optiqkd.rates import LinkParams, ProtocolConfig
 from optiqkd.tcn import (DivergenceError, Forecaster, Normalizer, TcnConfig,
@@ -27,7 +28,7 @@ def streamed(model, rows):
 
 
 def small_cfg(**kw):
-    base = dict(layers=2, dilations=(1, 2), kernel=3, hidden=8, window=8,
+    base = dict(dilations=(1, 2), kernel=3, hidden=8, window=8,
                 epochs=10, batch_size=32)
     base.update(kw)
     return TcnConfig(**base)
@@ -37,7 +38,7 @@ class TestForward:
     def test_identity_configuration_returns_last_row(self):
         # zero conv kernels + identity skip + identity head pass the last
         # input row through unchanged
-        cfg = TcnConfig(layers=1, dilations=(1,), kernel=3, hidden=5, window=4)
+        cfg = TcnConfig(dilations=(1,), kernel=3, hidden=5, window=4)
         model = TcnModel(cfg, np.random.default_rng(0), Normalizer.identity(5))
         model.convs[0].kernel.data[:] = 0.0
         model.convs[0].bias.data[:] = 0.0
@@ -71,11 +72,10 @@ class TestForward:
     def test_window_shorter_than_receptive_field_rejected(self):
         # taps past the window would only ever read zero padding
         with pytest.raises(ValueError, match=r"window \(16\).*receptive field \(31\)"):
-            TcnConfig(layers=4, dilations=(1, 2, 4, 8), kernel=3, hidden=8, window=16)
+            TcnConfig(dilations=(1, 2, 4, 8), kernel=3, hidden=8, window=16)
 
     def test_receptive_field_covers_window(self):
-        cfg = TcnConfig(layers=4, dilations=(1, 2, 4, 8), kernel=3, hidden=8,
-                        window=31)
+        cfg = TcnConfig(dilations=(1, 2, 4, 8), kernel=3, hidden=8, window=31)
         assert cfg.receptive_field == cfg.window
         model = TcnModel(cfg, np.random.default_rng(3), Normalizer.identity(5))
         rng = np.random.default_rng(4)
@@ -165,6 +165,18 @@ class TestCheckpoint:
         assert np.array_equal(model.normalizer.denormalize(a),
                               loaded.normalizer.denormalize(b))
         assert np.array_equal(a, b)
+
+    def test_older_checkpoint_with_layer_count_loads(self, tmp_path):
+        # checkpoints used to repeat len(dilations) as a "layers" entry
+        model = TcnModel(small_cfg(), np.random.default_rng(5))
+        path = tmp_path / "tcn.ckpt"
+        save_tcn(str(path), model)
+        arrays, meta = nn.load_checkpoint(str(path))
+        assert "layers" not in meta
+        nn.save_checkpoint(str(path), arrays, {**meta, "layers": 2})
+        loaded = load_tcn(str(path))
+        assert loaded.cfg.dilations == model.cfg.dilations
+        assert all(np.array_equal(loaded.named[k].data, v.data) for k, v in model.named.items())
 
 
 class TestForecaster:
