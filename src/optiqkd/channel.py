@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Tuple, Union
+from statistics import NormalDist
+from typing import List, Tuple
 
 import numpy as np
 
 from .rates import (PROTOCOLS, LinkParams, ProtocolConfig, bb84_gains, cow_visibility,
                     transmittance)
 
-EVENT_KINDS = ("StepLossDb", "StepDepol", "StepDarkCounts", "VisibilityDip")
+SCENARIOS = ("nominal", "noise-sweep", "splice-3db", "sine-drift")
+EVENT_KINDS = ("StepLossDb",)
 
 # Composite stressor mapping for the noise-sweep scenario: a stressor
 # level L splits into an irreducible depolarizing part (p = DEPOL_FRAC*L)
@@ -30,6 +32,11 @@ DEPOL_FRACTION = 0.10
 MISALIGN_FRACTION = 0.07
 
 SWEEP_LEVELS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
+
+# COW inter-pulse phase: a bounded mean-reverting random walk per block.
+PHASE_REVERSION = 0.05
+PHASE_STEP_SCALE = 0.05
+PHASE_BOUND = math.pi
 
 TELEMETRY_CSV_HEADER = (
     "block,n_pulses,n_sifted,n_errors,q_mu_hat,e_mu_hat,e_lo,e_hi,v_hat,eta_hat,aborted"
@@ -69,32 +76,21 @@ class ScheduleEvent:
             raise ValueError(f"unknown event kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class PhaseDriftParams:
-    """Bounded mean-reverting random walk for the inter-pulse phase."""
-
-    reversion: float = 0.05
-    step_scale: float = 0.05
-    bound: float = math.pi
-
-
 @dataclass
 class NoiseSchedule:
-    """Per-block noise series plus discrete events, fully deterministic
-    apart from the phase-drift process (which the simulator evolves from
-    its own seeded generator)."""
+    """Per-block noise series plus loss-step events, fully deterministic
+    (the COW phase drift is evolved by the simulator from its own seeded
+    generator)."""
 
     blocks: int
     depol_p: np.ndarray
     damp_gamma: np.ndarray
     misalign_err: np.ndarray
-    level: np.ndarray
-    phase: PhaseDriftParams = field(default_factory=PhaseDriftParams)
     events: List[ScheduleEvent] = field(default_factory=list)
     name: str = "custom"
 
     def __post_init__(self) -> None:
-        for arr_name in ("depol_p", "damp_gamma", "misalign_err", "level"):
+        for arr_name in ("depol_p", "damp_gamma", "misalign_err"):
             arr = np.asarray(getattr(self, arr_name), dtype=float)
             if arr.shape != (self.blocks,):
                 raise ValueError(f"{arr_name} must have shape ({self.blocks},)")
@@ -126,7 +122,6 @@ class EffectiveParams:
     eta: float
     v: float
     e_d_eff: float
-    y0: float
     e_ph: float = 0.0
 
 
@@ -167,10 +162,9 @@ def _const(blocks: int, value: float) -> np.ndarray:
     return np.full(blocks, float(value))
 
 
-def make_scenario(spec: Union[str, dict], blocks: int) -> NoiseSchedule:
-    """Build a reproducible noise schedule from a name or a descriptor dict.
+def make_scenario(name: str, blocks: int) -> NoiseSchedule:
+    """Build the reproducible noise schedule of a named scenario.
 
-    Named scenarios:
       nominal     constant zero added noise
       noise-sweep stressor level stepped 0.0 -> 0.5 over six equal segments;
                   each level L maps to depolarizing p = 0.10*L
@@ -180,40 +174,13 @@ def make_scenario(spec: Union[str, dict], blocks: int) -> NoiseSchedule:
       sine-drift  depolarizing probability and amplitude damping, each
                   0.25 + 0.20*sin(2*pi*t/24): period 24 blocks
     """
+    if name not in SCENARIOS:
+        raise UnknownScenarioError(f"unknown scenario {name!r}")
     if blocks < 1:
         raise ValueError("blocks must be >= 1")
-    if isinstance(spec, dict):
-        events = [ev if isinstance(ev, ScheduleEvent) else ScheduleEvent(*ev)
-                  for ev in spec.get("events", [])]
-        phase = spec.get("phase", PhaseDriftParams())
-        if isinstance(phase, dict):
-            phase = PhaseDriftParams(**phase)
-
-        def series(key: str, default: float = 0.0) -> np.ndarray:
-            val = spec.get(key, default)
-            if np.isscalar(val):
-                return _const(blocks, float(val))
-            arr = np.asarray(val, dtype=float)
-            if arr.shape != (blocks,):
-                raise ValueError(f"{key} series must have length {blocks}")
-            return arr
-
-        return NoiseSchedule(
-            blocks=blocks,
-            depol_p=series("depol_p"),
-            damp_gamma=series("damp_gamma"),
-            misalign_err=series("misalign_err"),
-            level=series("level"),
-            phase=phase,
-            events=events,
-            name=str(spec.get("name", "custom")),
-        )
-
-    name = str(spec)
     zeros = _const(blocks, 0.0)
     if name == "nominal":
-        return NoiseSchedule(blocks, zeros, zeros.copy(), zeros.copy(), zeros.copy(),
-                             name="nominal")
+        return NoiseSchedule(blocks, zeros, zeros.copy(), zeros.copy(), name="nominal")
     if name == "noise-sweep":
         seg = max(blocks // len(SWEEP_LEVELS), 1)
         level = np.array([SWEEP_LEVELS[min(t // seg, len(SWEEP_LEVELS) - 1)]
@@ -223,30 +190,20 @@ def make_scenario(spec: Union[str, dict], blocks: int) -> NoiseSchedule:
             depol_p=DEPOL_FRACTION * level,
             damp_gamma=zeros.copy(),
             misalign_err=MISALIGN_FRACTION * level,
-            level=level,
             name="noise-sweep",
         )
     if name == "splice-3db":
         return NoiseSchedule(
-            blocks, zeros, zeros.copy(), zeros.copy(), zeros.copy(),
+            blocks, zeros, zeros.copy(), zeros.copy(),
             events=[ScheduleEvent(blocks // 2, "StepLossDb", 3.0)],
             name="splice-3db",
         )
-    if name == "sine-drift":
-        # one slow environmental driver modulating depolarization and loss
-        t = np.arange(blocks)
-        wave = np.sin(2.0 * math.pi * t / 24.0)
-        p = 0.25 + 0.20 * wave
-        gamma = 0.25 + 0.20 * wave
-        return NoiseSchedule(blocks, p, gamma, zeros.copy(), p.copy(),
-                             name="sine-drift")
-    raise UnknownScenarioError(f"unknown scenario {name!r}")
-
-
-def _base_misalign_error(link: LinkParams) -> float:
-    if link.theta is not None:
-        return math.sin(link.theta) ** 2
-    return link.e_d
+    # sine-drift: one slow environmental driver modulating depolarization and loss
+    t = np.arange(blocks)
+    wave = np.sin(2.0 * math.pi * t / 24.0)
+    p = 0.25 + 0.20 * wave
+    gamma = 0.25 + 0.20 * wave
+    return NoiseSchedule(blocks, p, gamma, zeros.copy(), name="sine-drift")
 
 
 def effective_link(
@@ -257,7 +214,7 @@ def effective_link(
     protocol: str = "bb84",
     dphi: float = 0.0,
 ) -> EffectiveParams:
-    """Physical parameters for block ``t`` after noise, events, and control.
+    """Physical parameters for block ``t`` after noise, loss steps and control.
 
     The intrinsic alignment error is realized as an angle so that the
     compensation knob theta_c acts on it: sin^2(theta) equals the base
@@ -268,32 +225,19 @@ def effective_link(
         raise ValueError(f"block {t} outside schedule of length {sched.blocks}")
     p = float(sched.depol_p[t])
     gamma = float(sched.damp_gamma[t])
-    loss_db = 0.0
-    y0 = link.y0
-    dip = 1.0
-    for ev in sched.events:
-        if ev.block_index <= t:
-            if ev.kind == "StepLossDb":
-                loss_db += ev.magnitude
-            elif ev.kind == "StepDepol":
-                p = min(p + ev.magnitude, 1.0)
-            elif ev.kind == "StepDarkCounts":
-                y0 = min(y0 + ev.magnitude, 0.999)
-            elif ev.kind == "VisibilityDip":
-                dip *= max(1.0 - ev.magnitude, 0.0)
+    loss_db = sum(ev.magnitude for ev in sched.events if ev.block_index <= t)
     eta = transmittance(link) * 10.0 ** (-loss_db / 10.0) * (1.0 - gamma)
-    m_err = min(max(_base_misalign_error(link) + float(sched.misalign_err[t]), 0.0), 1.0)
+    m_err = min(max(link.e_d + float(sched.misalign_err[t]), 0.0), 1.0)
     theta_t = math.asin(math.sqrt(m_err))
     theta_err = theta_t - ctrl.theta_c
     if protocol == "cow":
-        v = cow_visibility(ctrl.mu_s, dphi - ctrl.phi_c) * (1.0 - p) * dip
+        v = cow_visibility(ctrl.mu_s, dphi - ctrl.phi_c) * (1.0 - p)
         e_ph = (1.0 - v) / 2.0
     else:
-        v = (1.0 - p) * math.cos(theta_err) ** 2 * dip
+        v = (1.0 - p) * math.cos(theta_err) ** 2
         e_ph = 0.0
     e_d_eff = min(max(math.sin(theta_err) ** 2 + p / 2.0, 0.0), 0.5)
-    return EffectiveParams(eta=eta, v=min(max(v, 0.0), 1.0), e_d_eff=e_d_eff,
-                           y0=y0, e_ph=e_ph)
+    return EffectiveParams(eta=eta, v=min(max(v, 0.0), 1.0), e_d_eff=e_d_eff, e_ph=e_ph)
 
 
 def wilson_interval(n_err: int, n: int, conf: float = 0.95) -> Tuple[float, float]:
@@ -302,7 +246,7 @@ def wilson_interval(n_err: int, n: int, conf: float = 0.95) -> Tuple[float, floa
         raise ValueError("need 0 <= n_err <= n")
     if n == 0:
         return 0.0, 1.0
-    z = normal_quantile(0.5 + conf / 2.0)
+    z = NormalDist().inv_cdf(0.5 + conf / 2.0)
     p = n_err / n
     z2 = z * z
     denom = 1.0 + z2 / n
@@ -313,38 +257,6 @@ def wilson_interval(n_err: int, n: int, conf: float = 0.95) -> Tuple[float, floa
     lo = 0.0 if n_err == 0 else max(0.0, center - margin)
     hi = 1.0 if n_err == n else min(1.0, center + margin)
     return lo, hi
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard-normal CDF (Acklam's rational approximation)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must be in (0, 1)")
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        z = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p > 1.0 - p_low:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        z = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    else:
-        q = p - 0.5
-        r = q * q
-        z = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    # one Newton polish with the exact CDF brings the result to full precision
-    err = 0.5 * math.erfc(-z / math.sqrt(2.0)) - p
-    z -= err * math.sqrt(2.0 * math.pi) * math.exp(z * z / 2.0)
-    return z
 
 
 def _estimate_eta(q_hat: float, y0: float, mu: float) -> float:
@@ -371,7 +283,6 @@ def step_block(
     rng: np.random.Generator,
     channel: ChannelConfig = ChannelConfig(),
     dphi: float = 0.0,
-    prev_exceeded: bool = False,
 ) -> Telemetry:
     """Simulate one measurement block and return its telemetry.
 
@@ -380,7 +291,8 @@ def step_block(
     in distributionally relevant statistics (see the per-pulse sampler in
     tests/oracles.py).
     A block with no sifted detections reports the degenerate convention
-    e_mu_hat = 0.5 with the full-width interval.
+    e_mu_hat = 0.5 with the full-width interval. The abort flag is left
+    to :meth:`Simulator.step`, which keeps the consecutive-block state.
     """
     eff = effective_link(link, sched, ctrl, t, protocol=proto.kind, dphi=dphi)
     q_sift = PROTOCOLS[proto.kind].key_fraction(proto, ctrl.p_z)
@@ -390,8 +302,8 @@ def step_block(
     if proto.kind == "bb84":
         n_sig = int(round(channel.n_pulses * proto.bb84.p_s))
         n_weak = channel.n_pulses - n_sig
-        gs = bb84_gains(ctrl.mu_s, eff.eta, eff.y0, eff.e_d_eff, link.e0)
-        gw = bb84_gains(ctrl.mu_w, eff.eta, eff.y0, eff.e_d_eff, link.e0)
+        gs = bb84_gains(ctrl.mu_s, eff.eta, link.y0, eff.e_d_eff, link.e0)
+        gw = bb84_gains(ctrl.mu_w, eff.eta, link.y0, eff.e_d_eff, link.e0)
         n_sift, trials = _sample_fraction(rng, round(n_sig * q_sift), gs.q_mu)
         n_err, _ = _sample_fraction(rng, n_sift, gs.e_mu)
         n_sift_w, trials_w = _sample_fraction(rng, round(n_weak * q_sift), gw.q_mu)
@@ -405,15 +317,15 @@ def step_block(
         # detector, remote arm the full link.
         eta_pair = eff.eta * link.eta_det
         v_pair = proto.e91.v_source * eff.v
-        q_c = min(eff.y0 + eta_pair, 1.0)
-        e_pair = (link.e0 * eff.y0 + (1.0 - v_pair) / 2.0 * eta_pair) / q_c if q_c > 0 else link.e0
+        q_c = min(link.y0 + eta_pair, 1.0)
+        e_pair = (link.e0 * link.y0 + (1.0 - v_pair) / 2.0 * eta_pair) / q_c if q_c > 0 else link.e0
         n_sift, trials = _sample_fraction(rng, round(channel.n_pulses * q_sift), q_c)
         n_err, _ = _sample_fraction(rng, n_sift, e_pair)
         q_mu_hat = n_sift / trials if trials else 0.0
         mu_for_eta = 1.0
     else:  # cow
         mu = ctrl.mu_s  # mean photon number per signal bin
-        g = bb84_gains(mu, eff.eta, eff.y0, eff.e_d_eff, link.e0)
+        g = bb84_gains(mu, eff.eta, link.y0, eff.e_d_eff, link.e0)
         n_sift, trials = _sample_fraction(rng, round(channel.n_pulses * q_sift), g.q_mu)
         n_err, _ = _sample_fraction(rng, n_sift, g.e_mu)
         n_mon, _ = _sample_fraction(
@@ -434,7 +346,6 @@ def step_block(
     else:
         v_hat = min(max(1.0 - 2.0 * e_mu_hat, 0.0), 1.0)
 
-    exceeded = n_sift > 0 and e_mu_hat > channel.abort_qber
     return Telemetry(
         block_index=t,
         n_pulses=channel.n_pulses,
@@ -445,9 +356,8 @@ def step_block(
         e_lo=e_lo,
         e_hi=e_hi,
         v_hat=v_hat,
-        y0_hat=eff.y0,
-        eta_hat=_estimate_eta(q_mu_hat, eff.y0, mu_for_eta),
-        aborted=bool(exceeded and prev_exceeded),
+        y0_hat=link.y0,
+        eta_hat=_estimate_eta(q_mu_hat, link.y0, mu_for_eta),
         q_w_hat=q_w_hat,
         e_w_hat=e_w_hat,
     )
@@ -477,18 +387,15 @@ class Simulator:
     def step(self, ctrl: ControlState) -> Telemetry:
         if self.t >= self.sched.blocks:
             raise IndexError("schedule exhausted")
-        telem = step_block(
-            self.link, self.sched, ctrl, self.proto, self.t, self.rng,
-            channel=self.channel, dphi=self.dphi, prev_exceeded=self._prev_exceeded,
-        )
-        if telem.aborted:
-            self._prev_exceeded = False  # session restarts after an abort
-        else:
-            self._prev_exceeded = telem.n_sifted > 0 and telem.e_mu_hat > self.channel.abort_qber
+        telem = step_block(self.link, self.sched, ctrl, self.proto, self.t, self.rng,
+                           channel=self.channel, dphi=self.dphi)
+        exceeded = telem.n_sifted > 0 and telem.e_mu_hat > self.channel.abort_qber
+        telem.aborted = exceeded and self._prev_exceeded
+        # the session restarts after an abort
+        self._prev_exceeded = exceeded and not telem.aborted
         if self.proto.kind == "cow":
-            ph = self.sched.phase
             xi = self.rng.standard_normal()
-            self.dphi = (1.0 - ph.reversion) * self.dphi + ph.step_scale * xi
-            self.dphi = min(max(self.dphi, -ph.bound), ph.bound)
+            self.dphi = (1.0 - PHASE_REVERSION) * self.dphi + PHASE_STEP_SCALE * xi
+            self.dphi = min(max(self.dphi, -PHASE_BOUND), PHASE_BOUND)
         self.t += 1
         return telem

@@ -19,7 +19,7 @@ from . import config as cfgmod
 from . import loop as loopmod
 from . import rates as ratesmod
 from . import tcn as tcnmod
-from .channel import Simulator, UnknownScenarioError, make_scenario
+from .channel import SCENARIOS, Simulator, UnknownScenarioError, make_scenario
 from .controller import load_policy, save_policy
 from .loop import EpisodeLog, run_episode, train_policy
 from .nn import NonFiniteGradientError
@@ -61,7 +61,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="run one scenario and dump the episode CSV")
     _add_common(p)
     p.add_argument("--protocol", choices=PROTOCOLS, default="bb84")
-    p.add_argument("--scenario", default="nominal")
+    p.add_argument("--scenario", choices=SCENARIOS, default="nominal")
     p.add_argument("--controller", choices=loopmod.CONTROLLER_KINDS, default="static")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--blocks", type=int, default=200)
@@ -79,7 +79,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="closed-loop comparison across controllers/seeds")
     _add_common(p)
     p.add_argument("--protocol", choices=PROTOCOLS, default="bb84")
-    p.add_argument("--scenario", default="noise-sweep")
+    p.add_argument("--scenario", choices=SCENARIOS, default="noise-sweep")
     p.add_argument("--controllers", default="ml,static",
                    help="comma list from {ml,static,recalib}")
     p.add_argument("--seeds", default="1..5", help="N..M range or comma list")
@@ -149,16 +149,15 @@ def cmd_rates(args) -> int:
     return 0
 
 
-def _load_models(args, cfg, policy: bool = True) -> tuple:
-    """The ``--tcn`` model and ``--policy`` nets, None where not given; with
-    ``policy=False`` the policy checkpoint is only checked to exist."""
+def _load_models(args, cfg) -> tuple:
+    """The ``--tcn`` model and ``--policy`` nets, None where not given."""
     policy_path = getattr(args, "policy", None)
     for what, path in (("forecaster", args.tcn), ("policy", policy_path)):
         if path is not None and not Path(path).exists():
             raise FileNotFoundError(f"missing {what} checkpoint {path}")
     return (load_tcn(args.tcn) if args.tcn is not None else None,
             load_policy(policy_path, cfgmod.typed(cfg, "ppo"))
-            if policy_path is not None and policy else None)
+            if policy_path is not None else None)
 
 
 def cmd_simulate(args) -> int:
@@ -248,10 +247,14 @@ def cmd_eval(args) -> int:
         if c not in loopmod.CONTROLLER_KINDS:
             raise UsageError(f"unknown controller {c!r}")
     seeds = parse_seeds(args.seeds)
-    # each ml run loads its own copy of the policy, which updates online
-    tcn_model, _ = _load_models(args, cfg, policy=False)
+    # the policy is loaded here only to check it: each ml run loads its own
+    # copy, which updates online
+    tcn_model, _ = _load_models(args, cfg)
     if "ml" in controllers and args.policy is None:
         raise FileNotFoundError("eval with the ml controller requires --policy")
+    if len(controllers) >= 2 and args.blocks <= loop_cfg.warmup:
+        raise UsageError(f"--blocks {args.blocks} leaves no block after "
+                         f"loop.warmup {loop_cfg.warmup} to compare")
     sched_probe = make_scenario(args.scenario, args.blocks)
     event_block = sched_probe.events[0].block_index if sched_probe.events else None
 

@@ -68,6 +68,9 @@ def load_config(path: Optional[str]) -> Dict[str, Any]:
         return cfg
     with open(path) as fh:
         overlay = json.load(fh)
+    if not isinstance(overlay, dict):
+        raise ValueError(f"config file {path} must hold a JSON object, "
+                         f"not {type(overlay).__name__}")
     _merge(cfg, overlay, prefix="")
     return cfg
 
@@ -127,17 +130,15 @@ def config_json(cfg: Dict[str, Any]) -> str:
 
 def _cast(key: str, val: Any, default: Any) -> Any:
     """``val`` as the type of ``default``: a config takes a section, a tuple
-    a list, an int an integral number, a float (or a ``None`` default) any
-    number, a string a string; a number may also be written as a string."""
+    a list, an int an integral number, a float any number, a string a
+    string; a number may also be written as a string."""
     if is_dataclass(default):
         return _build(type(default), val, prefix=key + ".")
     if isinstance(default, tuple):
         if not isinstance(val, (list, tuple)):
             raise ValueError(f"configuration key {key!r} has unreadable value {val!r}")
         return tuple(_cast(key, v, default[0]) for v in val)
-    if default is None and val is None:
-        return None
-    kind = float if default is None else type(default)
+    kind = type(default)
     if kind is int and isinstance(val, float) and not val.is_integer():
         raise ValueError(f"configuration key {key!r} needs an integer, got {val!r}")
     try:

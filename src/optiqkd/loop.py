@@ -15,8 +15,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .channel import (ChannelConfig, ControlState, NoiseSchedule, Simulator, Telemetry,
-                      make_scenario)
+from .channel import (SCENARIOS, ChannelConfig, ControlState, NoiseSchedule, Simulator,
+                      Telemetry, UnknownScenarioError, make_scenario)
 from .controller import (ActorCritic, PpoConfig, RewardConfig, act,
                          apply_action, observe, ppo_update, reward as reward_fn)
 from .rates import (NOMINAL_P_Z, PROTOCOLS, LinkParams, ProtocolConfig,
@@ -67,6 +67,9 @@ class TrainConfig:
         for name in ("tcn_scenarios", "ppo_scenarios"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must name at least one scenario")
+            for scen in getattr(self, name):
+                if scen not in SCENARIOS:
+                    raise UnknownScenarioError(f"unknown scenario {scen!r} in {name}")
         # an ml episode first acts on its second block, so ppo_blocks >= 2
         for name, low in (("tcn_blocks", 1), ("ppo_updates", 1), ("ppo_blocks", 2)):
             if getattr(self, name) < low:
@@ -168,7 +171,7 @@ class _RecalibState:
 def run_episode(
     link: LinkParams,
     proto: ProtocolConfig,
-    scenario: Union[str, dict, NoiseSchedule],
+    scenario: Union[str, NoiseSchedule],
     kind: str,
     seed: int,
     blocks: int,
@@ -359,6 +362,9 @@ def compare(runs: Dict[str, List[EpisodeLog]], warmup: int = LoopConfig.warmup,
     """
     if len(runs) < 2:
         raise ValueError("compare needs at least two controllers")
+    blocks = min(len(log.records) for logs in runs.values() for log in logs)
+    if blocks <= warmup:
+        raise ValueError(f"no block left after warm-up: {blocks} blocks, warmup {warmup}")
     scen_sets = {name: tuple(sorted((l.scenario, l.seed) for l in logs))
                  for name, logs in runs.items()}
     if len(set(scen_sets.values())) != 1:

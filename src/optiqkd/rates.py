@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Tuple, Union
 
 if TYPE_CHECKING:
     from .channel import ControlState, Telemetry
@@ -26,10 +26,6 @@ if TYPE_CHECKING:
 DEFAULT_F_REP = 2.5e8
 NOMINAL_P_Z = 0.5  # basis bias a run starts from
 CHSH_MAX = 2.0 * math.sqrt(2.0)
-
-# Photon-number cutoff for the exact Poisson expansion. For mu <= 1 the
-# neglected tail is far below double precision.
-POISSON_NMAX = 50
 
 
 class BoundInfeasibleError(ValueError):
@@ -52,7 +48,6 @@ class LinkParams:
     e_d: float = 0.015
     e0: float = 0.5
     f_rep: float = DEFAULT_F_REP
-    theta: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.alpha_db_per_km < 0:
@@ -223,32 +218,6 @@ def bb84_gains(mu: float, eta: float, y0: float, e_d: float, e0: float = 0.5) ->
 def bb84_model_gains(link: LinkParams, mu: float) -> GainStats:
     """Gain model evaluated at a link's nominal transmittance."""
     return bb84_gains(mu, transmittance(link), link.y0, link.e_d, link.e0)
-
-
-def bb84_poisson_gains(
-    mu: float, eta: float, y0: float, e_d: float, e0: float = 0.5, nmax: int = POISSON_NMAX
-) -> GainStats:
-    """Gain model via the explicit photon-number sum, truncated at ``nmax``.
-
-    Numerically identical to :func:`bb84_gains` for mu <= 1; kept as the
-    slow exact path backing the fast closed forms.
-    """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    q_mu = 0.0
-    eq_mu = 0.0
-    pn = math.exp(-mu)
-    for n in range(nmax + 1):
-        yn = y0 + 1.0 - (1.0 - eta) ** n
-        en_yn = e0 * y0 + e_d * (1.0 - (1.0 - eta) ** n)
-        q_mu += pn * yn
-        eq_mu += pn * en_yn
-        pn = pn * mu / (n + 1)
-    y1 = min(y0 + eta, 1.0)
-    q1 = y1 * mu * math.exp(-mu)
-    e1 = e0 if y1 <= 0 else min((e0 * y0 + e_d * eta) / y1, 1.0)
-    e_mu = e0 if q_mu <= 0 else eq_mu / q_mu
-    return GainStats(q_mu=min(q_mu, 1.0), e_mu=e_mu, q1=min(q1, 1.0), e1=e1, y1=y1)
 
 
 def decoy_bounds(

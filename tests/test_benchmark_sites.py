@@ -1,25 +1,28 @@
 """The benchmark in ``perfbench/`` times functions by replacing them at the
-names its ``tracer.CALL_SITES`` lists. Only its traced smoke test, outside
-this suite, runs those replacements; these checks fail here first when a
-listed name is renamed or moved."""
+names its ``tracer.CALL_SITES`` lists, and runs commands on the scenarios
+its ``workloads`` names. Only its traced smoke test, outside this suite,
+runs those; these checks fail here first when a listed name is renamed,
+moved or dropped."""
 
 import importlib.util
 from pathlib import Path
 
+from optiqkd.channel import SCENARIOS
+from optiqkd.loop import TrainConfig
 from optiqkd.tcn import Forecaster
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_call_site_resolves_to_a_callable():
-    tracer = load_tracer()
+    tracer = load("tracer")
     assert tracer.CALL_SITES
     for label, sites in tracer.CALL_SITES.items():
         for owner, attr in sites:
@@ -31,3 +34,10 @@ def test_every_call_site_resolves_to_a_callable():
 def test_forecaster_counts_model_calls():
     # the traced run reads Forecaster.calls to count persistence fallbacks
     assert Forecaster(None).calls == 0
+
+
+def test_benchmark_scenarios_are_named_scenarios():
+    # the eval op runs workloads.SCENARIO; the train ops the default TrainConfig's
+    assert load("workloads").SCENARIO in SCENARIOS
+    train = TrainConfig()
+    assert set(train.tcn_scenarios + train.ppo_scenarios) <= set(SCENARIOS)

@@ -7,8 +7,7 @@ from optiqkd.channel import (ChannelConfig, ControlState, DEPOL_FRACTION, MISALI
                              NoiseSchedule, ScheduleEvent, Simulator,
                              TELEMETRY_CSV_HEADER,
                              UnknownScenarioError, effective_link,
-                             make_scenario, normal_quantile, step_block,
-                             wilson_interval)
+                             make_scenario, step_block, wilson_interval)
 from optiqkd.rates import (PROTOCOLS, LinkParams, ProtocolConfig, bb84_gains,
                            transmittance)
 
@@ -17,6 +16,12 @@ from oracles import bit_level_sample_block, wilson_oracle
 LINK = LinkParams()
 PROTO = ProtocolConfig()
 CTRL = ControlState()
+
+
+def constant_schedule(blocks, depol_p=0.0, damp_gamma=0.0):
+    """A custom schedule holding one depolarizing and damping level."""
+    return NoiseSchedule(blocks, np.full(blocks, depol_p), np.full(blocks, damp_gamma),
+                         np.zeros(blocks))
 
 
 class TestScenarios:
@@ -34,12 +39,10 @@ class TestScenarios:
 
     def test_noise_sweep_levels(self):
         sched = make_scenario("noise-sweep", 600)
-        levels = sorted(set(sched.level.tolist()))
-        assert levels == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
-        # six equal segments, stepped upward
-        assert np.all(np.diff(sched.level) >= 0)
-        assert np.allclose(sched.depol_p, DEPOL_FRACTION * sched.level)
-        assert np.allclose(sched.misalign_err, MISALIGN_FRACTION * sched.level)
+        # six equal segments, stepped upward 0.0 -> 0.5
+        level = np.repeat([0.0, 0.1, 0.2, 0.3, 0.4, 0.5], 100)
+        assert np.array_equal(sched.depol_p, DEPOL_FRACTION * level)
+        assert np.array_equal(sched.misalign_err, MISALIGN_FRACTION * level)
 
     def test_sine_drift_is_sinusoidal_p(self):
         sched = make_scenario("sine-drift", 200)
@@ -50,23 +53,17 @@ class TestScenarios:
         with pytest.raises(UnknownScenarioError):
             make_scenario("quantum-storm", 100)
 
-    def test_custom_descriptor(self):
-        sched = make_scenario({"depol_p": 0.2, "events": [(5, "StepLossDb", 1.0)],
-                               "name": "mine"}, 10)
-        assert sched.depol_p[3] == 0.2
-        assert sched.events[0].kind == "StepLossDb"
-
     def test_event_ordering_enforced(self):
         with pytest.raises(ValueError):
-            NoiseSchedule(10, np.zeros(10), np.zeros(10), np.zeros(10), np.zeros(10),
-                          events=[ScheduleEvent(5, "StepDepol", 0.1),
-                                  ScheduleEvent(5, "StepDepol", 0.1)])
+            NoiseSchedule(10, np.zeros(10), np.zeros(10), np.zeros(10),
+                          events=[ScheduleEvent(5, "StepLossDb", 0.1),
+                                  ScheduleEvent(5, "StepLossDb", 0.1)])
 
 
 class TestEffectiveLink:
     def test_depolarizing_visibility(self):
         link = LinkParams(e_d=0.0)  # perfect alignment
-        sched = make_scenario({"depol_p": 0.1}, 10)
+        sched = constant_schedule(10, depol_p=0.1)
         eff = effective_link(link, sched, CTRL, 0)
         assert eff.v == pytest.approx(0.9, rel=1e-12)
         assert eff.e_d_eff == pytest.approx(0.05, rel=1e-12)
@@ -79,7 +76,7 @@ class TestEffectiveLink:
         assert after.eta / before.eta == pytest.approx(10 ** -0.3, rel=1e-9)
 
     def test_damping_is_loss_only(self):
-        sched = make_scenario({"damp_gamma": 0.2}, 10)
+        sched = constant_schedule(10, damp_gamma=0.2)
         eff = effective_link(LINK, sched, CTRL, 0)
         ref = effective_link(LINK, make_scenario("nominal", 10), CTRL, 0)
         assert eff.eta == pytest.approx(0.8 * ref.eta, rel=1e-12)
@@ -107,9 +104,9 @@ class TestEffectiveLink:
         grid = np.linspace(0.0, 0.6, 13)
         last = -1.0
         for p in grid:
-            sched = make_scenario({"depol_p": float(p)}, 5)
+            sched = constant_schedule(5, depol_p=float(p))
             eff = effective_link(LINK, sched, CTRL, 0)
-            g = bb84_gains(0.5, eff.eta, eff.y0, eff.e_d_eff)
+            g = bb84_gains(0.5, eff.eta, LINK.y0, eff.e_d_eff)
             assert g.e_mu >= last - 1e-15
             last = g.e_mu
 
@@ -158,7 +155,7 @@ class TestStepBlock:
 
     def test_abort_rule_two_consecutive(self):
         # forced high QBER: exceeds threshold every block
-        sched = make_scenario({"depol_p": 0.35}, 10)
+        sched = constant_schedule(10, depol_p=0.35)
         sim = Simulator(LINK, PROTO, sched, seed=5)
         flags = [sim.step(CTRL).aborted for _ in range(6)]
         assert flags[0] is False
@@ -192,11 +189,6 @@ class TestWilson:
         assert hi == pytest.approx(ref_hi, abs=1e-12)
         assert lo == pytest.approx(0.0211, abs=2e-4)
         assert hi == pytest.approx(0.0425, abs=2e-4)
-
-    def test_quantile(self):
-        assert normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-4)
-        assert normal_quantile(0.995) == pytest.approx(2.575829, abs=1e-4)
-        assert normal_quantile(0.95) == pytest.approx(1.644854, abs=1e-4)
 
     def test_estimator_consistency_large_blocks(self):
         # model value inside the 95% interval in >= 93% of seeded trials

@@ -74,12 +74,13 @@ class TestShowConfig:
         assert cfg["link"]["distance_km"] == 25.0
 
     def test_unknown_key_usage_error(self):
-        # --protocol alone picks the protocol; the layer count is len(tcn.dilations)
+        # --protocol alone picks the protocol; the layer count is len(tcn.dilations);
+        # link.e_d alone sets the base misalignment
         for pair in ("link.bogus=1", "link=5", "tcn.layers=2", "protocol.kind=cow",
-                     "protocol.kind=xyz"):
+                     "protocol.kind=xyz", "link.theta=0.3"):
             assert run(["show-config", "--set", pair]) == 1, pair
 
-    @pytest.mark.parametrize("pair", ["link.distance_km=abc", "link.theta=abc",
+    @pytest.mark.parametrize("pair", ["link.distance_km=abc", "link.e_d=abc",
                                       "tcn.epochs=abc", "tcn.dilations=1,x",
                                       "tcn.epochs=2.5"])
     def test_malformed_value_usage_error(self, capsys, pair):
@@ -113,6 +114,14 @@ class TestShowConfig:
         assert repr(f"{section}.{next(iter(value))}") in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("document", [[1, 2], "nominal", 5])
+    def test_config_file_not_an_object_runtime_error(self, tmp_path, capsys, document):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(document))
+        assert run(["train", "tcn", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_integral_float_for_int_key(self, capsys):
         assert run(["show-config", "--set", "channel.n_pulses=1e5"]) == 0
         assert json.loads(capsys.readouterr().out)["channel"]["n_pulses"] == 100000
@@ -143,9 +152,14 @@ class TestSimulate:
             assert run(["simulate", "--controller", "recalib", "--blocks", "20",
                         "--out", str(tmp_path), "--set", key]) == 1
 
-    def test_unknown_scenario_usage_error(self, tmp_path):
+    def test_unknown_scenario_usage_error(self, tmp_path, capsys):
         assert run(["simulate", "--scenario", "hurricane", "--out",
-                    str(tmp_path)]) == 1
+                    str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
+        # the help lists every scenario name
+        with pytest.raises(SystemExit):
+            run(["simulate", "--help"])
+        assert "nominal,noise-sweep,splice-3db,sine-drift" in capsys.readouterr().out
 
     def test_ml_without_policy_is_runtime_error(self, tmp_path):
         assert run(["simulate", "--controller", "ml", "--out", str(tmp_path)]) == 2
@@ -208,6 +222,16 @@ class TestTrain:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("what,pair", [
+        ("tcn", 'train.tcn_scenarios=["nominal","bogus"]'),
+        ("ppo", 'train.ppo_scenarios=["bogus"]'),
+    ])
+    def test_unknown_training_scenario_usage_error(self, tmp_path, capsys, what, pair):
+        out = tmp_path / "o"
+        assert run(["train", what, "--out", str(out), "--set", pair]) == 1
+        assert "'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tcn_divergence_exit_code(self, tmp_path):
         assert run(["train", "tcn", "--seed", "1", "--out", str(tmp_path),
                     "--set", "tcn.lr=1e200"] + FAST_TCN[:-2]
@@ -265,6 +289,17 @@ class TestEval:
                 p1 = out1 / f"episode_nominal_{c}_seed{s}.csv"
                 assert p1.read_bytes() == (out2 / p1.name).read_bytes()
         assert m1.startswith("controller,scenario,metric,value,ci_lo,ci_hi")
+
+    def test_no_block_after_warmup_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(["eval", "--controllers", "static,recalib", "--seeds", "1",
+                    "--blocks", "50", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--blocks 50" in err and "loop.warmup 100" in err
+        assert not out.exists()
+        # one controller is not compared, so no block needs to be left
+        assert run(["eval", "--controllers", "static", "--seeds", "1", "--blocks", "50",
+                    "--set", "channel.n_pulses=100000", "--out", str(out)]) == 0
 
     def test_empty_seeds_usage_error(self, tmp_path):
         assert run(["eval", "--seeds", "", "--out", str(tmp_path),

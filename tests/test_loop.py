@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from optiqkd.channel import ControlState, Telemetry
+from optiqkd.channel import ControlState, NoiseSchedule, Telemetry
 from optiqkd.controller import PpoConfig, ActorCritic
 from optiqkd.loop import (BlockRecord, ConfigMismatchError,
                           EPISODE_CSV_HEADER, EpisodeLog, METRICS_CSV_HEADER,
@@ -14,6 +14,12 @@ from oracles import operating_point_oracle
 
 LINK = LinkParams()
 PROTO = ProtocolConfig()
+
+
+def storm(blocks):
+    """A custom schedule of heavy depolarizing noise (p = 0.4) throughout."""
+    return NoiseSchedule(blocks, np.full(blocks, 0.4), np.zeros(blocks), np.zeros(blocks),
+                         name="storm")
 
 
 def synthetic_log(skr_values, controller="static", scenario="synthetic", seed=0):
@@ -39,8 +45,7 @@ class TestRunEpisode:
         assert lo > 0.0  # interval excludes zero
 
     def test_forced_high_qber_aborts_fast(self):
-        log = run_episode(LINK, PROTO, {"depol_p": 0.4, "name": "storm"},
-                          "static", seed=1, blocks=10)
+        log = run_episode(LINK, PROTO, storm(10), "static", seed=1, blocks=10)
         aborted_at = [r.block for r in log.records if r.aborted]
         assert aborted_at and aborted_at[0] <= 2
 
@@ -55,8 +60,7 @@ class TestRunEpisode:
         assert all(r.ctrl == nominal for r in log.records)
 
     def test_abort_zeroes_rate_and_resets(self):
-        log = run_episode(LINK, PROTO, {"depol_p": 0.4, "name": "storm"},
-                          "recalib", seed=2, blocks=12)
+        log = run_episode(LINK, PROTO, storm(12), "recalib", seed=2, blocks=12)
         for r in log.records:
             if r.aborted:
                 assert r.skr_bps == 0.0 and r.skr_finite == 0.0
@@ -231,6 +235,11 @@ class TestCompare:
     def test_needs_two_controllers(self):
         with pytest.raises(ValueError):
             compare({"ml": [synthetic_log([1.0] * 120, "ml")]}, warmup=50)
+
+    def test_no_block_after_warmup_rejected(self):
+        runs = self._runs([100.0] * 150, [100.0] * 150)
+        with pytest.raises(ValueError, match="no block left after warm-up"):
+            compare(runs, warmup=150)
 
 
 def test_nominal_skr_ref_positive_all_protocols():
