@@ -9,7 +9,7 @@ baseline any useful forecaster has to beat.
 import numpy as np
 
 from optiqkd import ControlState, LinkParams, ProtocolConfig, Simulator, make_scenario
-from optiqkd.tcn import (TcnConfig, dataset_mse, make_dataset, persistence_mse,
+from optiqkd.tcn import (FEATURES, TcnConfig, dataset_mse, make_dataset, persistence_mse,
                          telemetry_features, train_forecaster, tcn_forward)
 
 link, proto = LinkParams(), ProtocolConfig()
@@ -34,5 +34,5 @@ normalizer = model.normalizer
 z = normalizer.normalize(features[40:cfg.window + 40])
 pred_next = normalizer.denormalize(tcn_forward(z, model))
 print("\none-step forecast vs next observation:")
-for name, pred, obs in zip(cfg.features, pred_next, features[cfg.window + 40]):
+for name, pred, obs in zip(FEATURES, pred_next, features[cfg.window + 40]):
     print(f"  {name:>5}: {pred:.5f} vs {obs:.5f}")

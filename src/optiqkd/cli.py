@@ -1,6 +1,9 @@
 """Experiment harness: configuration, scenario runs, training, CSV emission.
 
 Commands: ``rates``, ``simulate``, ``train``, ``eval``, ``show-config``.
+``simulate`` is a one-job ``eval``: both run their episodes through one
+path and write the same episode CSV for the same controller and seed. The
+``ml`` controller needs a ``--tcn`` forecaster and a ``--policy``.
 Exit codes: 0 success, 1 usage error, 2 runtime or divergence error.
 """
 
@@ -20,7 +23,7 @@ from . import loop as loopmod
 from . import rates as ratesmod
 from . import tcn as tcnmod
 from .channel import SCENARIOS, Simulator, UnknownScenarioError, make_scenario
-from .controller import load_policy, save_policy
+from .controller import PpoConfig, load_policy, save_policy
 from .loop import EpisodeLog, run_episode, train_policy
 from .nn import NonFiniteGradientError
 from .tcn import (load_tcn, make_dataset, save_tcn, telemetry_features,
@@ -111,12 +114,9 @@ def _load_cfg(args) -> dict:
 
 
 def _link_configs(cfg, args) -> tuple:
-    """The link, the ``--protocol`` protocol, the channel, and the reward
-    scaled to the link's nominal throughput."""
-    link = cfgmod.typed(cfg, "link")
-    proto = cfgmod.typed(cfg, "protocol", kind=args.protocol)
-    reward = cfgmod.typed(cfg, "reward", skr_ref=loopmod.nominal_skr_ref(link, proto))
-    return link, proto, cfgmod.typed(cfg, "channel"), reward
+    """(link, the ``--protocol`` protocol, channel, reward)."""
+    link, proto = cfgmod.typed(cfg, "link"), cfgmod.typed(cfg, "protocol", kind=args.protocol)
+    return link, proto, cfgmod.typed(cfg, "channel"), cfgmod.typed(cfg, "reward")
 
 
 def _outdir(args) -> Path:
@@ -149,32 +149,59 @@ def cmd_rates(args) -> int:
     return 0
 
 
-def _load_models(args, cfg) -> tuple:
-    """The ``--tcn`` model and ``--policy`` nets, None where not given."""
-    policy_path = getattr(args, "policy", None)
-    for what, path in (("forecaster", args.tcn), ("policy", policy_path)):
+def _event_block(args) -> Optional[int]:
+    events = make_scenario(args.scenario, args.blocks).events
+    return events[0].block_index if events else None
+
+
+def _run_episodes(args, links: tuple, ppo_cfg: Optional[PpoConfig],
+                  controllers: Sequence[str], seeds: Sequence[int],
+                  warmup: Optional[int] = None) -> Dict[str, List[EpisodeLog]]:
+    """Run each (controller, seed) episode and write its CSV to ``--out``.
+
+    Before any episode runs, the checkpoints are loaded (ml needs ``--tcn``
+    and ``--policy``); then runs to be compared after ``warmup`` blocks
+    must leave blocks after it and enough history before the event.
+    """
+    link, proto, channel, reward_cfg = links
+    for flag, what in (("tcn", "forecaster"), ("policy", "policy")):
+        path = getattr(args, flag)
+        if path is None and "ml" in controllers:
+            raise FileNotFoundError(f"the ml controller requires --{flag}")
         if path is not None and not Path(path).exists():
             raise FileNotFoundError(f"missing {what} checkpoint {path}")
-    return (load_tcn(args.tcn) if args.tcn is not None else None,
-            load_policy(policy_path, cfgmod.typed(cfg, "ppo"))
-            if policy_path is not None else None)
+    tcn_model = load_tcn(args.tcn) if args.tcn is not None else None
+    if args.policy is not None:  # checked here; each ml run loads its own copy to update
+        load_policy(args.policy, ppo_cfg)
+    if warmup is not None:
+        if args.blocks <= warmup:
+            raise UsageError(f"--blocks {args.blocks} leaves no block after "
+                             f"loop.warmup {warmup} to compare")
+        event = _event_block(args)
+        if event is not None and not loopmod.PRE_EVENT_WINDOW <= event < args.blocks:
+            raise UsageError(f"--blocks {args.blocks} puts the {args.scenario} event at "
+                             f"block {event}, fewer than {loopmod.PRE_EVENT_WINDOW} blocks in")
+    runs = {c: [run_episode(link, proto, args.scenario, c, seed=seed, blocks=args.blocks,
+                            channel=channel, tcn_model=tcn_model, reward_cfg=reward_cfg,
+                            nets=load_policy(args.policy, ppo_cfg) if c == "ml" else None)
+                for seed in seeds] for c in controllers}
+    out = _outdir(args)
+    for c, logs in runs.items():
+        for log in logs:
+            (out / _episode_name(args, c, log.seed)).write_text(log.csv())
+    return runs
+
+
+def _episode_name(args, controller: str, seed: int) -> str:
+    return f"episode_{args.scenario}_{controller}_seed{seed}.csv"
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
-    link, proto, channel, reward_cfg = _link_configs(cfg, args)
-    tcn_model, nets = _load_models(args, cfg)
-    if args.controller == "ml" and nets is None:
-        raise FileNotFoundError("ml controller requires --policy checkpoint")
-    log = run_episode(
-        link, proto, args.scenario, args.controller, seed=args.seed,
-        blocks=args.blocks, channel=channel, tcn_model=tcn_model, nets=nets,
-        reward_cfg=reward_cfg,
-    )
-    out = _outdir(args)
-    path = out / f"episode_{args.scenario}_{args.controller}_seed{args.seed}.csv"
-    path.write_text(log.csv())
-    print(path)
+    links = _link_configs(cfg, args)
+    ppo_cfg = cfgmod.typed(cfg, "ppo") if args.policy is not None else None
+    _run_episodes(args, links, ppo_cfg, [args.controller], [args.seed])
+    print(Path(args.out) / _episode_name(args, args.controller, args.seed))
     return 0
 
 
@@ -219,8 +246,9 @@ def cmd_train(args) -> int:
         print(loss_csv)
         return 0
     # ppo
-    tcn_model, _ = _load_models(args, cfg)
-    if tcn_model is None:
+    if args.tcn is not None:
+        tcn_model = load_tcn(args.tcn)
+    else:
         _, tcn_model, _ = _train_tcn(train, tcn_cfg, link, proto, channel, args.seed)
     nets, progress = train_policy(link, proto, tcn_model, seed=args.seed, train=train,
                                   ppo_cfg=ppo_cfg, reward_cfg=reward_cfg, channel=channel)
@@ -238,7 +266,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
-    link, proto, channel, reward_cfg = _link_configs(cfg, args)
+    links = _link_configs(cfg, args)
     loop_cfg, ppo_cfg = cfgmod.typed(cfg, "loop"), cfgmod.typed(cfg, "ppo")
     controllers = [c.strip() for c in args.controllers.split(",") if c.strip()]
     if not controllers:
@@ -247,38 +275,15 @@ def cmd_eval(args) -> int:
         if c not in loopmod.CONTROLLER_KINDS:
             raise UsageError(f"unknown controller {c!r}")
     seeds = parse_seeds(args.seeds)
-    # the policy is loaded here only to check it: each ml run loads its own
-    # copy, which updates online
-    tcn_model, _ = _load_models(args, cfg)
-    if "ml" in controllers and args.policy is None:
-        raise FileNotFoundError("eval with the ml controller requires --policy")
-    if len(controllers) >= 2 and args.blocks <= loop_cfg.warmup:
-        raise UsageError(f"--blocks {args.blocks} leaves no block after "
-                         f"loop.warmup {loop_cfg.warmup} to compare")
-    sched_probe = make_scenario(args.scenario, args.blocks)
-    event_block = sched_probe.events[0].block_index if sched_probe.events else None
-
-    def job(ctrl_kind: str, seed: int) -> EpisodeLog:
-        job_nets = load_policy(args.policy, ppo_cfg) if ctrl_kind == "ml" else None
-        return run_episode(
-            link, proto, args.scenario, ctrl_kind, seed=seed, blocks=args.blocks,
-            channel=channel, tcn_model=tcn_model, nets=job_nets, reward_cfg=reward_cfg,
-        )
-
-    runs: Dict[str, List[EpisodeLog]] = {c: [job(c, s) for s in seeds]
-                                         for c in controllers}
-
-    out = _outdir(args)
-    for c, logs in runs.items():
-        for log in logs:
-            path = out / f"episode_{args.scenario}_{c}_seed{log.seed}.csv"
-            path.write_text(log.csv())
-    if len(controllers) >= 2:
-        result = loopmod.compare(runs, warmup=loop_cfg.warmup, event_block=event_block,
-                                 block_seconds=channel.block_seconds)
-        metrics_path = out / f"metrics_{args.scenario}.csv"
-        metrics_path.write_text(result.csv())
-        print(metrics_path)
+    if len(controllers) < 2:  # one controller is not compared
+        _run_episodes(args, links, ppo_cfg, controllers, seeds)
+        return 0
+    runs = _run_episodes(args, links, ppo_cfg, controllers, seeds, warmup=loop_cfg.warmup)
+    result = loopmod.compare(runs, warmup=loop_cfg.warmup, event_block=_event_block(args),
+                             block_seconds=links[2].block_seconds)
+    metrics_path = Path(args.out) / f"metrics_{args.scenario}.csv"
+    metrics_path.write_text(result.csv())
+    print(metrics_path)
     return 0
 
 
@@ -302,10 +307,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (UnknownScenarioError, cfgmod.OverrideError) as exc:
+    except (UsageError, UnknownScenarioError, cfgmod.OverrideError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (tcnmod.DivergenceError, NonFiniteGradientError) as exc:

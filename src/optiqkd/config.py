@@ -31,9 +31,8 @@ SECTIONS = {
     "loop": LoopConfig,
     "train": TrainConfig,
 }
-# Fields the caller sets, not the document: ``--protocol`` picks the kind,
-# the features are fixed by the code and the reward scale by the link.
-_NOT_CONFIGURED = {"protocol": ("kind",), "tcn": ("features",), "reward": ("skr_ref",)}
+# Fields the caller sets, not the document: ``--protocol`` picks the kind.
+_NOT_CONFIGURED = {"protocol": ("kind",)}
 
 
 def _plain(val: Any) -> Any:
@@ -67,7 +66,10 @@ def load_config(path: Optional[str]) -> Dict[str, Any]:
     if path is None:
         return cfg
     with open(path) as fh:
-        overlay = json.load(fh)
+        try:
+            overlay = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(overlay, dict):
         raise ValueError(f"config file {path} must hold a JSON object, "
                          f"not {type(overlay).__name__}")
@@ -163,5 +165,5 @@ def _build(cls, section: Any, prefix: str, **fixed: Any):
 def typed(cfg: Dict[str, Any], name: str, **fixed: Any) -> Any:
     """Section ``name`` of ``cfg`` as its typed config, checked by the
     config's own range checks; ``fixed`` gives the fields the document does
-    not hold (``protocol`` takes ``kind``, ``reward`` takes ``skr_ref``)."""
+    not hold (``protocol`` takes ``kind``)."""
     return _build(SECTIONS[name], cfg[name], name + ".", **fixed)

@@ -71,21 +71,19 @@ class PpoConfig:
             raise ValueError(f"hidden must be two widths >= 1, got {self.hidden!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RewardConfig:
-    """Weights of the composite throughput-vs-error feedback signal."""
+    """Weights of the composite throughput-vs-error feedback signal; the
+    rate is scaled by the link's own nominal rate (see :func:`reward`)."""
 
     w_rate: float = 1.0
     w_err: float = 0.5
-    skr_ref: float = 5.0e5
     qber_ref: float = 0.11
     abort_penalty: float = 1.0
 
     def __post_init__(self) -> None:
         if self.w_rate <= 0 or self.w_err <= 0:
             raise ValueError("reward weights must be positive")
-        if self.skr_ref <= 0:
-            raise ValueError("skr_ref must be positive")
 
 
 @dataclass(frozen=True)
@@ -261,13 +259,14 @@ def apply_action(ctrl: ControlState, action: Action) -> ControlState:
     return ControlState(mu_s=mu_s, mu_w=mu_w, p_z=p_z, theta_c=theta_c, phi_c=phi_c)
 
 
-def reward(skr_bps: float, qber: float, aborted: bool, cfg: RewardConfig) -> float:
-    """Composite feedback: normalized rate minus weighted normalized error."""
+def reward(skr_bps: float, qber: float, aborted: bool, cfg: RewardConfig,
+           skr_ref: float) -> float:
+    """Composite feedback: rate over ``skr_ref`` minus weighted normalized error."""
     if skr_bps < 0:
         raise ValueError("skr_bps must be >= 0")
     if not 0.0 <= qber <= 0.5:
         raise ValueError("qber must be in [0, 0.5]")
-    r = cfg.w_rate * (skr_bps / cfg.skr_ref) - cfg.w_err * (qber / cfg.qber_ref)
+    r = cfg.w_rate * (skr_bps / skr_ref) - cfg.w_err * (qber / cfg.qber_ref)
     if aborted:
         r -= cfg.abort_penalty
     return r

@@ -178,23 +178,23 @@ def run_episode(
     channel: ChannelConfig = ChannelConfig(),
     tcn_model: Optional[TcnModel] = None,
     nets: Optional[ActorCritic] = None,
-    reward_cfg: Optional[RewardConfig] = None,
+    reward_cfg: RewardConfig = RewardConfig(),
 ) -> EpisodeLog:
     """One (scenario, seed, controller) run; deterministic under fixed inputs.
 
-    The ML controller consumes the previous block's normalized telemetry
-    and forecast, then acts; the transition goes to ``nets.buffer`` and a
-    PPO update fires whenever that buffer reaches ``nets.cfg.rollout``
-    (its report lands in ``EpisodeLog.updates``). The buffer and the
-    optimizers are the nets' own, so they carry over to the next episode
-    run with the same nets. An abort resets the control state to nominal
-    before the next block.
+    The ML controller (``tcn_model`` and ``nets``) consumes the previous
+    block's normalized telemetry and forecast, then acts; the transition
+    goes to ``nets.buffer`` and a PPO update fires whenever that buffer
+    reaches ``nets.cfg.rollout`` (its report lands in ``EpisodeLog.updates``).
+    The buffer and the optimizers are the nets' own, so they carry over to
+    the next episode run with the same nets. Rewards scale the rate by
+    :func:`nominal_skr_ref`. An abort resets the control state to nominal.
     """
     if kind not in CONTROLLER_KINDS:
         raise ConfigMismatchError(f"unknown controller kind {kind!r}")
     sched = scenario if isinstance(scenario, NoiseSchedule) else make_scenario(scenario, blocks)
     sim = Simulator(link, proto, sched, seed=seed * 4 + 1, channel=channel)
-    reward_cfg = reward_cfg or RewardConfig(skr_ref=nominal_skr_ref(link, proto))
+    skr_ref = nominal_skr_ref(link, proto)
     nominal = nominal_control(proto)
     ctrl = nominal
     log = EpisodeLog(scenario=sched.name, seed=seed, controller=kind)
@@ -203,22 +203,20 @@ def run_episode(
     policy_rng: Optional[np.random.Generator] = None
     recalib: Optional[_RecalibState] = None
     if kind == "ml":
-        if nets is None:
-            raise ConfigMismatchError("ml controller requires trained networks")
+        if tcn_model is None or nets is None:
+            raise ConfigMismatchError("ml controller requires a forecaster and networks")
         forecaster = Forecaster(tcn_model)
         policy_rng = np.random.Generator(np.random.Philox(key=seed * 4 + 2))
     elif kind == "recalib":
         recalib = _RecalibState(nominal)
 
     z_tm: Optional[np.ndarray] = None  # previous block's normalized telemetry
-    pending: Optional[Tuple[np.ndarray, object]] = None
 
     for t in range(blocks):
         if z_tm is not None:  # the ml controller, from block 1 on
             obs = observe(forecaster.forecast(), z_tm, ctrl)
             sample = act(nets, obs, policy_rng, protocol=proto.kind)
             ctrl = apply_action(ctrl, sample.action)
-            pending = (obs, sample)
         elif kind == "recalib":
             ctrl = recalib.control_for(t)
 
@@ -226,13 +224,11 @@ def run_episode(
         skr_bps, skr_finite = block_key_rate(link, proto, ctrl, telem)
         if telem.aborted:
             skr_bps, skr_finite = 0.0, 0.0
-        r = reward_fn(skr_bps, min(telem.e_mu_hat, 0.5), telem.aborted, reward_cfg)
+        r = reward_fn(skr_bps, min(telem.e_mu_hat, 0.5), telem.aborted, reward_cfg, skr_ref)
 
-        if pending is not None:
-            obs, sample = pending
+        if z_tm is not None:  # the ml controller acted on this block
             nets.buffer.add(obs, sample.pre_squash, sample.log_prob, sample.value,
                             r, sample.action.mask)
-            pending = None
             if len(nets.buffer) >= nets.cfg.rollout:
                 log.updates.append(ppo_update(nets.buffer, nets))
         if kind == "recalib":
@@ -255,18 +251,17 @@ def run_episode(
 def train_policy(
     link: LinkParams,
     proto: ProtocolConfig,
-    tcn_model: Optional[TcnModel],
+    tcn_model: TcnModel,
     seed: int,
     train: TrainConfig = TrainConfig(),
     ppo_cfg: Optional[PpoConfig] = None,
-    reward_cfg: Optional[RewardConfig] = None,
+    reward_cfg: RewardConfig = RewardConfig(),
     channel: ChannelConfig = ChannelConfig(),
 ) -> Tuple[ActorCritic, List[Dict[str, float]]]:
     """Train the PPO controller on ``train.ppo_scenarios`` in turn until
     ``train.ppo_updates`` policy updates have run, streaming rollouts
     across episode resets."""
     ppo_cfg = ppo_cfg or PpoConfig()
-    reward_cfg = reward_cfg or RewardConfig(skr_ref=nominal_skr_ref(link, proto))
     nets = ActorCritic(ppo_cfg, rng=np.random.Generator(np.random.Philox(key=seed * 4 + 3)))
     progress: List[Dict[str, float]] = []
     episode = 0

@@ -38,7 +38,6 @@ class TcnConfig:
     kernel: int = 3
     hidden: int = 16
     window: int = 32
-    features: Tuple[str, ...] = FEATURES
     lr: float = 3e-3
     epochs: int = 60
     batch_size: int = 64
@@ -104,8 +103,8 @@ class TcnModel:
     def __init__(self, cfg: TcnConfig, rng: np.random.Generator,
                  normalizer: Optional[Normalizer] = None):
         self.cfg = cfg
-        self.normalizer = normalizer or Normalizer.identity(len(cfg.features))
-        n_feat = len(cfg.features)
+        n_feat = len(FEATURES)
+        self.normalizer = normalizer or Normalizer.identity(n_feat)
         self.convs: List[nn.Conv1dCausalLayer] = []
         self.projs: List[Optional[nn.Conv1dCausalLayer]] = []
         self.named: Dict[str, nn.Var] = {}
@@ -149,8 +148,8 @@ def tcn_forward(window: np.ndarray, model: TcnModel) -> np.ndarray:
     rows of a normalized (W, F) feature window."""
     window = np.asarray(window, dtype=float)
     w = model.cfg.window
-    if window.ndim != 2 or window.shape[0] < w or window.shape[1] != len(model.cfg.features):
-        raise ValueError(f"window must be at least ({w}, {len(model.cfg.features)})")
+    if window.ndim != 2 or window.shape[0] < w or window.shape[1] != len(FEATURES):
+        raise ValueError(f"window must be at least ({w}, {len(FEATURES)})")
     return model.forward_batch(window[None, -w:, :]).data[0]
 
 
@@ -253,24 +252,20 @@ class Forecaster:
     the head to the newest hidden vector. Because ``window`` is at least
     the receptive field, this equals :func:`tcn_forward` over the last
     ``window`` rows, up to rounding. ``forecast`` repeats the last row
-    (persistence) until ``window`` rows have been pushed, or when there is
-    no model.
+    (persistence) until ``window`` rows have been pushed.
     """
 
-    def __init__(self, model: Optional[TcnModel]):
+    def __init__(self, model: TcnModel):
         self.model = model
         self.queues: List[deque[np.ndarray]] = [
             deque([np.zeros(conv.kernel.data.shape[1])] * conv.span, maxlen=conv.span)
-            for conv in (model.convs if model else ())]
+            for conv in model.convs]
         self.pushed = 0
         self.last: Optional[np.ndarray] = None  # newest normalized row
         self.hidden: Optional[np.ndarray] = None  # newest top-layer column
         self.calls = 0  # counts model-backed forecasts, for isolation checks
 
     def push(self, features: np.ndarray) -> np.ndarray:
-        if self.model is None:
-            self.last = np.asarray(features, dtype=float)
-            return self.last
         h = self.last = self.model.normalizer.normalize(features)
         for conv, proj, queue in zip(self.model.convs, self.model.projs, self.queues):
             queue.append(h)
@@ -282,7 +277,7 @@ class Forecaster:
         return self.last
 
     def forecast(self) -> np.ndarray:
-        if self.model is None or self.pushed < self.model.cfg.window:
+        if self.pushed < self.model.cfg.window:
             return self.last
         self.calls += 1
         return self.model.head.w.data @ self.hidden + self.model.head.b.data
@@ -295,22 +290,21 @@ def save_tcn(path: str, model: TcnModel) -> None:
         "kernel": model.cfg.kernel,
         "hidden": model.cfg.hidden,
         "window": model.cfg.window,
-        "features": list(model.cfg.features),
+        "features": list(FEATURES),
     }
     nn.save_checkpoint(path, model.state_arrays(), meta)
 
 
 def load_tcn(path: str) -> TcnModel:
     """The model a :func:`save_tcn` checkpoint holds; the ``layers`` entry of
-    older checkpoints, always ``len(dilations)``, is not read."""
+    older checkpoints, always ``len(dilations)``, is not read. A checkpoint
+    trained on other features than :data:`FEATURES` is refused."""
     arrays, meta = nn.load_checkpoint(path)
-    cfg = TcnConfig(
-        dilations=tuple(int(d) for d in meta["dilations"]),
-        kernel=int(meta["kernel"]),
-        hidden=int(meta["hidden"]),
-        window=int(meta["window"]),
-        features=tuple(meta["features"]),
-    )
+    features = meta.get("features")
+    if features != list(FEATURES):
+        raise ValueError(f"checkpoint {path} has features {features}, not {list(FEATURES)}")
+    cfg = TcnConfig(dilations=tuple(int(d) for d in meta["dilations"]),
+                    **{key: int(meta[key]) for key in ("kernel", "hidden", "window")})
     model = TcnModel(cfg, np.random.Generator(np.random.Philox(key=0)))
     norm = {"norm.mean": nn.Var(model.normalizer.mean), "norm.std": nn.Var(model.normalizer.std)}
     nn.set_params({**model.named, **norm}, arrays)

@@ -9,7 +9,9 @@ from pathlib import Path
 
 from optiqkd.channel import SCENARIOS
 from optiqkd.loop import TrainConfig
-from optiqkd.tcn import Forecaster
+import numpy as np
+
+from optiqkd.tcn import Forecaster, TcnConfig, TcnModel
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -33,7 +35,15 @@ def test_every_call_site_resolves_to_a_callable():
 
 def test_forecaster_counts_model_calls():
     # the traced run reads Forecaster.calls to count persistence fallbacks
-    assert Forecaster(None).calls == 0
+    model = TcnModel(TcnConfig(dilations=(1,), kernel=2, hidden=4, window=2),
+                     np.random.default_rng(0))
+    fc = Forecaster(model)
+    assert fc.calls == 0
+    fc.push(np.zeros(5))
+    fc.forecast()  # one row pushed: the persistence fallback
+    fc.push(np.zeros(5))
+    fc.forecast()
+    assert fc.calls == 1
 
 
 def test_benchmark_scenarios_are_named_scenarios():

@@ -1,10 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
+from optiqkd import nn
 from optiqkd.cli import (RATES_CSV_HEADER, TRAIN_PROGRESS_HEADER, UsageError, main,
                          parse_seeds)
+from optiqkd.controller import ActorCritic, PpoConfig, save_policy
 from optiqkd.loop import EPISODE_CSV_HEADER
+from optiqkd.tcn import TcnConfig, TcnModel, save_tcn
 
 from oracles import finite_penalty_oracle, operating_point_oracle
 
@@ -22,6 +26,16 @@ FAST_PPO = [
 
 def run(args):
     return main(args)
+
+
+@pytest.fixture
+def checkpoints(tmp_path):
+    """Paths of a small untrained forecaster and policy."""
+    tcn, policy = str(tmp_path / "tcn.ckpt"), str(tmp_path / "policy.ckpt")
+    save_tcn(tcn, TcnModel(TcnConfig(dilations=(1,), kernel=2, hidden=4, window=2),
+                           np.random.default_rng(1)))
+    save_policy(policy, ActorCritic(PpoConfig(hidden=(8, 8)), rng=np.random.default_rng(2)))
+    return tcn, policy
 
 
 class TestRates:
@@ -126,6 +140,13 @@ class TestShowConfig:
         assert run(["show-config", "--set", "channel.n_pulses=1e5"]) == 0
         assert json.loads(capsys.readouterr().out)["channel"]["n_pulses"] == 100000
 
+    def test_malformed_config_file_names_it(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text("{")
+        assert run(["show-config", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "not valid JSON" in err
+
     def test_config_file_overlay(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"link": {"distance_km": 10.0}}))
@@ -163,6 +184,30 @@ class TestSimulate:
 
     def test_ml_without_policy_is_runtime_error(self, tmp_path):
         assert run(["simulate", "--controller", "ml", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("controller", ["static", "recalib", "ml"])
+    def test_writes_the_bytes_of_a_one_job_eval(self, tmp_path, checkpoints, controller):
+        tcn, policy = checkpoints
+        common = ["--scenario", "splice-3db", "--blocks", "60", "--tcn", tcn,
+                  "--policy", policy, "--set", "channel.n_pulses=100000"]
+        assert run(["simulate", "--controller", controller, "--seed", "4",
+                    "--out", str(tmp_path / "sim")] + common) == 0
+        assert run(["eval", "--controllers", controller, "--seeds", "4",
+                    "--out", str(tmp_path / "eval")] + common) == 0
+        name = f"episode_splice-3db_{controller}_seed4.csv"
+        assert [p.name for p in (tmp_path / "eval").iterdir()] == [name]
+        assert (tmp_path / "sim" / name).read_bytes() == (tmp_path / "eval" / name).read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--controller", "ml"],
+        ["eval", "--controllers", "static,ml", "--seeds", "1"],
+    ])
+    def test_ml_without_forecaster_is_runtime_error(self, tmp_path, capsys, checkpoints,
+                                                    argv):
+        out = tmp_path / "o"
+        assert run(argv + ["--policy", checkpoints[1], "--out", str(out)]) == 2
+        assert "requires --tcn" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -300,6 +345,24 @@ class TestEval:
         # one controller is not compared, so no block needs to be left
         assert run(["eval", "--controllers", "static", "--seeds", "1", "--blocks", "50",
                     "--set", "channel.n_pulses=100000", "--out", str(out)]) == 0
+
+    def test_short_pre_event_history_usage_error(self, tmp_path, capsys):
+        # the splice event at block 45 of 90 has fewer than 50 blocks before it
+        out = tmp_path / "o"
+        assert run(["eval", "--scenario", "splice-3db", "--controllers", "static,recalib",
+                    "--seeds", "1", "--blocks", "90", "--set", "loop.warmup=10",
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--blocks 90" in err and "block 45" in err
+        assert not out.exists()
+
+    def test_tcn_with_other_features_runtime_error(self, tmp_path, capsys, checkpoints):
+        tcn, _ = checkpoints
+        arrays, meta = nn.load_checkpoint(tcn)
+        nn.save_checkpoint(tcn, arrays, {**meta, "features": ["q", "e", "v", "eta", "y0"]})
+        assert run(["eval", "--controllers", "static", "--seeds", "1", "--blocks", "5",
+                    "--tcn", tcn, "--out", str(tmp_path / "o")]) == 2
+        assert "features" in capsys.readouterr().err
 
     def test_empty_seeds_usage_error(self, tmp_path):
         assert run(["eval", "--seeds", "", "--out", str(tmp_path),

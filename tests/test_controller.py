@@ -117,40 +117,39 @@ class TestSafetyFilter:
 
 
 class TestReward:
-    CFG = RewardConfig(w_rate=1.0, w_err=0.5, skr_ref=1000.0, qber_ref=0.11,
-                       abort_penalty=1.0)
+    CFG = RewardConfig(w_rate=1.0, w_err=0.5, qber_ref=0.11, abort_penalty=1.0)
+    REF = 1000.0  # the link's nominal rate
 
     def test_normalization_anchor(self):
-        assert reward(1000.0, 0.0, False, self.CFG) == pytest.approx(1.0)
+        assert reward(1000.0, 0.0, False, self.CFG, self.REF) == pytest.approx(1.0)
 
     def test_weighted_example(self):
-        assert reward(800.0, 0.022, False, self.CFG) == pytest.approx(0.7)
+        assert reward(800.0, 0.022, False, self.CFG, self.REF) == pytest.approx(0.7)
 
     def test_abort_penalty(self):
         expected = -0.5 * (0.12 / 0.11) - 1.0
-        assert reward(0.0, 0.12, True, self.CFG) == pytest.approx(expected)
+        assert reward(0.0, 0.12, True, self.CFG, self.REF) == pytest.approx(expected)
 
     def test_monotonicity(self):
-        r0 = reward(500.0, 0.05, False, self.CFG)
-        assert reward(600.0, 0.05, False, self.CFG) > r0
-        assert reward(500.0, 0.06, False, self.CFG) < r0
+        r0 = reward(500.0, 0.05, False, self.CFG, self.REF)
+        assert reward(600.0, 0.05, False, self.CFG, self.REF) > r0
+        assert reward(500.0, 0.06, False, self.CFG, self.REF) < r0
 
     def test_scale_invariance(self):
         # common positive scaling of the weights scales every reward equally
-        scaled = RewardConfig(w_rate=3.0, w_err=1.5, skr_ref=1000.0,
-                              qber_ref=0.11, abort_penalty=3.0)
+        scaled = RewardConfig(w_rate=3.0, w_err=1.5, qber_ref=0.11, abort_penalty=3.0)
         cases = [(1000.0, 0.0, False), (800.0, 0.022, False), (0.0, 0.12, True)]
-        rewards = [reward(*c, self.CFG) for c in cases]
-        scaled_rewards = [reward(*c, scaled) for c in cases]
+        rewards = [reward(*c, self.CFG, self.REF) for c in cases]
+        scaled_rewards = [reward(*c, scaled, self.REF) for c in cases]
         for r, rs in zip(rewards, scaled_rewards):
             assert rs == pytest.approx(3.0 * r)
         assert np.argsort(rewards).tolist() == np.argsort(scaled_rewards).tolist()
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            reward(-1.0, 0.1, False, self.CFG)
+            reward(-1.0, 0.1, False, self.CFG, self.REF)
         with pytest.raises(ValueError):
-            reward(1.0, 0.7, False, self.CFG)
+            reward(1.0, 0.7, False, self.CFG, self.REF)
 
 
 class TestAdvantages:

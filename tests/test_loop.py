@@ -16,6 +16,12 @@ LINK = LinkParams()
 PROTO = ProtocolConfig()
 
 
+def small_tcn(key=2):
+    """The smallest forecaster the ML controller runs with."""
+    cfg = TcnConfig(dilations=(1,), kernel=2, hidden=4, window=2)
+    return TcnModel(cfg, np.random.Generator(np.random.Philox(key=key)))
+
+
 def storm(blocks):
     """A custom schedule of heavy depolarizing noise (p = 0.4) throughout."""
     return NoiseSchedule(blocks, np.full(blocks, 0.4), np.zeros(blocks), np.zeros(blocks),
@@ -95,6 +101,11 @@ class TestRunEpisode:
         with pytest.raises(ConfigMismatchError):
             run_episode(LINK, PROTO, "nominal", "ml", seed=1, blocks=10)
 
+    def test_ml_requires_forecaster(self):
+        nets = ActorCritic(PpoConfig(), rng=np.random.Generator(np.random.Philox(key=1)))
+        with pytest.raises(ConfigMismatchError, match="forecaster"):
+            run_episode(LINK, PROTO, "nominal", "ml", seed=1, blocks=10, nets=nets)
+
     def test_unknown_controller(self):
         with pytest.raises(ConfigMismatchError):
             run_episode(LINK, PROTO, "nominal", "pid", seed=1, blocks=10)
@@ -103,11 +114,11 @@ class TestRunEpisode:
         cfg = PpoConfig(rollout=64, minibatch=32)
         def fresh():
             return ActorCritic(cfg, rng=np.random.Generator(np.random.Philox(key=1)))
-        a = run_episode(LINK, PROTO, "nominal", "ml", seed=8, blocks=80, nets=fresh())
-        b = run_episode(LINK, PROTO, "nominal", "ml", seed=8, blocks=80, nets=fresh())
+        a, b = (run_episode(LINK, PROTO, "nominal", "ml", seed=8, blocks=80,
+                            tcn_model=small_tcn(), nets=fresh()) for _ in range(2))
         assert a.csv() == b.csv()
         assert a.policy_calls == 79  # acts from block 1 on
-        assert a.tcn_calls == 0  # no forecaster model: persistence fallback
+        assert a.tcn_calls == 78  # the first forecast, on one row, falls back
 
     def test_ml_forecaster_sees_at_most_window_rows(self, monkeypatch):
         cfg = TcnConfig(dilations=(1, 2), hidden=6, window=8)
@@ -133,11 +144,12 @@ class TestRunEpisode:
         # the buffer and the optimizers live on the nets, not the episode
         cfg = PpoConfig(rollout=64, minibatch=32)
         nets = ActorCritic(cfg, rng=np.random.Generator(np.random.Philox(key=1)))
-        first = run_episode(LINK, PROTO, "nominal", "ml", seed=1, blocks=50, nets=nets)
+        first = run_episode(LINK, PROTO, "nominal", "ml", seed=1, blocks=50,
+                            tcn_model=small_tcn(), nets=nets)
         assert first.updates == []
         assert len(nets.buffer) == 49  # acts from block 1 on
         second = run_episode(LINK, PROTO, "noise-sweep", "ml", seed=2, blocks=50,
-                             nets=nets)
+                             tcn_model=small_tcn(), nets=nets)
         assert len(second.updates) == 1
         assert len(nets.buffer) == 2 * 49 - cfg.rollout
         assert nets.opt_actor.state["t"] == cfg.epochs * 2  # two minibatches an epoch
@@ -260,7 +272,8 @@ def test_all_protocols_run_closed_loop():
         st = run_episode(LINK, proto, "nominal", "static", seed=2, blocks=60)
         assert np.median(st.skr_series()) > 0.0
         nets = ActorCritic(ppo, rng=np.random.Generator(np.random.Philox(key=3)))
-        ml = run_episode(LINK, proto, "nominal", "ml", seed=2, blocks=60, nets=nets)
+        ml = run_episode(LINK, proto, "nominal", "ml", seed=2, blocks=60,
+                         tcn_model=small_tcn(), nets=nets)
         nominal = nominal_control(proto)
         for rec in ml.records:
             for name in frozen:  # masked components never move

@@ -35,7 +35,7 @@ from optiqkd.channel import ChannelConfig, wilson_interval
 from optiqkd.rates import (PROTOCOLS, BoundInfeasibleError, Bb84Config, CowConfig,
                            E91Config, LinkParams, ProtocolConfig, bb84_gains,
                            decoy_bounds, operating_point)
-from optiqkd.tcn import (Forecaster, Normalizer, TcnConfig, TcnModel, load_tcn,
+from optiqkd.tcn import (FEATURES, Forecaster, Normalizer, TcnConfig, TcnModel, load_tcn,
                          save_tcn, tcn_forward)
 
 # a fixed example sequence keeps the suite deterministic
@@ -49,11 +49,10 @@ TYPED = {
     "channel": ChannelConfig(),
     "tcn": TcnConfig(),
     "ppo": PpoConfig(),
-    "reward": RewardConfig(skr_ref=1.0),
+    "reward": RewardConfig(),
     "loop": LoopConfig(),
     "train": TrainConfig(),
 }
-FIXED = {"reward": {"skr_ref": 1.0}}  # fields the document does not hold
 
 
 def numeric_leaves(node, prefix=""):
@@ -125,7 +124,7 @@ def test_config_override_round_trip(kv):
     assert node[field] == val
     rejected = own_error(key, val)
     try:
-        typed = cfgmod.typed(by_set, section, **FIXED.get(section, {}))
+        typed = cfgmod.typed(by_set, section)
     except ValueError:
         assert rejected, f"{key}={val!r} rejected by the builder only"
         return
@@ -265,7 +264,7 @@ def test_short_conv_kernel_rejected(tmp_path):
     path = tmp_path / "tcn.ckpt"
     nn.save_checkpoint(str(path), arrays, {
         "kind": "tcn", "layers": 1, "dilations": [1], "kernel": 3, "hidden": 4,
-        "window": 32, "features": list(model.cfg.features)})
+        "window": 32, "features": list(FEATURES)})
     with pytest.raises(ValueError, match=r"'conv0\.kernel' has shape \(4, 5, 2\)"):
         load_tcn(str(path))
 

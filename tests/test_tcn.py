@@ -4,7 +4,7 @@ import pytest
 from optiqkd import nn
 from optiqkd.channel import ControlState, Simulator, make_scenario
 from optiqkd.rates import LinkParams, ProtocolConfig
-from optiqkd.tcn import (DivergenceError, Forecaster, Normalizer, TcnConfig,
+from optiqkd.tcn import (FEATURES, DivergenceError, Forecaster, Normalizer, TcnConfig,
                          TcnModel, dataset_mse, load_tcn, make_dataset,
                          persistence_mse, save_tcn, tcn_forward, tcn_train,
                          telemetry_features, train_forecaster)
@@ -178,6 +178,20 @@ class TestCheckpoint:
         assert loaded.cfg.dilations == model.cfg.dilations
         assert all(np.array_equal(loaded.named[k].data, v.data) for k, v in model.named.items())
 
+    @pytest.mark.parametrize("features", [
+        ["q", "e", "v", "eta", "y0"],              # renamed, still five
+        ["e_mu", "q_mu", "v", "eta", "y0"],        # reordered
+        ["q_mu", "e_mu", "v", "eta"],              # one short
+    ])
+    def test_other_feature_list_refused(self, tmp_path, features):
+        path = tmp_path / "tcn.ckpt"
+        save_tcn(str(path), TcnModel(small_cfg(), np.random.default_rng(6)))
+        arrays, meta = nn.load_checkpoint(str(path))
+        assert meta["features"] == list(FEATURES)
+        nn.save_checkpoint(str(path), arrays, {**meta, "features": features})
+        with pytest.raises(ValueError, match="features"):
+            load_tcn(str(path))
+
 
 class TestForecaster:
     def test_persistence_fallback_warmup(self):
@@ -201,14 +215,6 @@ class TestForecaster:
         fc.forecast()
         fc.forecast()
         assert fc.calls == 2
-
-    def test_no_model_repeats_last_row(self):
-        fc = Forecaster(None)
-        rows = np.random.default_rng(16).uniform(0, 1, size=(40, 5))
-        for row in rows:
-            fc.push(row)
-        assert np.array_equal(fc.forecast(), rows[-1])
-        assert fc.calls == 0
 
 
 def test_training_improves_on_sine_benchmark_all_seeds():
