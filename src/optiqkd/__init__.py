@@ -15,7 +15,7 @@ from .channel import (ChannelConfig, ControlState, NoiseSchedule, ScheduleEvent,
 from .tcn import (Forecaster, Normalizer, TcnConfig, TcnModel, load_tcn,
                   make_dataset, save_tcn, tcn_forward, tcn_train, train_forecaster)
 from .controller import (Action, ActorCritic, PpoConfig, RewardConfig,
-                         RolloutBuffer, act, advantages, apply_action,
+                         RolloutBuffer, act, apply_action,
                          load_policy, observe, ppo_update, reward, save_policy)
 from .loop import (ComparisonResult, EpisodeLog, LoopConfig, RunMetrics, TrainConfig,
                    adaptation_time, compare, nominal_skr_ref, run_episode, train_policy)

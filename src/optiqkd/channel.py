@@ -138,7 +138,6 @@ class Telemetry:
     e_lo: float
     e_hi: float
     v_hat: float
-    y0_hat: float
     eta_hat: float
     aborted: bool = False
     # weak-decoy observations (BB84 only; zero elsewhere)
@@ -356,7 +355,6 @@ def step_block(
         e_lo=e_lo,
         e_hi=e_hi,
         v_hat=v_hat,
-        y0_hat=link.y0,
         eta_hat=_estimate_eta(q_mu_hat, link.y0, mu_for_eta),
         q_w_hat=q_w_hat,
         e_w_hat=e_w_hat,

@@ -15,6 +15,7 @@ import json
 from dataclasses import fields, is_dataclass
 from typing import Any, Dict, Optional, Sequence
 
+from . import nn
 from .channel import ChannelConfig
 from .controller import PpoConfig, RewardConfig
 from .loop import LoopConfig, TrainConfig
@@ -141,8 +142,8 @@ def _cast(key: str, val: Any, default: Any) -> Any:
             raise ValueError(f"configuration key {key!r} has unreadable value {val!r}")
         return tuple(_cast(key, v, default[0]) for v in val)
     kind = type(default)
-    if kind is int and isinstance(val, float) and not val.is_integer():
-        raise ValueError(f"configuration key {key!r} needs an integer, got {val!r}")
+    if kind is int:
+        return nn.as_int(val, f"configuration key {key!r}")
     try:
         if isinstance(val, bool) or (kind is str and not isinstance(val, str)):
             raise TypeError

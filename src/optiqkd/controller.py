@@ -10,7 +10,7 @@ outside safe settings. Transitions are used once per update and discarded
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,8 +35,8 @@ SAFE_PHI_C = (-math.pi, math.pi)
 
 # Fixed layout of the observation vector; see observe().
 OBS_ORDER = (
-    "fc_q_mu", "fc_e_mu", "fc_v", "fc_eta", "fc_y0",
-    "tm_q_mu", "tm_e_mu", "tm_v", "tm_eta", "tm_y0",
+    "fc_q_mu", "fc_e_mu", "fc_v", "fc_eta",
+    "tm_q_mu", "tm_e_mu", "tm_v", "tm_eta",
     "ctrl_mu_s", "ctrl_mu_w", "ctrl_p_z", "ctrl_theta_c", "ctrl_phi_c",
 )
 OBS_DIM = len(OBS_ORDER)
@@ -157,7 +157,7 @@ class ActorCritic:
     it carries over from one episode to the next with the networks.
     """
 
-    def __init__(self, cfg: PpoConfig, obs_dim: int = OBS_DIM, act_dim: int = 5,
+    def __init__(self, cfg: PpoConfig, obs_dim: int = OBS_DIM, act_dim: int = len(ACTION_ORDER),
                  rng: Optional[np.random.Generator] = None):
         rng = rng or np.random.Generator(np.random.Philox(key=0))
         self.cfg = cfg
@@ -282,16 +282,6 @@ def discounted_returns(rewards: Sequence[float], gamma: float) -> np.ndarray:
     return out
 
 
-def advantages(rewards: Sequence[float], values: Sequence[float],
-               gamma: float) -> np.ndarray:
-    """Raw discounted-return advantages (standardization happens at update)."""
-    if len(rewards) == 0:
-        raise ValueError("empty rollout")
-    if len(rewards) != len(values):
-        raise ValueError("rewards and values must have equal length")
-    return discounted_returns(rewards, gamma) - np.asarray(values, dtype=float)
-
-
 def _gaussian_log_prob(mean: nn.Var, log_std: nn.Var, u: np.ndarray,
                        mask: np.ndarray) -> nn.Var:
     """Masked diagonal-Gaussian log density of pre-squash actions (B,)."""
@@ -377,9 +367,14 @@ def save_policy(path: str, nets: ActorCritic) -> None:
 
 
 def load_policy(path: str, cfg: Optional[PpoConfig] = None) -> ActorCritic:
+    """The policy a :func:`save_policy` checkpoint holds; one for another
+    ``obs_dim`` or ``act_dim``, or with a size missing or fractional, is refused."""
     arrays, meta = nn.load_checkpoint(path)
-    cfg = cfg or PpoConfig()
-    cfg = PpoConfig(**{**cfg.__dict__, "hidden": tuple(meta["hidden"])})
-    nets = ActorCritic(cfg, obs_dim=int(meta["obs_dim"]), act_dim=int(meta["act_dim"]))
+    for key, want in (("obs_dim", OBS_DIM), ("act_dim", len(ACTION_ORDER))):
+        got = nn.meta_int(path, meta, key)
+        if got != want:
+            raise ValueError(f"checkpoint {path} has {key} {got}, not {want}")
+    hidden = nn.meta_int(path, meta, "hidden", many=True)
+    nets = ActorCritic(replace(cfg or PpoConfig(), hidden=hidden))
     nn.set_params(nets.named, arrays)
     return nets

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,10 +49,6 @@ class Var:
         self._parents = tuple(parents)
         self._done = False
 
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return self.data.shape
-
     def __repr__(self) -> str:
         return f"Var(shape={self.data.shape}, leaf={not self._parents})"
 
@@ -60,24 +56,11 @@ class Var:
     def __add__(self, other):
         return add(self, _as_var(other))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return add(self, neg(_as_var(other)))
 
-    def __rsub__(self, other):
-        return add(_as_var(other), neg(self))
-
     def __mul__(self, other):
         return mul(self, _as_var(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def backward(self) -> None:
-        backward(self)
 
 
 def _as_var(x) -> Var:
@@ -107,11 +90,13 @@ def backward(loss: Var) -> None:
         for parent, _ in node._parents:
             stack.append((parent, False))
     for node in topo:
-        node.grad = np.zeros_like(node.data)
+        node.grad = None
     loss.grad = np.ones_like(loss.data)
+    # a first contribution may alias a child's grad or be read-only: add out of place
     for node in reversed(topo):
         for parent, fn in node._parents:
-            parent.grad += _unbroadcast(np.asarray(fn(node.grad)), parent.data.shape)
+            g = _unbroadcast(np.asarray(fn(node.grad)), parent.data.shape)
+            parent.grad = g if parent.grad is None else parent.grad + g
     loss._done = True
 
 
@@ -304,9 +289,6 @@ class DenseLayer:
     def __call__(self, x: Var) -> Var:
         return dense(x, self.w, self.b)
 
-    def params(self) -> List[Var]:
-        return [self.w, self.b]
-
     def named(self, prefix: str) -> Dict[str, Var]:
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
 
@@ -342,9 +324,6 @@ class Conv1dCausalLayer:
         col = np.concatenate([hist[-1 - i * self.dilation]
                               for i in range(self.kernel.data.shape[2])])
         return flat_kernel(self.kernel.data) @ col + self.bias.data
-
-    def params(self) -> List[Var]:
-        return [self.kernel, self.bias]
 
     def named(self, prefix: str) -> Dict[str, Var]:
         return {f"{prefix}.kernel": self.kernel, f"{prefix}.bias": self.bias}
@@ -437,6 +416,31 @@ def load_checkpoint(path: str) -> Tuple[Dict[str, np.ndarray], dict]:
         for entry in doc["arrays"]
     }
     return arrays, doc.get("meta", {})
+
+
+def as_int(val: Any, what: str) -> int:
+    """``val`` as an int if it is an integral number or a string of one, else
+    a :class:`ValueError` naming ``what``; config int keys and checkpoint
+    sizes share this rule, so a fraction is refused, never truncated."""
+    try:
+        if isinstance(val, bool) or (isinstance(val, float) and not val.is_integer()):
+            raise TypeError
+        return int(val)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} needs an integer, got {val!r}") from None
+
+
+def meta_int(path: str, meta: dict, key: str, many: bool = False) -> Any:
+    """Checkpoint ``path``'s metadata entry ``key`` by :func:`as_int`, or
+    with ``many`` a list of them as a tuple; a missing entry is refused."""
+    what = f"checkpoint {path} metadata {key!r}"
+    if key not in meta:
+        raise ValueError(f"{what} is missing")
+    if not many:
+        return as_int(meta[key], what)
+    if not isinstance(meta[key], list):
+        raise ValueError(f"{what} needs a list of integers, got {meta[key]!r}")
+    return tuple(as_int(v, what) for v in meta[key])
 
 
 def set_params(params: Dict[str, Var], arrays: Dict[str, np.ndarray]) -> None:

@@ -453,7 +453,7 @@ def _bb84_block(link: LinkParams, proto: ProtocolConfig, ctrl: ControlState,
                 telem: Telemetry, q: float) -> KeyRateReport:
     cfg = replace(proto, bb84=replace(proto.bb84, mu_s=ctrl.mu_s, mu_w=ctrl.mu_w))
     return _decoy_rate((telem.q_mu_hat, telem.e_mu_hat), (telem.q_w_hat, telem.e_w_hat),
-                       cfg, telem.y0_hat, link.e0, link.f_rep, q)
+                       cfg, link.y0, link.e0, link.f_rep, q)
 
 
 def _e91_block(link: LinkParams, proto: ProtocolConfig, ctrl: ControlState,

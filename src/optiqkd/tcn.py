@@ -23,7 +23,7 @@ import numpy as np
 from . import nn
 from .channel import Telemetry
 
-FEATURES = ("q_mu", "e_mu", "v", "eta", "y0")
+FEATURES = ("q_mu", "e_mu", "v", "eta")
 
 
 class DivergenceError(RuntimeError):
@@ -88,8 +88,7 @@ class Normalizer:
 
 
 def telemetry_features(telem: Telemetry) -> np.ndarray:
-    return np.array([telem.q_mu_hat, telem.e_mu_hat, telem.v_hat,
-                     telem.eta_hat, telem.y0_hat])
+    return np.array([telem.q_mu_hat, telem.e_mu_hat, telem.v_hat, telem.eta_hat])
 
 
 class TcnModel:
@@ -298,13 +297,14 @@ def save_tcn(path: str, model: TcnModel) -> None:
 def load_tcn(path: str) -> TcnModel:
     """The model a :func:`save_tcn` checkpoint holds; the ``layers`` entry of
     older checkpoints, always ``len(dilations)``, is not read. A checkpoint
-    trained on other features than :data:`FEATURES` is refused."""
+    trained on other features than :data:`FEATURES`, or with a size missing
+    or fractional, is refused."""
     arrays, meta = nn.load_checkpoint(path)
     features = meta.get("features")
     if features != list(FEATURES):
         raise ValueError(f"checkpoint {path} has features {features}, not {list(FEATURES)}")
-    cfg = TcnConfig(dilations=tuple(int(d) for d in meta["dilations"]),
-                    **{key: int(meta[key]) for key in ("kernel", "hidden", "window")})
+    cfg = TcnConfig(dilations=nn.meta_int(path, meta, "dilations", many=True),
+                    **{key: nn.meta_int(path, meta, key) for key in ("kernel", "hidden", "window")})
     model = TcnModel(cfg, np.random.Generator(np.random.Philox(key=0)))
     norm = {"norm.mean": nn.Var(model.normalizer.mean), "norm.std": nn.Var(model.normalizer.std)}
     nn.set_params({**model.named, **norm}, arrays)

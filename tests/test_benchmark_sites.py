@@ -11,7 +11,7 @@ from optiqkd.channel import SCENARIOS
 from optiqkd.loop import TrainConfig
 import numpy as np
 
-from optiqkd.tcn import Forecaster, TcnConfig, TcnModel
+from optiqkd.tcn import FEATURES, Forecaster, TcnConfig, TcnModel
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -39,9 +39,9 @@ def test_forecaster_counts_model_calls():
                      np.random.default_rng(0))
     fc = Forecaster(model)
     assert fc.calls == 0
-    fc.push(np.zeros(5))
+    fc.push(np.zeros(len(FEATURES)))
     fc.forecast()  # one row pushed: the persistence fallback
-    fc.push(np.zeros(5))
+    fc.push(np.zeros(len(FEATURES)))
     fc.forecast()
     assert fc.calls == 1
 

@@ -6,9 +6,9 @@ import pytest
 from optiqkd import nn
 from optiqkd.cli import (RATES_CSV_HEADER, TRAIN_PROGRESS_HEADER, UsageError, main,
                          parse_seeds)
-from optiqkd.controller import ActorCritic, PpoConfig, save_policy
+from optiqkd.controller import OBS_DIM, ActorCritic, PpoConfig, save_policy
 from optiqkd.loop import EPISODE_CSV_HEADER
-from optiqkd.tcn import TcnConfig, TcnModel, save_tcn
+from optiqkd.tcn import FEATURES, TcnConfig, TcnModel, save_tcn
 
 from oracles import finite_penalty_oracle, operating_point_oracle
 
@@ -359,10 +359,42 @@ class TestEval:
     def test_tcn_with_other_features_runtime_error(self, tmp_path, capsys, checkpoints):
         tcn, _ = checkpoints
         arrays, meta = nn.load_checkpoint(tcn)
-        nn.save_checkpoint(tcn, arrays, {**meta, "features": ["q", "e", "v", "eta", "y0"]})
+        nn.save_checkpoint(tcn, arrays, {**meta, "features": ["q", "e", "v", "eta"]})
         assert run(["eval", "--controllers", "static", "--seeds", "1", "--blocks", "5",
                     "--tcn", tcn, "--out", str(tmp_path / "o")]) == 2
         assert "features" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which,message", [
+        ("five-feature tcn", "has features"),
+        ("wider policy", f"has obs_dim {OBS_DIM + 2}, not {OBS_DIM}"),
+        ("tcn without window", "metadata 'window' is missing"),
+    ])
+    def test_incompatible_checkpoint_runtime_error(self, tmp_path, capsys, checkpoints,
+                                                   which, message):
+        # checkpoints of an older layout (the y0 feature: five features and
+        # two more policy inputs) or with a size missing are refused by name
+        tcn, policy = checkpoints
+        path = policy if which == "wider policy" else tcn
+        arrays, meta = nn.load_checkpoint(path)
+        if which == "five-feature tcn":
+            widen = {"conv0.kernel": 1, "head.w": 0, "head.b": 0, "norm.mean": 0, "norm.std": 0}
+            for name, axis in widen.items():
+                arrays[name] = np.insert(arrays[name], len(FEATURES), 1.0, axis=axis)
+            meta["features"] = [*FEATURES, "y0"]
+        elif which == "wider policy":
+            for name in ("actor0.w", "critic0.w"):
+                arrays[name] = np.pad(arrays[name], ((0, 0), (0, 2)))
+            meta["obs_dim"] = OBS_DIM + 2
+        else:
+            del meta["window"]
+        nn.save_checkpoint(path, arrays, meta)
+        out = tmp_path / "o"
+        assert run(["eval", "--controllers", "ml,static", "--seeds", "1", "--blocks", "20",
+                    "--set", "loop.warmup=10", "--tcn", tcn, "--policy", policy,
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint {path}" in err and message in err
+        assert not list(out.glob("episode_*.csv"))
 
     def test_empty_seeds_usage_error(self, tmp_path):
         assert run(["eval", "--seeds", "", "--out", str(tmp_path),

@@ -10,26 +10,26 @@ from optiqkd.controller import (ACTION_CAPS, Action, ActorCritic,
                                 PpoConfig, RewardConfig,
                                 RolloutBuffer, SAFE_MU_GAP, SAFE_MU_S,
                                 SAFE_MU_W, SAFE_PZ, SAFE_PHI_C, SAFE_THETA_C,
-                                act, advantages, apply_action,
+                                act, apply_action,
                                 discounted_returns, load_policy, observe,
                                 ppo_update, reward, save_policy)
 from optiqkd.rates import PROTOCOLS
-from optiqkd.tcn import Normalizer, telemetry_features
+from optiqkd.tcn import FEATURES, Normalizer, telemetry_features
 
 
 def nominal_telemetry():
     return Telemetry(block_index=0, n_pulses=10**6, n_sifted=4000, n_errors=60,
                      q_mu_hat=0.00995, e_mu_hat=0.015, e_lo=0.011, e_hi=0.019,
-                     v_hat=0.97, y0_hat=5e-6, eta_hat=0.02)
+                     v_hat=0.97, eta_hat=0.02)
 
 
-NORM = Normalizer(np.array([0.00995, 0.015, 0.97, 0.02, 5e-6]),
-                  np.array([0.001, 0.01, 0.02, 0.002, 1.0]))
+NORM = Normalizer(np.array([0.00995, 0.015, 0.97, 0.02]),
+                  np.array([0.001, 0.01, 0.02, 0.002]))
 
 
 def nominal_rows():
     """Normalized (forecast, telemetry) rows of a nominal block."""
-    return np.zeros(5), NORM.normalize(telemetry_features(nominal_telemetry()))
+    return np.zeros(len(FEATURES)), NORM.normalize(telemetry_features(nominal_telemetry()))
 
 
 class TestObserve:
@@ -44,15 +44,17 @@ class TestObserve:
         assert np.array_equal(a, b)
 
     def test_schema_order(self):
-        assert len(OBS_ORDER) == OBS_DIM == 15
-        assert OBS_ORDER[0].startswith("fc_") and OBS_ORDER[5].startswith("tm_")
+        n = len(FEATURES)
+        assert len(OBS_ORDER) == OBS_DIM == 2 * n + 5
+        assert OBS_ORDER[:n] == tuple(f"fc_{f}" for f in FEATURES)
+        assert OBS_ORDER[n:2 * n] == tuple(f"tm_{f}" for f in FEATURES)
         # control scaling: mid-box maps to 0, box edges map to +-1
         ctrl = ControlState(mu_s=SAFE_MU_S[1], mu_w=SAFE_MU_W[0], p_z=0.725,
                             theta_c=0.0, phi_c=0.0)
         obs = observe(*nominal_rows(), ctrl)
-        assert obs[10] == pytest.approx(1.0)
-        assert obs[11] == pytest.approx(-1.0)
-        assert obs[12] == pytest.approx(0.0)
+        assert obs[2 * n] == pytest.approx(1.0)
+        assert obs[2 * n + 1] == pytest.approx(-1.0)
+        assert obs[2 * n + 2] == pytest.approx(0.0)
 
 
 class TestAct:
@@ -153,23 +155,16 @@ class TestReward:
 
 
 class TestAdvantages:
-    def test_hand_example(self):
-        adv = advantages([1.0, 1.0], [0.0, 0.0], gamma=0.5)
-        assert np.allclose(adv, [1.5, 1.0])
+    """``ppo_update``'s advantage is the discounted return less the
+    critic's value; these pin the return."""
 
-    def test_exact_values_zero_advantage(self):
-        rewards = [0.5, -0.2, 1.0]
-        returns = discounted_returns(rewards, 0.9)
-        adv = advantages(rewards, returns, gamma=0.9)
-        assert np.allclose(adv, 0.0)
+    def test_hand_example(self):
+        assert np.allclose(discounted_returns([1.0, 1.0], gamma=0.5), [1.5, 1.0])
 
     def test_myopic_limit(self):
-        adv = advantages([1.0, 2.0, 3.0], [0.5, 0.5, 0.5], gamma=0.0)
+        # with a critic value of 0.5 on every step
+        adv = discounted_returns([1.0, 2.0, 3.0], gamma=0.0) - 0.5
         assert np.allclose(adv, [0.5, 1.5, 2.5])
-
-    def test_empty_rollout(self):
-        with pytest.raises(ValueError):
-            advantages([], [], gamma=0.9)
 
 
 class TestClipProperty:
@@ -260,6 +255,22 @@ class TestCheckpoint:
         b = act(loaded, obs, np.random.default_rng(9), deterministic=True)
         assert a.action == b.action
         assert a.value == b.value
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("obs_dim", OBS_DIM + 2, f"has obs_dim {OBS_DIM + 2}, not {OBS_DIM}"),
+        ("act_dim", 4, "has act_dim 4, not 5"),
+        ("obs_dim", None, "metadata 'obs_dim' is missing"),
+        ("hidden", [64, 64.5], "metadata 'hidden' needs an integer, got 64.5"),
+    ])
+    def test_other_or_malformed_sizes_refused(self, tmp_path, key, value, message):
+        path = str(tmp_path / "policy.ckpt")
+        save_policy(path, ActorCritic(PpoConfig(), rng=np.random.default_rng(6)))
+        arrays, meta = nn.load_checkpoint(path)
+        meta = {k: v for k, v in meta.items() if k != key}
+        nn.save_checkpoint(path, arrays, meta if value is None else {**meta, key: value})
+        with pytest.raises(ValueError, match="checkpoint .*policy.ckpt") as err:
+            load_policy(path)
+        assert message in str(err.value)
 
 
 def test_ppo_config_validation():

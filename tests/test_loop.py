@@ -32,7 +32,7 @@ def synthetic_log(skr_values, controller="static", scenario="synthetic", seed=0)
     log = EpisodeLog(scenario=scenario, seed=seed, controller=controller)
     telem = Telemetry(block_index=0, n_pulses=1, n_sifted=1, n_errors=0,
                       q_mu_hat=0.0, e_mu_hat=0.0, e_lo=0.0, e_hi=0.0,
-                      v_hat=1.0, y0_hat=0.0, eta_hat=0.0)
+                      v_hat=1.0, eta_hat=0.0)
     for i, v in enumerate(skr_values):
         log.records.append(BlockRecord(block=i, ctrl=ControlState(), telem=telem,
                                        skr_bps=float(v), skr_finite=0.0,

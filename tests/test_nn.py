@@ -228,7 +228,7 @@ def test_layer_containers():
     assert layer(Var(np.zeros((2, 4)))).data.shape == (2, 3)
     conv = Conv1dCausalLayer.create(3, 5, 3, 2, rng)
     assert conv(Var(np.zeros((1, 3, 9)))).data.shape == (1, 5, 9)
-    opt = Adam(layer.params() + conv.params())
+    opt = Adam([*layer.named("dense").values(), *conv.named("conv").values()])
     loss = nn.vmean(nn.square(conv(Var(rng.normal(size=(1, 3, 9))))))
     backward(loss)
     with pytest.raises(GraphStateError):

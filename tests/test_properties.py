@@ -4,7 +4,8 @@ model checkpoints), the streaming forecaster and the rate engine's bounds.
 - A ``--set key=v`` override of any numeric leaf reaches its typed config
   as exactly ``v`` (or fails with the dataclass's own ``ValueError``), and
   a JSON overlay of the same value gives the same document.
-- Random small TCN and PPO architectures save and load bit-exactly.
+- Random small TCN and PPO architectures save and load bit-exactly (a
+  policy's input and output sizes are fixed: ``load_policy`` refuses others).
 - A checkpoint array that is missing, mis-shaped or unknown is rejected
   with an error naming it, and ``optiqkd eval`` exits with code 2.
 - The streaming ``Forecaster`` matches ``tcn_forward`` over the last
@@ -148,7 +149,7 @@ def tcn_models(draw):
                     window=draw(st.integers(max(2, field), field + 8)))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.Generator(np.random.Philox(key=seed))
-    norm = Normalizer(rng.normal(size=5), rng.uniform(0.1, 2.0, size=5))
+    norm = Normalizer(rng.normal(size=len(FEATURES)), rng.uniform(0.1, 2.0, size=len(FEATURES)))
     return TcnModel(cfg, rng, norm), rng
 
 
@@ -157,9 +158,7 @@ def policies(draw):
     cfg = PpoConfig(hidden=(draw(st.integers(1, 8)), draw(st.integers(1, 8))),
                     log_std_init=draw(st.floats(-3, 1)))
     seed = draw(st.integers(0, 2**32 - 1))
-    nets = ActorCritic(cfg, obs_dim=draw(st.integers(1, 6)),
-                       act_dim=draw(st.integers(1, 5)),
-                       rng=np.random.Generator(np.random.Philox(key=seed)))
+    nets = ActorCritic(cfg, rng=np.random.Generator(np.random.Philox(key=seed)))
     return nets
 
 
@@ -179,7 +178,7 @@ def test_tcn_checkpoint_round_trip(model_rng):
         save_tcn(path, model)
         loaded = load_tcn(path)
     assert_same_arrays(model.state_arrays(), loaded.state_arrays())
-    window = rng.uniform(0.0, 1.0, size=(model.cfg.window, 5))
+    window = rng.uniform(0.0, 1.0, size=(model.cfg.window, len(FEATURES)))
     a = tcn_forward(model.normalizer.normalize(window), model)
     b = tcn_forward(loaded.normalizer.normalize(window), loaded)
     assert np.array_equal(a, b)
@@ -194,7 +193,7 @@ def test_streaming_forecast_matches_window_forward(model_rng):
     w = model.cfg.window
     fc = Forecaster(model)
     rows = []
-    for row in rng.uniform(0.0, 1.0, size=(200, 5)):
+    for row in rng.uniform(0.0, 1.0, size=(200, len(FEATURES))):
         rows.append(fc.push(row))
         if len(rows) < w:
             assert fc.forecast() is rows[-1]  # persistence until the window fills
@@ -265,7 +264,7 @@ def test_short_conv_kernel_rejected(tmp_path):
     nn.save_checkpoint(str(path), arrays, {
         "kind": "tcn", "layers": 1, "dilations": [1], "kernel": 3, "hidden": 4,
         "window": 32, "features": list(FEATURES)})
-    with pytest.raises(ValueError, match=r"'conv0\.kernel' has shape \(4, 5, 2\)"):
+    with pytest.raises(ValueError, match=rf"'conv0\.kernel' has shape \(4, {len(FEATURES)}, 2\)"):
         load_tcn(str(path))
 
 

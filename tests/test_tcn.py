@@ -11,6 +11,7 @@ from optiqkd.tcn import (FEATURES, DivergenceError, Forecaster, Normalizer, TcnC
 
 LINK = LinkParams()
 PROTO = ProtocolConfig()
+F = len(FEATURES)
 
 
 def collect_features(scenario, blocks, seed):
@@ -38,14 +39,14 @@ class TestForward:
     def test_identity_configuration_returns_last_row(self):
         # zero conv kernels + identity skip + identity head pass the last
         # input row through unchanged
-        cfg = TcnConfig(dilations=(1,), kernel=3, hidden=5, window=4)
-        model = TcnModel(cfg, np.random.default_rng(0), Normalizer.identity(5))
+        cfg = TcnConfig(dilations=(1,), kernel=3, hidden=F, window=4)
+        model = TcnModel(cfg, np.random.default_rng(0), Normalizer.identity(F))
         model.convs[0].kernel.data[:] = 0.0
         model.convs[0].bias.data[:] = 0.0
         assert model.projs[0] is None  # matching widths use an identity skip
-        model.head.w.data[:] = np.eye(5)
+        model.head.w.data[:] = np.eye(F)
         model.head.b.data[:] = 0.0
-        window = np.random.default_rng(1).uniform(0.0, 1.0, size=(4, 5))
+        window = np.random.default_rng(1).uniform(0.0, 1.0, size=(4, F))
         fc = tcn_forward(window, model)
         assert np.allclose(fc, window[-1], atol=1e-12)
 
@@ -53,7 +54,7 @@ class TestForward:
         cfg = small_cfg()
         model = TcnModel(cfg, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            tcn_forward(np.zeros((cfg.window - 1, 5)), model)
+            tcn_forward(np.zeros((cfg.window - 1, F)), model)
 
     def test_causal_invariance(self):
         # the forecast at block t is identical whether or not later blocks
@@ -77,9 +78,9 @@ class TestForward:
     def test_receptive_field_covers_window(self):
         cfg = TcnConfig(dilations=(1, 2, 4, 8), kernel=3, hidden=8, window=31)
         assert cfg.receptive_field == cfg.window
-        model = TcnModel(cfg, np.random.default_rng(3), Normalizer.identity(5))
+        model = TcnModel(cfg, np.random.default_rng(3), Normalizer.identity(F))
         rng = np.random.default_rng(4)
-        window = rng.uniform(0.2, 0.8, size=(31, 5))
+        window = rng.uniform(0.2, 0.8, size=(31, F))
         base = streamed(model, window)
         assert np.allclose(base, tcn_forward(window, model), rtol=1e-12, atol=1e-12)
         perturbed = window.copy()
@@ -115,7 +116,7 @@ class TestTraining:
         assert dataset_mse(ds, model) <= 0.5 * persistence_mse(ds, model.normalizer)
 
     def test_constant_data_learned_to_high_precision(self):
-        const = np.tile(np.array([0.3, 0.1, 0.8, 0.02, 0.0]), (60, 1))
+        const = np.tile(np.array([0.3, 0.1, 0.8, 0.02]), (60, 1))
         cfg = small_cfg(epochs=60, lr=3e-3)
         ds = make_dataset(const, cfg.window)
         model, curve = tcn_train(ds, cfg, np.random.default_rng(4))
@@ -139,8 +140,8 @@ class TestTraining:
 class TestNormalizer:
     def test_round_trip(self):
         rng = np.random.default_rng(8)
-        norm = Normalizer.calibrate(rng.uniform(0, 1, size=(100, 5)))
-        x = rng.uniform(0, 1, size=5)
+        norm = Normalizer.calibrate(rng.uniform(0, 1, size=(100, F)))
+        x = rng.uniform(0, 1, size=F)
         assert np.allclose(norm.denormalize(norm.normalize(x)), x, atol=1e-12)
 
     def test_constant_feature_guard(self):
@@ -179,9 +180,10 @@ class TestCheckpoint:
         assert all(np.array_equal(loaded.named[k].data, v.data) for k, v in model.named.items())
 
     @pytest.mark.parametrize("features", [
-        ["q", "e", "v", "eta", "y0"],              # renamed, still five
-        ["e_mu", "q_mu", "v", "eta", "y0"],        # reordered
-        ["q_mu", "e_mu", "v", "eta"],              # one short
+        ["q", "e", "v", "eta"],                    # renamed, still four
+        ["e_mu", "q_mu", "v", "eta"],              # reordered
+        ["q_mu", "e_mu", "v", "eta", "y0"],        # an older checkpoint's five
+        ["q_mu", "e_mu", "v"],                     # one short
     ])
     def test_other_feature_list_refused(self, tmp_path, features):
         path = tmp_path / "tcn.ckpt"
@@ -192,13 +194,31 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="features"):
             load_tcn(str(path))
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("window", None, "metadata 'window' is missing"),
+        ("dilations", None, "metadata 'dilations' is missing"),
+        ("kernel", 2.7, "metadata 'kernel' needs an integer, got 2.7"),
+        ("dilations", [1, 2.5], "metadata 'dilations' needs an integer, got 2.5"),
+        ("dilations", 2, "metadata 'dilations' needs a list of integers, got 2"),
+        ("hidden", True, "metadata 'hidden' needs an integer, got True"),
+    ])
+    def test_missing_or_fractional_size_refused(self, tmp_path, key, value, message):
+        path = str(tmp_path / "tcn.ckpt")
+        save_tcn(path, TcnModel(small_cfg(), np.random.default_rng(6)))
+        arrays, meta = nn.load_checkpoint(path)
+        meta = {k: v for k, v in meta.items() if k != key}
+        nn.save_checkpoint(path, arrays, meta if value is None else {**meta, key: value})
+        with pytest.raises(ValueError) as err:
+            load_tcn(path)
+        assert str(err.value) == f"checkpoint {path} {message}"
+
 
 class TestForecaster:
     def test_persistence_fallback_warmup(self):
         cfg = small_cfg()
-        model = TcnModel(cfg, np.random.default_rng(10), Normalizer.identity(5))
+        model = TcnModel(cfg, np.random.default_rng(10), Normalizer.identity(F))
         fc = Forecaster(model)
-        hist = np.random.default_rng(11).uniform(0, 1, size=(3, 5))
+        hist = np.random.default_rng(11).uniform(0, 1, size=(3, F))
         for row in hist:
             fc.push(row)
         out = fc.forecast()
@@ -207,9 +227,9 @@ class TestForecaster:
 
     def test_counts_model_calls(self):
         cfg = small_cfg()
-        model = TcnModel(cfg, np.random.default_rng(12), Normalizer.identity(5))
+        model = TcnModel(cfg, np.random.default_rng(12), Normalizer.identity(F))
         fc = Forecaster(model)
-        hist = np.random.default_rng(13).uniform(0, 1, size=(20, 5))
+        hist = np.random.default_rng(13).uniform(0, 1, size=(20, F))
         for row in hist:
             fc.push(row)
         fc.forecast()
