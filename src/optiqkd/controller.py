@@ -232,7 +232,7 @@ def act(nets: ActorCritic, obs: np.ndarray, rng: np.random.Generator,
     """
     nets.act_calls += 1
     mask = np.asarray(PROTOCOLS[protocol].mask)
-    obs_v = nn.Var(np.asarray(obs, dtype=float)[None, :])
+    obs_v = nn.const(np.asarray(obs, dtype=float)[None, :])
     mean = nets.forward_actor(obs_v).data[0]
     value = float(nets.forward_critic(obs_v).data[0])
     noise = rng.standard_normal(nets.act_dim)
@@ -286,10 +286,10 @@ def _gaussian_log_prob(mean: nn.Var, log_std: nn.Var, u: np.ndarray,
                        mask: np.ndarray) -> nn.Var:
     """Masked diagonal-Gaussian log density of pre-squash actions (B,)."""
     ls = nn.clip(log_std, -5.0, 2.0)
-    inv_sigma = nn.exp(nn.mul(ls, nn.Var(-1.0)))
-    z = nn.mul(nn.Var(u) - mean, inv_sigma)
-    terms = nn.mul(nn.square(z), nn.Var(-0.5)) - ls - nn.Var(0.5 * LOG2PI)
-    return nn.vsum(nn.mul(terms, nn.Var(mask)), axis=1)
+    inv_sigma = nn.exp(nn.mul(ls, nn.const(-1.0)))
+    z = nn.mul(nn.const(u) - mean, inv_sigma)
+    terms = nn.mul(nn.square(z), nn.const(-0.5)) - ls - nn.const(0.5 * LOG2PI)
+    return nn.vsum(nn.mul(terms, nn.const(mask)), axis=1)
 
 
 def ppo_update(buffer: RolloutBuffer, nets: ActorCritic) -> Dict[str, float]:
@@ -319,20 +319,20 @@ def ppo_update(buffer: RolloutBuffer, nets: ActorCritic) -> Dict[str, float]:
             order = rng.permutation(len(buffer))
             for start in range(0, len(order), cfg.minibatch):
                 sel = order[start:start + cfg.minibatch]
-                obs_v = nn.Var(obs[sel])
+                obs_v = nn.const(obs[sel])
                 mean = nets.forward_actor(obs_v)
                 logp = _gaussian_log_prob(mean, nets.log_std, u[sel], masks[sel])
-                ratio = nn.exp(logp - nn.Var(logp_old[sel]))
-                adv_v = nn.Var(adv[sel])
+                ratio = nn.exp(logp - nn.const(logp_old[sel]))
+                adv_v = nn.const(adv[sel])
                 surr = nn.minimum(nn.mul(ratio, adv_v),
                                   nn.mul(nn.clip(ratio, 1.0 - cfg.clip_eps,
                                                  1.0 + cfg.clip_eps), adv_v))
                 ls = nn.clip(nets.log_std, -5.0, 2.0)
-                entropy = nn.vsum(nn.mul(ls + nn.Var(0.5 * (LOG2PI + 1.0)),
-                                         nn.Var(masks[sel].mean(axis=0))))
-                policy_loss = nn.neg(nn.vmean(surr)) - nn.mul(entropy, nn.Var(cfg.entropy_weight))
-                v_pred = nets.forward_critic(nn.Var(obs[sel]))
-                value_loss = nn.vmean(nn.square(v_pred - nn.Var(returns[sel])))
+                entropy = nn.vsum(nn.mul(ls + nn.const(0.5 * (LOG2PI + 1.0)),
+                                         nn.const(masks[sel].mean(axis=0))))
+                policy_loss = nn.neg(nn.vmean(surr)) - nn.mul(entropy, nn.const(cfg.entropy_weight))
+                v_pred = nets.forward_critic(obs_v)
+                value_loss = nn.vmean(nn.square(v_pred - nn.const(returns[sel])))
                 if not (np.isfinite(policy_loss.data) and np.isfinite(value_loss.data)):
                     raise DivergenceError("non-finite PPO loss")
                 nn.backward(policy_loss)
@@ -368,13 +368,18 @@ def save_policy(path: str, nets: ActorCritic) -> None:
 
 def load_policy(path: str, cfg: Optional[PpoConfig] = None) -> ActorCritic:
     """The policy a :func:`save_policy` checkpoint holds; one for another
-    ``obs_dim`` or ``act_dim``, or with a size missing or fractional, is refused."""
+    ``obs_dim`` or ``act_dim``, or with a size missing, fractional or out of
+    :class:`PpoConfig`'s range, is refused naming the file."""
     arrays, meta = nn.load_checkpoint(path)
     for key, want in (("obs_dim", OBS_DIM), ("act_dim", len(ACTION_ORDER))):
         got = nn.meta_int(path, meta, key)
         if got != want:
             raise ValueError(f"checkpoint {path} has {key} {got}, not {want}")
     hidden = nn.meta_int(path, meta, "hidden", many=True)
-    nets = ActorCritic(replace(cfg or PpoConfig(), hidden=hidden))
+    try:
+        cfg = replace(cfg or PpoConfig(), hidden=hidden)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from None
+    nets = ActorCritic(cfg)
     nn.set_params(nets.named, arrays)
     return nets

@@ -3,9 +3,20 @@
 Reverse-mode automatic differentiation over float64 numpy arrays using a
 define-by-run graph: every operation returns a :class:`Var` that records
 its parents and the local gradient rule. Calling :func:`backward` on a
-scalar loss fills ``.grad`` on every reachable node. A model instance
-(parameters, graph, optimizer state) belongs to one thread at a time;
-there is no global state.
+scalar loss fills ``.grad`` on every reachable node that needs one.
+
+A leaf made by :func:`const` (input windows, targets, loss constants,
+observations) needs no gradient, and neither does an op whose inputs are
+all such leaves: an op records only the parents that need a gradient, so
+``backward`` never runs the closures of the others and their ``grad``
+stays ``None``. A plain ``Var(x)`` leaf gets a gradient; the operator
+sugar promotes a bare number or array to a :func:`const`.
+
+:class:`Adam` keeps its first and second moments as one flat vector each
+over the concatenated parameters, in parameter order; :func:`adam_step`
+updates them with one vectorized pass and writes each parameter's slice
+back in place. A model instance (parameters, graph, optimizer state)
+belongs to one thread at a time; there is no global state.
 """
 
 from __future__ import annotations
@@ -39,14 +50,24 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 
 
 class Var:
-    """Node in the computation graph: value plus gradient accumulator."""
+    """Node in the computation graph: value plus gradient accumulator.
 
-    __slots__ = ("data", "grad", "_parents", "_done")
+    An op node keeps only the ``parents`` that need a gradient, and needs
+    one itself only if it kept any; a leaf needs one unless built with
+    ``needs_grad=False`` (see :func:`const`).
+    """
 
-    def __init__(self, data, parents: Sequence[Tuple["Var", Callable]] = ()):
+    __slots__ = ("data", "grad", "needs_grad", "_parents", "_done")
+
+    def __init__(self, data, parents: Sequence[Tuple["Var", Callable]] = (),
+                 needs_grad: bool = True):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
-        self._parents = tuple(parents)
+        if parents:
+            parents = [pf for pf in parents if pf[0].needs_grad]
+            needs_grad = bool(parents)
+        self.needs_grad = needs_grad
+        self._parents = parents
         self._done = False
 
     def __repr__(self) -> str:
@@ -63,8 +84,13 @@ class Var:
         return mul(self, _as_var(other))
 
 
+def const(x) -> Var:
+    """A leaf that needs no gradient: ``backward`` never reaches it."""
+    return Var(x, needs_grad=False)
+
+
 def _as_var(x) -> Var:
-    return x if isinstance(x, Var) else Var(x)
+    return x if isinstance(x, Var) else const(x)
 
 
 def backward(loss: Var) -> None:
@@ -74,7 +100,8 @@ def backward(loss: Var) -> None:
     if loss._done:
         raise GraphStateError("backward already ran on this graph; run forward again")
     if not loss._parents:
-        raise GraphStateError("backward before forward: loss is not a computed node")
+        raise GraphStateError(
+            "backward before forward: loss is not computed from a node that needs a gradient")
     topo: List[Var] = []
     seen = set()
     stack = [(loss, False)]
@@ -116,7 +143,7 @@ def mul(a: Var, b: Var) -> Var:
 
 def relu(a: Var) -> Var:
     mask = a.data > 0
-    return Var(np.where(mask, a.data, 0.0), [(a, lambda g: g * mask)])
+    return Var(np.maximum(a.data, 0.0), [(a, lambda g: g * mask)])
 
 
 def tanh(a: Var) -> Var:
@@ -170,9 +197,11 @@ def clip(a: Var, lo: float, hi: float) -> Var:
 
 
 def index(a: Var, idx) -> Var:
+    """``a[idx]`` for a basic index (integers and slices), which reads each
+    element at most once, so the gradient is assigned, not accumulated."""
     def bw(g):
         out = np.zeros_like(a.data)
-        np.add.at(out, idx, g)
+        out[idx] = g
         return out
 
     return Var(a.data[idx], [(a, bw)])
@@ -203,7 +232,7 @@ def flat_kernel(kernel: np.ndarray) -> np.ndarray:
     """A conv kernel (C_out, C_in, k) as W (C_out, k*C_in), column
     ``i*C_in + c`` being ``kernel[:, c, i]``: the weights of input channel
     c delayed by i taps. :func:`conv1d_causal` and
-    :meth:`Conv1dCausalLayer.step` both read this layout."""
+    :meth:`Conv1dCausalLayer.frozen_step` both read this layout."""
     n_out, n_in, k = kernel.shape
     return kernel.transpose(0, 2, 1).reshape(n_out, k * n_in)
 
@@ -313,17 +342,25 @@ class Conv1dCausalLayer:
     def __call__(self, x: Var) -> Var:
         return conv1d_causal(x, self.kernel, self.bias, self.dilation)
 
-    def step(self, hist: Sequence[np.ndarray]) -> np.ndarray:
-        """The newest output column (C_out,) from the layer's last ``span``
-        inputs, as a plain array: no graph is built. ``hist`` holds one
-        (C_in,) input per step, oldest first (a (span, C_in) array or a
-        deque of vectors); tap i reads ``hist[-1 - i*dilation]``, so the
-        taps stack in the :func:`flat_kernel` column order."""
-        if len(hist) != self.span:
-            raise ValueError(f"step needs the last {self.span} inputs, got {len(hist)}")
-        col = np.concatenate([hist[-1 - i * self.dilation]
-                              for i in range(self.kernel.data.shape[2])])
-        return flat_kernel(self.kernel.data) @ col + self.bias.data
+    def frozen_step(self) -> Callable[[Sequence[np.ndarray]], np.ndarray]:
+        """A function giving the newest output column (C_out,) from the
+        layer's last ``span`` inputs, as a plain array: no graph is built.
+        It holds a copy of the kernel, flattened once by :func:`flat_kernel`,
+        and of the bias, so a later update of the layer is not seen.
+
+        Its argument holds one (C_in,) input per step, oldest first (a
+        (span, C_in) array or a deque of vectors); tap i reads
+        ``hist[-1 - i*dilation]``, so the taps stack in the flat kernel's
+        column order."""
+        w, bias, span = flat_kernel(self.kernel.data).copy(), self.bias.data.copy(), self.span
+        taps = [-1 - i * self.dilation for i in range(self.kernel.data.shape[2])]
+
+        def step(hist: Sequence[np.ndarray]) -> np.ndarray:
+            if len(hist) != span:
+                raise ValueError(f"step needs the last {span} inputs, got {len(hist)}")
+            return w @ np.concatenate([hist[i] for i in taps]) + bias
+
+        return step
 
     def named(self, prefix: str) -> Dict[str, Var]:
         return {f"{prefix}.kernel": self.kernel, f"{prefix}.bias": self.bias}
@@ -332,11 +369,10 @@ class Conv1dCausalLayer:
 # -- optimizer -----------------------------------------------------------
 
 def init_adam_state(params: Sequence[Var]) -> Dict:
-    return {
-        "m": [np.zeros_like(p.data) for p in params],
-        "v": [np.zeros_like(p.data) for p in params],
-        "t": 0,
-    }
+    """Adam moments ``m`` and ``v``, one flat vector each over all
+    ``params`` in order, and the step count ``t``."""
+    n = sum(p.data.size for p in params)
+    return {"m": np.zeros(n), "v": np.zeros(n), "t": 0}
 
 
 def adam_step(
@@ -350,20 +386,27 @@ def adam_step(
 ) -> Sequence[Var]:
     """Adaptive-moment update with bias correction, applied in place.
 
-    Rejects the whole step (raising :class:`NonFiniteGradientError`) if any
-    gradient entry is not finite, leaving parameters untouched.
+    The gradients are concatenated in parameter order and updated with
+    the flat moments of :func:`init_adam_state` in one vectorized pass;
+    each parameter then takes its slice of the step. Rejects the whole
+    step (raising :class:`NonFiniteGradientError`) if any gradient entry
+    is not finite, leaving parameters and ``state`` untouched.
     """
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError("non-finite gradient; step rejected")
+    g = np.concatenate([np.ravel(x) for x in grads])
+    if not np.isfinite(g).all():
+        raise NonFiniteGradientError("non-finite gradient; step rejected")
     state["t"] += 1
     t = state["t"]
-    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
-        m += (1.0 - beta1) * (g - m)
-        v += (1.0 - beta2) * (g * g - v)
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    m, v = state["m"], state["v"]
+    m += (1.0 - beta1) * (g - m)
+    v += (1.0 - beta2) * (g * g - v)
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    step = lr * m_hat / (np.sqrt(v_hat) + eps)
+    start = 0
+    for p in params:
+        p.data -= step[start:start + p.data.size].reshape(p.data.shape)
+        start += p.data.size
     return params
 
 

@@ -126,8 +126,7 @@ class TcnModel:
 
     def forward_batch(self, windows: np.ndarray) -> nn.Var:
         """windows: (B, W, F) normalized. Returns Var (B, F)."""
-        x = nn.Var(np.transpose(windows, (0, 2, 1)))  # (B, F, W)
-        h = x
+        h = nn.const(np.transpose(windows, (0, 2, 1)))  # (B, F, W)
         for conv, proj in zip(self.convs, self.projs):
             y = nn.relu(conv(h))
             skip = proj(h) if proj is not None else h
@@ -161,25 +160,20 @@ def make_dataset(features: np.ndarray, window: int) -> List[Tuple[np.ndarray, np
 def persistence_mse(dataset: Sequence[Tuple[np.ndarray, np.ndarray]],
                     normalizer: Normalizer) -> float:
     """Mean squared error of the repeat-last-row baseline (normalized units)."""
-    errs = []
-    for window, target in dataset:
-        diff = normalizer.normalize(target) - normalizer.normalize(window[-1])
-        errs.append(float(np.mean(diff**2)))
-    return float(np.mean(errs))
+    windows, targets = _stacked(dataset)
+    diff = normalizer.normalize(targets) - normalizer.normalize(windows[:, -1])
+    return float(np.mean(np.mean(diff**2, axis=1)))
 
 
-def _normalized_batch(dataset: Sequence[Tuple[np.ndarray, np.ndarray]],
-                      normalizer: Normalizer) -> Tuple[np.ndarray, np.ndarray]:
-    """Stack a dataset as normalized (N, W, F) windows and (N, F) targets."""
-    windows = np.stack([normalizer.normalize(w) for w, _ in dataset])
-    targets = np.stack([normalizer.normalize(t) for _, t in dataset])
-    return windows, targets
+def _stacked(dataset: Sequence[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.ndarray, np.ndarray]:
+    """A dataset as one (N, W, F) window array and one (N, F) target array."""
+    return np.stack([w for w, _ in dataset]), np.stack([t for _, t in dataset])
 
 
 def dataset_mse(dataset: Sequence[Tuple[np.ndarray, np.ndarray]], model: TcnModel) -> float:
     """Mean over windows of each window's mean squared forecast error
     (normalized units), evaluated ``cfg.batch_size`` windows at a time."""
-    windows, targets = _normalized_batch(dataset, model.normalizer)
+    windows, targets = map(model.normalizer.normalize, _stacked(dataset))
     errs = []
     for start in range(0, len(windows), model.cfg.batch_size):
         sl = slice(start, start + model.cfg.batch_size)
@@ -206,12 +200,13 @@ def tcn_train(
         raise ValueError("empty training dataset")
     epochs = cfg.epochs if epochs is None else epochs
     lr = cfg.lr if lr is None else lr
+    windows, targets = _stacked(dataset)
     if model is None:
-        corpus = np.concatenate([w for w, _ in dataset] + [t[None] for _, t in dataset])
+        corpus = np.concatenate([windows.reshape(-1, windows.shape[2]), targets])
         model = TcnModel(cfg, rng, Normalizer.calibrate(corpus))
     params = model.params()
     opt = nn.Adam(params, lr=lr)
-    windows, targets = _normalized_batch(dataset, model.normalizer)
+    windows, targets = map(model.normalizer.normalize, (windows, targets))
     curve: List[float] = []
     for _ in range(epochs):
         order = rng.permutation(len(dataset))
@@ -219,7 +214,7 @@ def tcn_train(
         for start in range(0, len(order), cfg.batch_size):
             sel = order[start:start + cfg.batch_size]
             pred = model.forward_batch(windows[sel])
-            loss = nn.vmean(nn.square(pred - nn.Var(targets[sel])))
+            loss = nn.vmean(nn.square(pred - nn.const(targets[sel])))
             if not np.isfinite(loss.data):
                 raise DivergenceError("forecaster training diverged")
             nn.backward(loss)
@@ -252,13 +247,20 @@ class Forecaster:
     the receptive field, this equals :func:`tcn_forward` over the last
     ``window`` rows, up to rounding. ``forecast`` repeats the last row
     (persistence) until ``window`` rows have been pushed.
+
+    The forecaster copies the model's weights when it is built, each conv
+    kernel flattened once (:meth:`nn.Conv1dCausalLayer.frozen_step`), and
+    does not see a later update of the model.
     """
 
     def __init__(self, model: TcnModel):
         self.model = model
+        self.steps = [(conv.frozen_step(), proj.frozen_step() if proj is not None else None)
+                      for conv, proj in zip(model.convs, model.projs)]
         self.queues: List[deque[np.ndarray]] = [
             deque([np.zeros(conv.kernel.data.shape[1])] * conv.span, maxlen=conv.span)
             for conv in model.convs]
+        self.head_w, self.head_b = model.head.w.data.copy(), model.head.b.data.copy()
         self.pushed = 0
         self.last: Optional[np.ndarray] = None  # newest normalized row
         self.hidden: Optional[np.ndarray] = None  # newest top-layer column
@@ -266,11 +268,9 @@ class Forecaster:
 
     def push(self, features: np.ndarray) -> np.ndarray:
         h = self.last = self.model.normalizer.normalize(features)
-        for conv, proj, queue in zip(self.model.convs, self.model.projs, self.queues):
+        for (conv, proj), queue in zip(self.steps, self.queues):
             queue.append(h)
-            y = conv.step(queue)
-            # np.maximum is nn.relu on finite values, at half its cost here
-            h = np.maximum(y, 0.0) + (proj.step((h,)) if proj is not None else h)
+            h = np.maximum(conv(queue), 0.0) + (proj((h,)) if proj is not None else h)
         self.hidden = h
         self.pushed += 1
         return self.last
@@ -279,7 +279,7 @@ class Forecaster:
         if self.pushed < self.model.cfg.window:
             return self.last
         self.calls += 1
-        return self.model.head.w.data @ self.hidden + self.model.head.b.data
+        return self.head_w @ self.hidden + self.head_b
 
 
 def save_tcn(path: str, model: TcnModel) -> None:
@@ -297,14 +297,18 @@ def save_tcn(path: str, model: TcnModel) -> None:
 def load_tcn(path: str) -> TcnModel:
     """The model a :func:`save_tcn` checkpoint holds; the ``layers`` entry of
     older checkpoints, always ``len(dilations)``, is not read. A checkpoint
-    trained on other features than :data:`FEATURES`, or with a size missing
-    or fractional, is refused."""
+    trained on other features than :data:`FEATURES`, or with a size missing,
+    fractional or out of :class:`TcnConfig`'s range, is refused naming the file."""
     arrays, meta = nn.load_checkpoint(path)
     features = meta.get("features")
     if features != list(FEATURES):
         raise ValueError(f"checkpoint {path} has features {features}, not {list(FEATURES)}")
-    cfg = TcnConfig(dilations=nn.meta_int(path, meta, "dilations", many=True),
-                    **{key: nn.meta_int(path, meta, key) for key in ("kernel", "hidden", "window")})
+    sizes = {key: nn.meta_int(path, meta, key) for key in ("kernel", "hidden", "window")}
+    dilations = nn.meta_int(path, meta, "dilations", many=True)
+    try:
+        cfg = TcnConfig(dilations=dilations, **sizes)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from None
     model = TcnModel(cfg, np.random.Generator(np.random.Philox(key=0)))
     norm = {"norm.mean": nn.Var(model.normalizer.mean), "norm.std": nn.Var(model.normalizer.std)}
     nn.set_params({**model.named, **norm}, arrays)

@@ -187,3 +187,31 @@ def conv1d_causal_oracle(x, kernel, bias, dilation, g):
         gk[:, :, i] = np.einsum("bot,bct->oc", g, tap)
     out += np.asarray(bias, dtype=float)[None, :, None]
     return out, gxp[:, :, pad:], gk
+
+
+def adam_step_oracle(params, grads, state, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam (Kingma and Ba, arXiv:1412.6980) one array at a time: updates
+    the arrays ``params`` in place, with ``state`` holding one ``m`` and one
+    ``v`` array per parameter and the step count ``t``."""
+    state["t"] += 1
+    t = state["t"]
+    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
+        m += (1.0 - beta1) * (g - m)
+        v += (1.0 - beta2) * (g * g - v)
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def relu_oracle(x, g):
+    """ReLU of ``x`` by ``np.where`` and its gradient for upstream ``g``."""
+    mask = x > 0
+    return np.where(mask, x, 0.0), g * mask
+
+
+def index_oracle(x, idx, g):
+    """``x[idx]`` and its gradient for upstream ``g``, accumulated with
+    ``np.add.at`` (right for any index, repeated elements included)."""
+    grad = np.zeros_like(x)
+    np.add.at(grad, idx, g)
+    return x[idx], grad

@@ -1,8 +1,9 @@
 """The benchmark in ``perfbench/`` times functions by replacing them at the
-names its ``tracer.CALL_SITES`` lists, and runs commands on the scenarios
-its ``workloads`` names. Only its traced smoke test, outside this suite,
-runs those; these checks fail here first when a listed name is renamed,
-moved or dropped."""
+names its ``tracer.CALL_SITES`` lists, runs commands on the scenarios its
+``workloads`` names, and times the nn kernels in ``kernels``. Only its
+traced smoke test, outside this suite, runs the first two; these checks
+fail here first when a listed name is renamed, moved or dropped, or when
+a kernel case no longer runs."""
 
 import importlib.util
 from pathlib import Path
@@ -51,3 +52,12 @@ def test_benchmark_scenarios_are_named_scenarios():
     assert load("workloads").SCENARIO in SCENARIOS
     train = TrainConfig()
     assert set(train.tcn_scenarios + train.ppo_scenarios) <= set(SCENARIOS)
+
+
+def test_kernel_micro_timings_run():
+    # the kernel cases call nn with its own layouts (the Adam state among
+    # them); every case must run and give a finite, positive time
+    out = load("kernels").run_kernels(0)
+    assert len(out) == 7
+    for name, case in out.items():
+        assert np.isfinite(case["us"]) and case["us"] > 0, name

@@ -368,13 +368,17 @@ class TestEval:
         ("five-feature tcn", "has features"),
         ("wider policy", f"has obs_dim {OBS_DIM + 2}, not {OBS_DIM}"),
         ("tcn without window", "metadata 'window' is missing"),
+        ("tcn window below its receptive field",
+         "window (2) must be >= the receptive field (5)"),
+        ("three-layer policy", "hidden must be two widths >= 1, got (8, 8, 8)"),
     ])
     def test_incompatible_checkpoint_runtime_error(self, tmp_path, capsys, checkpoints,
                                                    which, message):
         # checkpoints of an older layout (the y0 feature: five features and
-        # two more policy inputs) or with a size missing are refused by name
+        # two more policy inputs), with a size missing or with sizes their
+        # config refuses are refused by name
         tcn, policy = checkpoints
-        path = policy if which == "wider policy" else tcn
+        path = policy if "policy" in which else tcn
         arrays, meta = nn.load_checkpoint(path)
         if which == "five-feature tcn":
             widen = {"conv0.kernel": 1, "head.w": 0, "head.b": 0, "norm.mean": 0, "norm.std": 0}
@@ -385,8 +389,12 @@ class TestEval:
             for name in ("actor0.w", "critic0.w"):
                 arrays[name] = np.pad(arrays[name], ((0, 0), (0, 2)))
             meta["obs_dim"] = OBS_DIM + 2
-        else:
+        elif which == "tcn without window":
             del meta["window"]
+        elif which == "three-layer policy":
+            meta["hidden"] = [8, 8, 8]
+        else:
+            meta["kernel"] = 5
         nn.save_checkpoint(path, arrays, meta)
         out = tmp_path / "o"
         assert run(["eval", "--controllers", "ml,static", "--seeds", "1", "--blocks", "20",

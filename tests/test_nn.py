@@ -9,7 +9,11 @@ from optiqkd.nn import (Adam, Conv1dCausalLayer, DenseLayer, GraphStateError,
                         conv1d_causal, dense, init_adam_state, load_checkpoint,
                         relu, residual_add, save_checkpoint)
 
-from oracles import conv1d_causal_oracle, fd_gradient, max_rel_err
+from optiqkd.controller import ActorCritic, PpoConfig
+from optiqkd.tcn import TcnConfig, TcnModel
+
+from oracles import (adam_step_oracle, conv1d_causal_oracle, fd_gradient, index_oracle,
+                     max_rel_err, relu_oracle)
 
 
 class TestConvCausal:
@@ -73,18 +77,44 @@ class TestConvCausal:
         x = rng.normal(size=(1, c_in, 40))
         full = layer(Var(x)).data[0]
         assert layer.span == (k - 1) * dilation + 1
+        step_fn = layer.frozen_step()
         for t in range(layer.span - 1, 40):
             hist = x[0, :, t + 1 - layer.span:t + 1].T  # one row per step, oldest first
-            step = layer.step(hist)
+            step = step_fn(hist)
             assert isinstance(step, np.ndarray)
             np.testing.assert_allclose(step, full[:, t], rtol=1e-12, atol=1e-12)
         with pytest.raises(ValueError, match="last"):
-            layer.step(hist[1:])
+            step_fn(hist[1:])
 
 
 class TestElementwise:
     def test_relu(self):
         assert np.allclose(relu(Var(np.array([-1.0, 0.0, 2.0]))).data, [0.0, 0.0, 2.0])
+
+    def test_relu_matches_oracle(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(8, 5, 7))
+        x[0, 0, :3] = 0.0  # the kink: no gradient, as the mask has it
+        g = rng.normal(size=x.shape)
+        ref_out, ref_grad = relu_oracle(x, g)
+        xv = Var(x)
+        out = relu(xv)
+        backward(nn.vsum(nn.mul(out, Var(g))))
+        assert np.array_equal(out.data, ref_out)
+        assert np.array_equal(xv.grad, ref_grad)
+
+    @pytest.mark.parametrize("idx", [(slice(None), slice(None), -1),
+                                     (slice(None), 0), (slice(1, 3), 2, slice(None, None, 2))])
+    def test_index_matches_oracle(self, idx):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(4, 5, 6))
+        g = rng.normal(size=x[idx].shape)
+        ref_out, ref_grad = index_oracle(x, idx, g)
+        xv = Var(x)
+        out = nn.index(xv, idx)
+        backward(nn.vsum(nn.mul(out, Var(g))))
+        assert np.array_equal(out.data, ref_out)
+        assert np.array_equal(xv.grad, ref_grad)
 
     def test_residual_identity(self):
         x = np.array([1.0, -2.0])
@@ -154,6 +184,65 @@ class TestBackward:
             backward(nn.vsum(Var(np.zeros(3))) + Var(np.zeros(2)))  # non-scalar
 
 
+class TestNoGrad:
+    def test_const_leaf_closure_never_runs(self):
+        x, c = Var(np.array([1.0, 2.0])), nn.const(np.array([3.0, -1.0]))
+        calls = []
+
+        def spy(g):
+            calls.append(g)
+            return g
+
+        node = Var(x.data * c.data, [(x, lambda g: g * c.data), (c, spy)])
+        backward(nn.vsum(node))
+        assert calls == []
+        assert c.grad is None and not c.needs_grad
+        assert np.array_equal(x.grad, c.data)
+
+    def test_op_on_consts_needs_no_gradient(self):
+        y = nn.mul(nn.const(np.ones(3)), nn.const(np.full(3, 2.0)))
+        assert not y.needs_grad
+        z = nn.square(nn.Var(np.ones(3)) - np.ones(3))  # sugar promotes to a const
+        assert z.needs_grad and len(z._parents) == 1
+
+    def test_plain_var_input_keeps_its_gradient(self):
+        # a const input drops only its own branch: the kernel and bias
+        # gradients are bitwise those of a plain Var input, whose gradient
+        # still matches the einsum oracle
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(4, 5, 16))
+        kern, bias = rng.normal(size=(6, 5, 3)), rng.normal(size=6)
+        g = rng.normal(size=(4, 6, 16))
+        grads = {}
+        for leaf in (Var, nn.const):
+            xv, kv, bv = leaf(x), Var(kern), Var(bias)
+            backward(nn.vsum(nn.mul(conv1d_causal(xv, kv, bv, dilation=2), nn.const(g))))
+            grads[leaf] = (xv.grad, kv.grad, bv.grad)
+        assert grads[nn.const][0] is None
+        assert all(np.array_equal(a, b) for a, b in zip(grads[Var][1:], grads[nn.const][1:]))
+        _, ref_gx, _ = conv1d_causal_oracle(x, kern, bias, 2, g)
+        assert max_rel_err(grads[Var][0], ref_gx, floor=1.0) < 1e-12
+
+    def test_tcn_input_windows_get_no_gradient(self):
+        model = TcnModel(TcnConfig(dilations=(1, 2), hidden=6, window=8),
+                         np.random.default_rng(9))
+        loss = nn.vmean(nn.square(model.forward_batch(
+            np.random.default_rng(10).normal(size=(3, 8, 4)))))
+        nodes, stack = [], [loss]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            stack.extend(parent for parent, _ in node._parents)
+        assert all(node.needs_grad for node in nodes)
+        # conv0 and proj0 read the windows: their kernel and bias are their only parents
+        for layer in (model.convs[0], model.projs[0]):
+            outs = [n for n in nodes if any(p is layer.kernel for p, _ in n._parents)]
+            assert outs and all([p for p, _ in n._parents] == [layer.kernel, layer.bias]
+                                for n in outs)
+        backward(loss)
+        assert all(p.grad is not None for p in model.params())
+
+
 class TestAdam:
     def test_zero_gradient_no_move(self):
         p = Var(np.array([1.0, -2.0]))
@@ -182,6 +271,45 @@ class TestAdam:
         with pytest.raises(NonFiniteGradientError):
             adam_step([p], [np.array([np.nan])], state)
         assert p.data[0] == 1.0
+
+    @staticmethod
+    def _mixed_params():
+        rng = np.random.default_rng(11)
+        return (TcnModel(TcnConfig(), rng).params()
+                + ActorCritic(PpoConfig(), rng=rng).actor_params())
+
+    def test_flat_matches_per_array_oracle(self):
+        params = self._mixed_params()
+        ref = [p.data.copy() for p in params]
+        ref_state = {"m": [np.zeros_like(a) for a in ref],
+                     "v": [np.zeros_like(a) for a in ref], "t": 0}
+        state = init_adam_state(params)
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            grads = [rng.normal(size=p.data.shape) * 1e-2 for p in params]
+            adam_step(params, grads, state, lr=3e-3)
+            adam_step_oracle(ref, grads, ref_state, lr=3e-3)
+            assert all(np.array_equal(p.data, a) for p, a in zip(params, ref))
+        assert state["t"] == ref_state["t"] == 5
+        assert np.array_equal(state["m"], np.concatenate([m.ravel() for m in ref_state["m"]]))
+        assert np.array_equal(state["v"], np.concatenate([v.ravel() for v in ref_state["v"]]))
+
+    def test_nonfinite_leaves_params_and_state_untouched(self):
+        params = self._mixed_params()
+        state = init_adam_state(params)
+        rng = np.random.default_rng(13)
+        for _ in range(2):
+            adam_step(params, [rng.normal(size=p.data.shape) for p in params], state)
+        before = ([p.data.copy() for p in params], state["m"].copy(), state["v"].copy())
+        for bad in (np.nan, np.inf):
+            grads = [rng.normal(size=p.data.shape) for p in params]
+            grads[-3].flat[1] = bad
+            with pytest.raises(NonFiniteGradientError):
+                adam_step(params, grads, state)
+            assert all(np.array_equal(p.data, a) for p, a in zip(params, before[0]))
+            assert np.array_equal(state["m"], before[1])
+            assert np.array_equal(state["v"], before[2])
+            assert state["t"] == 2
 
 
 class TestNumericalHygiene:
