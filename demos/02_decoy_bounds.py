@@ -19,7 +19,8 @@ for d in range(0, 151, 15):
     eta = transmittance(link)
     y1 = min(link.y0 + eta, 1.0)
     e1 = min((link.e0 * link.y0 + link.e_d * eta) / y1, 1.0)
-    b = decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu), proto, link.y0)
+    b = decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu), proto.bb84.mu_s, proto.bb84.mu_w,
+                     link.y0)
     slack = 100.0 * (y1 - b.y1_lower) / y1
     print(f"{d:>5} {y1:>12.5e} {b.y1_lower:>12.5e} {slack:>8.2f} "
           f"{e1:>10.5f} {b.e1_upper:>10.5f}")

@@ -38,6 +38,8 @@ PHASE_REVERSION = 0.05
 PHASE_STEP_SCALE = 0.05
 PHASE_BOUND = math.pi
 
+Z_95 = NormalDist().inv_cdf(0.975)  # two-sided 95% normal quantile
+
 TELEMETRY_CSV_HEADER = (
     "block,n_pulses,n_sifted,n_errors,q_mu_hat,e_mu_hat,e_lo,e_hi,v_hat,eta_hat,aborted"
 )
@@ -245,7 +247,7 @@ def wilson_interval(n_err: int, n: int, conf: float = 0.95) -> Tuple[float, floa
         raise ValueError("need 0 <= n_err <= n")
     if n == 0:
         return 0.0, 1.0
-    z = NormalDist().inv_cdf(0.5 + conf / 2.0)
+    z = Z_95 if conf == 0.95 else NormalDist().inv_cdf(0.5 + conf / 2.0)
     p = n_err / n
     z2 = z * z
     denom = 1.0 + z2 / n

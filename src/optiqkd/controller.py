@@ -5,13 +5,18 @@ boxes; a safety filter then clamps the resulting absolute parameters into
 their allowed operating ranges, so no sampled action can push the link
 outside safe settings. Transitions are used once per update and discarded
 (on-policy buffer).
+
+Inference (:meth:`ActorCritic.mean_value`, which :func:`act` calls once
+per block) runs on plain arrays and reads each layer's live weights on
+every call: unlike ``tcn.Forecaster`` it keeps no copy, so it follows
+``ppo_update`` mid-episode and a checkpoint restored by ``nn.set_params``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -147,6 +152,21 @@ def _mlp(sizes: Sequence[int], rng: np.random.Generator,
     return layers
 
 
+def _mlp_forward(layers: Sequence[nn.DenseLayer], h, dense: Callable, tanh: Callable):
+    """The layer stack on input ``h`` (B, n_in): ``tanh`` after every
+    ``dense(h, w, b)`` but the last. ``nn.dense``/``nn.tanh`` build the
+    graph; :func:`_dense_array`/``np.tanh`` compute the same values on
+    plain arrays."""
+    for layer in layers[:-1]:
+        h = tanh(dense(h, layer.w, layer.b))
+    return dense(h, layers[-1].w, layers[-1].b)
+
+
+def _dense_array(x: np.ndarray, w: nn.Var, b: nn.Var) -> np.ndarray:
+    """``nn.dense``'s forward arithmetic on a plain (B, n_in) array."""
+    return x @ w.data.T + b.data
+
+
 class ActorCritic:
     """Gaussian policy with tanh squashing plus a state-value critic.
 
@@ -184,16 +204,18 @@ class ActorCritic:
         return [p for name, p in self.named.items() if name.startswith("critic")]
 
     def forward_actor(self, obs: nn.Var) -> nn.Var:
-        h = obs
-        for layer in self.actor[:-1]:
-            h = nn.tanh(layer(h))
-        return self.actor[-1](h)
+        return _mlp_forward(self.actor, obs, nn.dense, nn.tanh)
 
     def forward_critic(self, obs: nn.Var) -> nn.Var:
-        h = obs
-        for layer in self.critic[:-1]:
-            h = nn.tanh(layer(h))
-        return nn.index(self.critic[-1](h), (slice(None), 0))
+        return nn.index(_mlp_forward(self.critic, obs, nn.dense, nn.tanh), (slice(None), 0))
+
+    def mean_value(self, obs: np.ndarray) -> Tuple[np.ndarray, float]:
+        """The actor's mean (act_dim,) and the critic's value at one
+        observation, bitwise equal to :meth:`forward_actor` and
+        :meth:`forward_critic` at batch 1, with no graph built."""
+        x = np.asarray(obs, dtype=float)[None, :]
+        mean = _mlp_forward(self.actor, x, _dense_array, np.tanh)[0]
+        return mean, float(_mlp_forward(self.critic, x, _dense_array, np.tanh)[0, 0])
 
     def sigma(self) -> np.ndarray:
         return np.exp(np.clip(self.log_std.data, -5.0, 2.0))
@@ -232,9 +254,7 @@ def act(nets: ActorCritic, obs: np.ndarray, rng: np.random.Generator,
     """
     nets.act_calls += 1
     mask = np.asarray(PROTOCOLS[protocol].mask)
-    obs_v = nn.const(np.asarray(obs, dtype=float)[None, :])
-    mean = nets.forward_actor(obs_v).data[0]
-    value = float(nets.forward_critic(obs_v).data[0])
+    mean, value = nets.mean_value(obs)
     noise = rng.standard_normal(nets.act_dim)
     if not (np.all(np.isfinite(mean)) and math.isfinite(value)):
         return ActionSample(Action.from_vector(np.zeros(nets.act_dim), mask),

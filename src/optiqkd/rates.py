@@ -17,7 +17,7 @@ into this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Tuple, Union
 
 if TYPE_CHECKING:
@@ -223,18 +223,19 @@ def bb84_model_gains(link: LinkParams, mu: float) -> GainStats:
 def decoy_bounds(
     obs_s: Tuple[float, float],
     obs_w: Tuple[float, float],
-    cfg: ProtocolConfig,
+    mu_s: float,
+    mu_w: float,
     y0: float,
     e0: float = 0.5,
 ) -> DecoyBounds:
     """Two-intensity (signal + weak decoy) analytic bounds.
 
     ``obs_s`` and ``obs_w`` are observed (gain, QBER) pairs at the signal
-    and weak intensities. The vacuum yield ``y0`` is assumed known from
-    calibration. Raises :class:`BoundInfeasibleError` when the observations
-    are mutually inconsistent (no non-negative Y1 exists).
+    and weak intensities ``mu_s`` and ``mu_w``. The vacuum yield ``y0`` is
+    assumed known from calibration. Raises :class:`BoundInfeasibleError`
+    when the observations are mutually inconsistent (no non-negative Y1
+    exists).
     """
-    mu_s, mu_w = cfg.bb84.mu_s, cfg.bb84.mu_w
     q_s, _ = obs_s
     q_w, e_w = obs_w
     if not (0.0 < mu_w < mu_s):
@@ -417,23 +418,24 @@ def _cow_key_fraction(proto: ProtocolConfig, p_z: float) -> float:
 
 
 def _decoy_rate(obs_s: Tuple[float, float], obs_w: Tuple[float, float],
-                cfg: ProtocolConfig, y0: float, e0: float, f_rep: float,
+                mu_s: float, mu_w: float, link: LinkParams, proto: ProtocolConfig,
                 q: float) -> KeyRateReport:
-    """BB84 rate from the signal and weak-decoy (gain, QBER) pairs. An
-    infeasible bound certifies no single photons, which gives a zero rate."""
+    """BB84 rate from the (gain, QBER) pairs at the signal and weak-decoy
+    intensities. An infeasible bound certifies no single photons, which
+    gives a zero rate."""
     try:
-        bounds = decoy_bounds(obs_s, obs_w, cfg, y0, e0)
+        bounds = decoy_bounds(obs_s, obs_w, mu_s, mu_w, link.y0, link.e0)
     except BoundInfeasibleError:
         bounds = DecoyBounds(0.0, 0.0, 0.5)
-    return bb84_key_rate(bounds, min(obs_s[0], 1.0), min(obs_s[1], 1.0), cfg,
-                         f_rep=f_rep, q=q)
+    return bb84_key_rate(bounds, min(obs_s[0], 1.0), min(obs_s[1], 1.0), proto,
+                         f_rep=link.f_rep, q=q)
 
 
 def _bb84_point(link: LinkParams, proto: ProtocolConfig, q: float):
     gs = bb84_model_gains(link, proto.bb84.mu_s)
     gw = bb84_model_gains(link, proto.bb84.mu_w)
-    rep = _decoy_rate((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu), proto,
-                      link.y0, link.e0, link.f_rep, q)
+    rep = _decoy_rate((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu),
+                      proto.bb84.mu_s, proto.bb84.mu_w, link, proto, q)
     return gs.q_mu, gs.e_mu, rep
 
 
@@ -451,9 +453,8 @@ def _cow_point(link: LinkParams, proto: ProtocolConfig, q: float):
 
 def _bb84_block(link: LinkParams, proto: ProtocolConfig, ctrl: ControlState,
                 telem: Telemetry, q: float) -> KeyRateReport:
-    cfg = replace(proto, bb84=replace(proto.bb84, mu_s=ctrl.mu_s, mu_w=ctrl.mu_w))
     return _decoy_rate((telem.q_mu_hat, telem.e_mu_hat), (telem.q_w_hat, telem.e_w_hat),
-                       cfg, link.y0, link.e0, link.f_rep, q)
+                       ctrl.mu_s, ctrl.mu_w, link, proto, q)
 
 
 def _e91_block(link: LinkParams, proto: ProtocolConfig, ctrl: ControlState,

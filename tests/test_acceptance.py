@@ -41,7 +41,7 @@ from optiqkd.controller import (ActorCritic, PpoConfig, RolloutBuffer,
                                 load_policy, ppo_update, save_policy)
 from optiqkd.loop import (TrainConfig, adaptation_time, bootstrap_ci, compare,
                           run_episode, train_policy)
-from optiqkd.rates import (Bb84Config, LinkParams, ProtocolConfig, bb84_gains,
+from optiqkd.rates import (LinkParams, ProtocolConfig, bb84_gains,
                            bb84_key_rate, bb84_model_gains,
                            bb84_sifted_key_rate, cow_key_rate,
                            cow_phase_error, decoy_bounds, e91_key_rate,
@@ -134,7 +134,7 @@ def test_01_rate_engine_exactness():
         ob_w = poisson_gains_oracle(0.1, eta, link.y0, link.e_d)
         worst = max(worst, max_rel_err(gs.q_mu, ob_s["q_mu"], floor=1e-30),
                     max_rel_err(gs.e_mu, ob_s["e_mu"], floor=1e-30))
-        bounds = decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu), PROTO, link.y0)
+        bounds = decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu), 0.5, 0.1, link.y0)
         rep = bb84_key_rate(bounds, gs.q_mu, gs.e_mu, PROTO, q=0.5)
         from oracles import decoy_bounds_oracle
         y1o, e1o = decoy_bounds_oracle(ob_s["q_mu"], ob_w["q_mu"], ob_w["e_mu"],
@@ -176,9 +176,8 @@ def test_02_decoy_bound_safety():
         eta = transmittance_oracle(0.2, d, 0.2)
         ob_s = poisson_gains_oracle(mu_s, eta, y0, e_d)
         ob_w = poisson_gains_oracle(mu_w, eta, y0, e_d)
-        cfg = ProtocolConfig(bb84=Bb84Config(mu_s=mu_s, mu_w=mu_w))
         b = decoy_bounds((ob_s["q_mu"], ob_s["e_mu"]),
-                         (ob_w["q_mu"], ob_w["e_mu"]), cfg, y0)
+                         (ob_w["q_mu"], ob_w["e_mu"]), mu_s, mu_w, y0)
         if b.y1_lower > ob_s["y1"] + 1e-12 or b.e1_upper < min(ob_s["e1"], 0.5) - 1e-12:
             violations += 1
     elapsed = time.monotonic() - t0

@@ -98,6 +98,66 @@ class TestAct:
         assert s.action.as_vector().tolist() == [0.0] * 5
 
 
+def graph_mean_value(nets, obs):
+    """The batch-1 graph forward that ``ppo_update`` differentiates."""
+    x = nn.const(obs[None, :])
+    return nets.forward_actor(x).data[0], float(nets.forward_critic(x).data[0])
+
+
+def assert_mean_value_is_graph(nets, seed):
+    for obs in np.random.default_rng(seed).uniform(-1, 1, (50, OBS_DIM)):
+        mean, value = nets.mean_value(obs)
+        g_mean, g_value = graph_mean_value(nets, obs)
+        assert np.array_equal(mean, g_mean)
+        assert np.array_equal(value, g_value)
+
+
+class TestMeanValue:
+    def test_equals_graph_forward(self):
+        assert_mean_value_is_graph(ActorCritic(PpoConfig(), rng=np.random.default_rng(0)), 10)
+
+    def test_reads_weights_moved_by_update(self):
+        nets = ActorCritic(PpoConfig(rollout=64, minibatch=32, lr=1e-2),
+                           rng=np.random.default_rng(0))
+        rng = np.random.default_rng(11)
+        probe = rng.uniform(-1, 1, OBS_DIM)
+        before, _ = nets.mean_value(probe)
+        mask = np.asarray(PROTOCOLS["bb84"].mask)
+        for _ in range(64):
+            obs = rng.uniform(-1, 1, OBS_DIM)
+            s = act(nets, obs, rng)
+            nets.buffer.add(obs, s.pre_squash, s.log_prob, s.value, rng.normal(), mask)
+        ppo_update(nets.buffer, nets)
+        assert not np.array_equal(nets.mean_value(probe)[0], before)
+        assert_mean_value_is_graph(nets, 12)
+
+    def test_reads_weights_set_by_load(self, tmp_path):
+        trained = ActorCritic(PpoConfig(), rng=np.random.default_rng(13))
+        path = str(tmp_path / "policy.ckpt")
+        save_policy(path, trained)
+        loaded = load_policy(path)
+        assert_mean_value_is_graph(loaded, 14)
+        obs = np.random.default_rng(15).uniform(-1, 1, OBS_DIM)
+        assert np.array_equal(loaded.mean_value(obs)[0], trained.mean_value(obs)[0])
+
+    def test_act_builds_no_graph(self, monkeypatch):
+        nets = ActorCritic(PpoConfig(), rng=np.random.default_rng(0))
+        made = []
+        init = nn.Var.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(nn.Var, "__init__", counting_init)
+        rng = np.random.default_rng(16)
+        for _ in range(5):
+            act(nets, rng.uniform(-1, 1, OBS_DIM), rng)
+        assert not made
+        graph_mean_value(nets, np.zeros(OBS_DIM))
+        assert made  # the counter sees a graph forward
+
+
 class TestSafetyFilter:
     def test_clamp_to_boxes_property(self):
         rng = np.random.default_rng(4)

@@ -1,0 +1,75 @@
+"""Fixed-seed outputs pinned by hash.
+
+For each protocol a tiny ``train tcn`` and ``train ppo`` make the
+checkpoints, and one ``eval ml,static,recalib`` (one seed, 300 blocks)
+writes the episode and metrics CSVs, all through ``cli.main`` in this
+process. ``golden/manifest.json`` holds the sha256 of each CSV and the
+numpy and BLAS builds it was made with, because ML bytes depend on the
+BLAS summation order. A change that moves outputs on purpose rewrites the
+manifest with ``python tests/golden/rewrite_manifest.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+from typing import Dict
+
+import numpy as np
+
+from optiqkd.cli import main
+
+MANIFEST = Path(__file__).resolve().parent / "golden" / "manifest.json"
+PROTOCOLS = ("bb84", "e91", "cow")
+TINY = [
+    "--set", "tcn.dilations=1,2", "--set", "tcn.hidden=6",
+    "--set", "tcn.window=8", "--set", "tcn.epochs=3",
+    "--set", "train.tcn_blocks=60", "--set", "train.tcn_scenarios=[\"nominal\"]",
+    "--set", "ppo.rollout=32", "--set", "ppo.minibatch=16",
+    "--set", "train.ppo_updates=4", "--set", "train.ppo_blocks=40",
+]
+
+
+def build_info() -> Dict[str, str]:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_build = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict form
+        blas_build = "unknown"
+    return {"numpy": np.__version__, "blas": blas_build}
+
+
+def run_set(out: Path) -> Dict[str, str]:
+    """Run the fixed-seed set under ``out``; the sha256 of each eval CSV,
+    keyed ``protocol/file``."""
+    hashes = {}
+    for proto in PROTOCOLS:
+        d = out / proto
+        tcn, policy = str(d / "tcn_seed1.ckpt"), str(d / "policy_seed1.ckpt")
+        commands = (
+            ["train", "tcn", "--seed", "1", "--out", str(d)],
+            ["train", "ppo", "--seed", "1", "--tcn", tcn, "--out", str(d)],
+            ["eval", "--controllers", "ml,static,recalib", "--seeds", "1", "--blocks", "300",
+             "--tcn", tcn, "--policy", policy, "--out", str(d / "eval")],
+        )
+        for argv in commands:
+            argv = argv + ["--protocol", proto] + TINY
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            if code != 0:
+                raise RuntimeError(f"optiqkd {' '.join(argv)} exited {code}")
+        for path in sorted((d / "eval").glob("*.csv")):
+            hashes[f"{proto}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return hashes
+
+
+def test_fixed_seed_outputs_match_manifest(tmp_path):
+    manifest = json.loads(MANIFEST.read_text())
+    got, want = run_set(tmp_path), manifest["sha256"]
+    changed = sorted(name for name in set(got) | set(want) if got.get(name) != want.get(name))
+    assert not changed, (
+        f"{len(changed)} fixed-seed outputs differ from {MANIFEST.name}: {', '.join(changed)}; "
+        f"manifest made with {manifest['build']}, this run with {build_info()}")

@@ -307,9 +307,8 @@ def test_decoy_bounds_bracket_single_photon_terms(mu_s, weak, log_eta, log_y0, e
     eta, y0, e0 = 10.0**log_eta, 10.0**log_y0, 0.5
     mu_w = weak * mu_s
     gs, gw = bb84_gains(mu_s, eta, y0, e_d, e0), bb84_gains(mu_w, eta, y0, e_d, e0)
-    cfg = ProtocolConfig(bb84=Bb84Config(mu_s=mu_s, mu_w=mu_w))
     try:
-        bounds = decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu), cfg, y0, e0)
+        bounds = decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu), mu_s, mu_w, y0, e0)
     except BoundInfeasibleError:
         return  # no bound is claimed
     assert bounds.y1_lower <= y0 + eta

@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from optiqkd.channel import ControlState, Telemetry
 from optiqkd.rates import (Bb84Config, BoundInfeasibleError,
                            FiniteKeyConfig, GainStats, LinkParams,
                            ProtocolConfig, bb84_gains, bb84_key_rate,
                            bb84_model_gains, bb84_sifted_key_rate, binary_entropy,
-                           cow_key_rate, cow_phase_error, cow_visibility, decoy_bounds,
-                           e91_key_rate, e91_quantities, finite_key_penalty,
-                           finite_key_rate, transmittance)
+                           block_key_rate, cow_key_rate, cow_phase_error,
+                           cow_visibility, decoy_bounds, e91_key_rate, e91_quantities,
+                           finite_key_penalty, finite_key_rate, transmittance)
 
 from oracles import (bb84_rate_oracle, cow_rate_oracle, cow_visibility_oracle,
-                     e91_rate_oracle, finite_penalty_oracle, h2_oracle,
-                     poisson_gains_oracle, transmittance_oracle)
+                     decoy_bounds_oracle, e91_rate_oracle, finite_penalty_oracle,
+                     h2_oracle, poisson_gains_oracle, transmittance_oracle)
 
 LINK = LinkParams()
 PROTO = ProtocolConfig()
@@ -101,7 +102,7 @@ class TestDecoyBounds:
     def test_bounds_bracket_truth_at_defaults(self):
         gs = bb84_model_gains(LINK, 0.5)
         gw = bb84_model_gains(LINK, 0.1)
-        b = decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu), PROTO, LINK.y0)
+        b = decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu), 0.5, 0.1, LINK.y0)
         oracle = poisson_gains_oracle(0.5, 0.02, 5e-6, 0.015)
         assert b.y1_lower <= oracle["y1"] + 1e-15
         assert b.e1_upper >= oracle["e1"] - 1e-15
@@ -110,10 +111,9 @@ class TestDecoyBounds:
         assert b.q1_lower == pytest.approx(b.y1_lower * 0.5 * math.exp(-0.5), rel=1e-12)
 
     def test_lossless_weak_limit(self):
-        cfg = ProtocolConfig(bb84=Bb84Config(mu_s=0.5, mu_w=1e-6))
         gs = bb84_gains(0.5, eta=1.0, y0=0.0, e_d=0.0)
         gw = bb84_gains(1e-6, eta=1.0, y0=0.0, e_d=0.0)
-        b = decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu), cfg, 0.0)
+        b = decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu), 0.5, 1e-6, 0.0)
         assert b.y1_lower == pytest.approx(1.0, abs=1e-3)
 
     def test_perturbed_observation_is_infeasible(self):
@@ -121,7 +121,7 @@ class TestDecoyBounds:
         gs = bb84_model_gains(link, 0.5)
         gw = bb84_model_gains(link, 0.1)
         with pytest.raises(BoundInfeasibleError):
-            decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu * 0.5, gw.e_mu), PROTO, link.y0)
+            decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu * 0.5, gw.e_mu), 0.5, 0.1, link.y0)
 
     def test_safety_property_randomized(self):
         # module-level spot check; the full 1000-draw sweep runs in acceptance
@@ -135,9 +135,8 @@ class TestDecoyBounds:
             eta = transmittance_oracle(0.2, d, 0.2)
             obs_s = poisson_gains_oracle(mu_s, eta, y0, e_d)
             obs_w = poisson_gains_oracle(mu_w, eta, y0, e_d)
-            cfg = ProtocolConfig(bb84=Bb84Config(mu_s=mu_s, mu_w=mu_w))
             b = decoy_bounds((obs_s["q_mu"], obs_s["e_mu"]),
-                             (obs_w["q_mu"], obs_w["e_mu"]), cfg, y0)
+                             (obs_w["q_mu"], obs_w["e_mu"]), mu_s, mu_w, y0)
             assert b.y1_lower <= obs_s["y1"] + 1e-12
             assert b.e1_upper >= min(obs_s["e1"], 0.5) - 1e-12
 
@@ -152,13 +151,32 @@ class TestBb84KeyRate:
     def test_defaults_against_oracle(self):
         gs = bb84_model_gains(LINK, 0.5)
         gw = bb84_model_gains(LINK, 0.1)
-        b = decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu), PROTO, LINK.y0)
+        b = decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu), 0.5, 0.1, LINK.y0)
         rep = bb84_key_rate(b, gs.q_mu, gs.e_mu, PROTO, q=0.5)
         expected = bb84_rate_oracle(gs.q_mu, gs.e_mu, b.q1_lower, b.e1_upper,
                                     1.16, 0.5)
         assert rep.r_per_pulse == pytest.approx(expected, rel=1e-12)
         assert rep.r_per_pulse == pytest.approx(1.9159486917774457e-3, rel=1e-9)
         assert rep.r_bps == pytest.approx(rep.r_per_pulse * 2.5e8, rel=1e-12)
+
+    def test_block_rate_at_control_intensities(self):
+        # a block's decoy bounds use the control's (mu_s, mu_w), not the
+        # configured nominal pair that static episodes run at
+        ctrl = ControlState(mu_s=0.7, mu_w=0.15, p_z=0.8)
+        eta = transmittance_oracle(0.2, 50.0, 0.2)
+        obs_s = poisson_gains_oracle(0.7, eta, LINK.y0, LINK.e_d)
+        obs_w = poisson_gains_oracle(0.15, eta, LINK.y0, LINK.e_d)
+        telem = Telemetry(block_index=0, n_pulses=10**6, n_sifted=0, n_errors=0,
+                          q_mu_hat=obs_s["q_mu"], e_mu_hat=obs_s["e_mu"], e_lo=0.0,
+                          e_hi=0.0, v_hat=1.0, eta_hat=eta,
+                          q_w_hat=obs_w["q_mu"], e_w_hat=obs_w["e_mu"])
+        y1, e1 = decoy_bounds_oracle(obs_s["q_mu"], obs_w["q_mu"], obs_w["e_mu"],
+                                     0.7, 0.15, LINK.y0)
+        expected = bb84_rate_oracle(obs_s["q_mu"], obs_s["e_mu"], y1 * 0.7 * math.exp(-0.7),
+                                    min(e1, 0.5), 1.16, 0.8**2 + 0.2**2)
+        assert expected > 0.0
+        r_bps, _ = block_key_rate(LINK, PROTO, ctrl, telem)
+        assert r_bps == pytest.approx(expected * LINK.f_rep, rel=1e-9)
 
     def test_sifted_variant_near_threshold(self):
         q_mu = 0.01
@@ -188,7 +206,7 @@ class TestBb84KeyRate:
             link = LinkParams(distance_km=float(d))
             gs = bb84_model_gains(link, 0.5)
             gw = bb84_model_gains(link, 0.1)
-            b = decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu), PROTO, link.y0)
+            b = decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu), 0.5, 0.1, link.y0)
             r = bb84_key_rate(b, gs.q_mu, gs.e_mu, PROTO, q=0.5).r_per_pulse
             assert r <= prev + 1e-15
             prev = r
