@@ -1,12 +1,14 @@
 """Fixed-seed outputs pinned by hash.
 
 For each protocol a tiny ``train tcn`` and ``train ppo`` make the
-checkpoints, and one ``eval ml,static,recalib`` (one seed, 300 blocks)
-writes the episode and metrics CSVs, all through ``cli.main`` in this
-process. ``golden/manifest.json`` holds the sha256 of each CSV and the
-numpy and BLAS builds it was made with, because ML bytes depend on the
-BLAS summation order. A change that moves outputs on purpose rewrites the
-manifest with ``python tests/golden/rewrite_manifest.py``.
+checkpoints and write the loss and progress CSVs, and one ``eval
+ml,static,recalib`` (one seed, 300 blocks) per scenario in
+:data:`SCENARIOS` writes the episode and metrics CSVs, all through
+``cli.main`` in this process. The scenarios cover the noise sweep, the
+loss step and the damping drift. ``golden/manifest.json`` holds the sha256
+of each CSV and the numpy and BLAS builds it was made with, because ML
+bytes depend on the BLAS summation order. A change that moves outputs on
+purpose rewrites the manifest with ``python tests/golden/rewrite_manifest.py``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from optiqkd.cli import main
 
 MANIFEST = Path(__file__).resolve().parent / "golden" / "manifest.json"
 PROTOCOLS = ("bb84", "e91", "cow")
+SCENARIOS = ("noise-sweep", "splice-3db", "sine-drift")
 TINY = [
     "--set", "tcn.dilations=1,2", "--set", "tcn.hidden=6",
     "--set", "tcn.window=8", "--set", "tcn.epochs=3",
@@ -43,25 +46,25 @@ def build_info() -> Dict[str, str]:
 
 
 def run_set(out: Path) -> Dict[str, str]:
-    """Run the fixed-seed set under ``out``; the sha256 of each eval CSV,
-    keyed ``protocol/file``."""
+    """Run the fixed-seed set under ``out``; the sha256 of each CSV it
+    writes, keyed ``protocol/file``."""
     hashes = {}
     for proto in PROTOCOLS:
         d = out / proto
         tcn, policy = str(d / "tcn_seed1.ckpt"), str(d / "policy_seed1.ckpt")
-        commands = (
+        commands = [
             ["train", "tcn", "--seed", "1", "--out", str(d)],
             ["train", "ppo", "--seed", "1", "--tcn", tcn, "--out", str(d)],
-            ["eval", "--controllers", "ml,static,recalib", "--seeds", "1", "--blocks", "300",
-             "--tcn", tcn, "--policy", policy, "--out", str(d / "eval")],
-        )
+        ] + [["eval", "--scenario", scen, "--controllers", "ml,static,recalib", "--seeds", "1",
+              "--blocks", "300", "--tcn", tcn, "--policy", policy, "--out", str(d / "eval")]
+             for scen in SCENARIOS]
         for argv in commands:
             argv = argv + ["--protocol", proto] + TINY
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main(argv)
             if code != 0:
                 raise RuntimeError(f"optiqkd {' '.join(argv)} exited {code}")
-        for path in sorted((d / "eval").glob("*.csv")):
+        for path in sorted(d.rglob("*.csv")):
             hashes[f"{proto}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     return hashes
 
