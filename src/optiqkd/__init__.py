@@ -8,10 +8,10 @@ from .rates import (PROTOCOLS, Bb84Config, BoundInfeasibleError, CowConfig,
                     binary_entropy, cow_key_rate,
                     cow_phase_error, cow_visibility, decoy_bounds, e91_key_rate,
                     e91_quantities, finite_key_penalty, finite_key_rate,
-                    operating_point, transmittance)
-from .channel import (ChannelConfig, ControlState, NoiseSchedule, ScheduleEvent, Simulator,
-                      Telemetry, UnknownScenarioError, effective_link,
-                      make_scenario, step_block, wilson_interval)
+                    operating_point, transmittance, wcp_gain)
+from .channel import (ChannelConfig, ControlState, LinkSeries, NoiseSchedule, ScheduleEvent,
+                      Simulator, Telemetry, UnknownScenarioError, effective_link,
+                      make_scenario, wilson_interval)
 from .tcn import (Forecaster, Normalizer, TcnConfig, TcnModel, load_tcn,
                   make_dataset, save_tcn, tcn_forward, tcn_train, train_forecaster)
 from .controller import (Action, ActorCritic, PpoConfig, RewardConfig,

@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .rates import (PROTOCOLS, LinkParams, ProtocolConfig, bb84_gains, cow_visibility,
-                    transmittance)
+from .rates import (PROTOCOLS, LinkParams, ProtocolConfig, cow_visibility, transmittance,
+                    wcp_gain)
 
 SCENARIOS = ("nominal", "noise-sweep", "splice-3db", "sine-drift")
 EVENT_KINDS = ("StepLossDb",)
@@ -117,8 +117,7 @@ class ControlState:
     phi_c: float = 0.0
 
 
-@dataclass(frozen=True)
-class EffectiveParams:
+class EffectiveParams(NamedTuple):
     """Physical parameters in force for one block after noise and control."""
 
     eta: float
@@ -207,30 +206,42 @@ def make_scenario(name: str, blocks: int) -> NoiseSchedule:
     return NoiseSchedule(blocks, p, gamma, zeros.copy(), name="sine-drift")
 
 
-def effective_link(
-    link: LinkParams,
-    sched: NoiseSchedule,
-    ctrl: ControlState,
-    t: int,
-    protocol: str = "bb84",
-    dphi: float = 0.0,
-) -> EffectiveParams:
+class LinkSeries:
+    """The per-block terms of a link under a noise schedule that no control
+    moves, computed once for every block: the depolarizing probability
+    ``depol_p``, the transmittance ``eta`` after fiber, detector, the loss
+    steps so far and amplitude damping, and the misalignment angle
+    ``theta`` (sin^2(theta) is the base error plus any scheduled
+    misalignment). Each is a list of Python floats."""
+
+    def __init__(self, link: LinkParams, sched: NoiseSchedule):
+        self.blocks = sched.blocks
+        steps = np.zeros(sched.blocks)
+        for ev in sched.events:  # an event counts from its block on
+            if ev.block_index < sched.blocks:
+                steps[max(ev.block_index, 0)] += ev.magnitude
+        # cumsum adds the steps in event order, as summing the events would
+        loss_db = np.cumsum(steps).tolist()
+        eta0 = transmittance(link)
+        self.eta = [eta0 * 10.0 ** (-db / 10.0) * (1.0 - gamma)
+                    for db, gamma in zip(loss_db, sched.damp_gamma.tolist())]
+        self.depol_p = sched.depol_p.tolist()
+        self.theta = [math.asin(math.sqrt(min(max(link.e_d + m, 0.0), 1.0)))
+                      for m in sched.misalign_err.tolist()]
+
+
+def effective_link(series: LinkSeries, ctrl: ControlState, t: int,
+                   protocol: str = "bb84", dphi: float = 0.0) -> EffectiveParams:
     """Physical parameters for block ``t`` after noise, loss steps and control.
 
-    The intrinsic alignment error is realized as an angle so that the
-    compensation knob theta_c acts on it: sin^2(theta) equals the base
-    error plus any scheduled misalignment, giving e_d_eff = e_d + p/2 at
-    nominal control. Amplitude damping acts as extra photon loss only.
+    The compensation knob theta_c acts on the misalignment angle, giving
+    e_d_eff = e_d + p/2 at nominal control. Amplitude damping acts as extra
+    photon loss only.
     """
-    if not 0 <= t < sched.blocks:
-        raise ValueError(f"block {t} outside schedule of length {sched.blocks}")
-    p = float(sched.depol_p[t])
-    gamma = float(sched.damp_gamma[t])
-    loss_db = sum(ev.magnitude for ev in sched.events if ev.block_index <= t)
-    eta = transmittance(link) * 10.0 ** (-loss_db / 10.0) * (1.0 - gamma)
-    m_err = min(max(link.e_d + float(sched.misalign_err[t]), 0.0), 1.0)
-    theta_t = math.asin(math.sqrt(m_err))
-    theta_err = theta_t - ctrl.theta_c
+    if not 0 <= t < series.blocks:
+        raise ValueError(f"block {t} outside schedule of length {series.blocks}")
+    p = series.depol_p[t]
+    theta_err = series.theta[t] - ctrl.theta_c
     if protocol == "cow":
         v = cow_visibility(ctrl.mu_s, dphi - ctrl.phi_c) * (1.0 - p)
         e_ph = (1.0 - v) / 2.0
@@ -238,7 +249,7 @@ def effective_link(
         v = (1.0 - p) * math.cos(theta_err) ** 2
         e_ph = 0.0
     e_d_eff = min(max(math.sin(theta_err) ** 2 + p / 2.0, 0.0), 0.5)
-    return EffectiveParams(eta=eta, v=min(max(v, 0.0), 1.0), e_d_eff=e_d_eff, e_ph=e_ph)
+    return EffectiveParams(series.eta[t], min(max(v, 0.0), 1.0), e_d_eff, e_ph)
 
 
 def wilson_interval(n_err: int, n: int, conf: float = 0.95) -> Tuple[float, float]:
@@ -275,97 +286,17 @@ def _sample_fraction(rng: np.random.Generator, trials: int, p: float) -> Tuple[i
     return int(rng.binomial(trials, p)), trials
 
 
-def step_block(
-    link: LinkParams,
-    sched: NoiseSchedule,
-    ctrl: ControlState,
-    proto: ProtocolConfig,
-    t: int,
-    rng: np.random.Generator,
-    channel: ChannelConfig = ChannelConfig(),
-    dphi: float = 0.0,
-) -> Telemetry:
-    """Simulate one measurement block and return its telemetry.
+class Simulator:
+    """One run of the link: owns the generator, the phase-drift process and
+    the consecutive-exceedance abort bookkeeping, and computes the run's
+    constants (:class:`LinkSeries`, pulse splits) once.
 
     Detection counts are drawn at block level: n_sifted ~ Binomial(n*q, Q)
     and n_errors ~ Binomial(n_sifted, E), which matches per-pulse sampling
     in distributionally relevant statistics (see the per-pulse sampler in
-    tests/oracles.py).
-    A block with no sifted detections reports the degenerate convention
-    e_mu_hat = 0.5 with the full-width interval. The abort flag is left
-    to :meth:`Simulator.step`, which keeps the consecutive-block state.
+    tests/oracles.py). A block with no sifted detections reports the
+    degenerate convention e_mu_hat = 0.5 with the full-width interval.
     """
-    eff = effective_link(link, sched, ctrl, t, protocol=proto.kind, dphi=dphi)
-    q_sift = PROTOCOLS[proto.kind].key_fraction(proto, ctrl.p_z)
-
-    q_w_hat = e_w_hat = 0.0
-
-    if proto.kind == "bb84":
-        n_sig = int(round(channel.n_pulses * proto.bb84.p_s))
-        n_weak = channel.n_pulses - n_sig
-        gs = bb84_gains(ctrl.mu_s, eff.eta, link.y0, eff.e_d_eff, link.e0)
-        gw = bb84_gains(ctrl.mu_w, eff.eta, link.y0, eff.e_d_eff, link.e0)
-        n_sift, trials = _sample_fraction(rng, round(n_sig * q_sift), gs.q_mu)
-        n_err, _ = _sample_fraction(rng, n_sift, gs.e_mu)
-        n_sift_w, trials_w = _sample_fraction(rng, round(n_weak * q_sift), gw.q_mu)
-        n_err_w, _ = _sample_fraction(rng, n_sift_w, gw.e_mu)
-        q_mu_hat = n_sift / trials if trials else 0.0
-        q_w_hat = n_sift_w / trials_w if trials_w else 0.0
-        e_w_hat = n_err_w / n_sift_w if n_sift_w else link.e0
-        mu_for_eta = ctrl.mu_s
-    elif proto.kind == "e91":
-        # Source colocated with the transmitter: local arm sees only the
-        # detector, remote arm the full link.
-        eta_pair = eff.eta * link.eta_det
-        v_pair = proto.e91.v_source * eff.v
-        q_c = min(link.y0 + eta_pair, 1.0)
-        e_pair = (link.e0 * link.y0 + (1.0 - v_pair) / 2.0 * eta_pair) / q_c if q_c > 0 else link.e0
-        n_sift, trials = _sample_fraction(rng, round(channel.n_pulses * q_sift), q_c)
-        n_err, _ = _sample_fraction(rng, n_sift, e_pair)
-        q_mu_hat = n_sift / trials if trials else 0.0
-        mu_for_eta = 1.0
-    else:  # cow
-        mu = ctrl.mu_s  # mean photon number per signal bin
-        g = bb84_gains(mu, eff.eta, link.y0, eff.e_d_eff, link.e0)
-        n_sift, trials = _sample_fraction(rng, round(channel.n_pulses * q_sift), g.q_mu)
-        n_err, _ = _sample_fraction(rng, n_sift, g.e_mu)
-        n_mon, _ = _sample_fraction(
-            rng, round(channel.n_pulses * proto.cow.monitor_fraction), g.q_mu)
-        n_mon_err, _ = _sample_fraction(rng, n_mon, eff.e_ph)
-        q_mu_hat = n_sift / trials if trials else 0.0
-        mu_for_eta = mu
-
-    if n_sift > 0:
-        e_mu_hat = n_err / n_sift
-        e_lo, e_hi = wilson_interval(n_err, n_sift)
-    else:
-        e_mu_hat, (e_lo, e_hi) = 0.5, (0.0, 1.0)
-
-    if proto.kind == "cow":
-        e_ph_hat = n_mon_err / n_mon if n_mon > 0 else 0.5
-        v_hat = min(max(1.0 - 2.0 * e_ph_hat, 0.0), 1.0)
-    else:
-        v_hat = min(max(1.0 - 2.0 * e_mu_hat, 0.0), 1.0)
-
-    return Telemetry(
-        block_index=t,
-        n_pulses=channel.n_pulses,
-        n_sifted=n_sift,
-        n_errors=n_err,
-        q_mu_hat=q_mu_hat,
-        e_mu_hat=e_mu_hat,
-        e_lo=e_lo,
-        e_hi=e_hi,
-        v_hat=v_hat,
-        eta_hat=_estimate_eta(q_mu_hat, link.y0, mu_for_eta),
-        q_w_hat=q_w_hat,
-        e_w_hat=e_w_hat,
-    )
-
-
-class Simulator:
-    """Stateful wrapper: owns the generator, the phase-drift process, and
-    the consecutive-exceedance abort bookkeeping for one run."""
 
     def __init__(
         self,
@@ -379,23 +310,77 @@ class Simulator:
         self.proto = proto
         self.sched = sched
         self.channel = channel
+        self.series = LinkSeries(link, sched)
+        self.key_fraction = PROTOCOLS[proto.kind].key_fraction
+        n = channel.n_pulses
+        self.n_signal = int(round(n * proto.bb84.p_s))  # BB84: signal, then weak decoy
+        self.n_weak = n - self.n_signal
+        self.n_monitor = round(n * proto.cow.monitor_fraction)  # COW monitor line
         self.rng = np.random.Generator(np.random.Philox(key=seed))
         self.dphi = 0.0
         self.t = 0
         self._prev_exceeded = False
 
     def step(self, ctrl: ControlState) -> Telemetry:
-        if self.t >= self.sched.blocks:
+        t, link, proto, rng = self.t, self.link, self.proto, self.rng
+        if t >= self.sched.blocks:
             raise IndexError("schedule exhausted")
-        telem = step_block(self.link, self.sched, ctrl, self.proto, self.t, self.rng,
-                           channel=self.channel, dphi=self.dphi)
-        exceeded = telem.n_sifted > 0 and telem.e_mu_hat > self.channel.abort_qber
-        telem.aborted = exceeded and self._prev_exceeded
-        # the session restarts after an abort
-        self._prev_exceeded = exceeded and not telem.aborted
-        if self.proto.kind == "cow":
-            xi = self.rng.standard_normal()
+        n = self.channel.n_pulses
+        eta, v, e_d_eff, e_ph = effective_link(self.series, ctrl, t, proto.kind, self.dphi)
+        q_sift = self.key_fraction(proto, ctrl.p_z)
+        q_w_hat = e_w_hat = 0.0
+
+        if proto.kind == "bb84":
+            q_s, e_s = wcp_gain(ctrl.mu_s, eta, link.y0, e_d_eff, link.e0)
+            q_w, e_w = wcp_gain(ctrl.mu_w, eta, link.y0, e_d_eff, link.e0)
+            n_sift, trials = _sample_fraction(rng, round(self.n_signal * q_sift), q_s)
+            n_err, _ = _sample_fraction(rng, n_sift, e_s)
+            n_sift_w, trials_w = _sample_fraction(rng, round(self.n_weak * q_sift), q_w)
+            n_err_w, _ = _sample_fraction(rng, n_sift_w, e_w)
+            q_w_hat = n_sift_w / trials_w if trials_w else 0.0
+            e_w_hat = n_err_w / n_sift_w if n_sift_w else link.e0
+            mu_for_eta = ctrl.mu_s
+        elif proto.kind == "e91":
+            # Source colocated with the transmitter: local arm sees only the
+            # detector, remote arm the full link.
+            eta_pair = eta * link.eta_det
+            v_pair = proto.e91.v_source * v
+            q_c = min(link.y0 + eta_pair, 1.0)
+            e_pair = (link.e0 * link.y0 + (1.0 - v_pair) / 2.0 * eta_pair) / q_c if q_c > 0 else link.e0
+            n_sift, trials = _sample_fraction(rng, round(n * q_sift), q_c)
+            n_err, _ = _sample_fraction(rng, n_sift, e_pair)
+            mu_for_eta = 1.0
+        else:  # cow; mu_s is the mean photon number per signal bin
+            q_mu, e_mu = wcp_gain(ctrl.mu_s, eta, link.y0, e_d_eff, link.e0)
+            n_sift, trials = _sample_fraction(rng, round(n * q_sift), q_mu)
+            n_err, _ = _sample_fraction(rng, n_sift, e_mu)
+            n_mon, _ = _sample_fraction(rng, self.n_monitor, q_mu)
+            n_mon_err, _ = _sample_fraction(rng, n_mon, e_ph)
+            mu_for_eta = ctrl.mu_s
+        q_mu_hat = n_sift / trials if trials else 0.0
+
+        if n_sift > 0:
+            e_mu_hat = n_err / n_sift
+            e_lo, e_hi = wilson_interval(n_err, n_sift)
+        else:
+            e_mu_hat, (e_lo, e_hi) = 0.5, (0.0, 1.0)
+
+        if proto.kind == "cow":
+            e_ph_hat = n_mon_err / n_mon if n_mon > 0 else 0.5
+            v_hat = min(max(1.0 - 2.0 * e_ph_hat, 0.0), 1.0)
+        else:
+            v_hat = min(max(1.0 - 2.0 * e_mu_hat, 0.0), 1.0)
+
+        # a second consecutive block above the threshold aborts, and the
+        # session restarts after an abort
+        exceeded = n_sift > 0 and e_mu_hat > self.channel.abort_qber
+        aborted = exceeded and self._prev_exceeded
+        self._prev_exceeded = exceeded and not aborted
+        if proto.kind == "cow":
+            xi = rng.standard_normal()
             self.dphi = (1.0 - PHASE_REVERSION) * self.dphi + PHASE_STEP_SCALE * xi
             self.dphi = min(max(self.dphi, -PHASE_BOUND), PHASE_BOUND)
-        self.t += 1
-        return telem
+        self.t = t + 1
+        return Telemetry(t, n, n_sift, n_err, q_mu_hat, e_mu_hat, e_lo, e_hi, v_hat,
+                         _estimate_eta(q_mu_hat, link.y0, mu_for_eta), aborted,
+                         q_w_hat, e_w_hat)

@@ -104,7 +104,14 @@ def parse_seeds(text: str) -> List[int]:
         raise UsageError(f"--seeds takes N..M or a comma list of integers, got {text!r}") from None
     if not seeds:
         raise UsageError("empty seeds list")
+    for seed in seeds:
+        _check_seed(seed, "--seeds")
     return seeds
+
+
+def _check_seed(seed: int, flag: str = "--seed") -> None:
+    if seed < 0:
+        raise UsageError(f"{flag} must be >= 0, got {seed}")
 
 
 def _load_cfg(args) -> dict:
@@ -137,7 +144,9 @@ def cmd_rates(args) -> int:
     proto = cfgmod.typed(cfg, "protocol", kind=args.protocol)
     out = _outdir(args)
     lines = [RATES_CSV_HEADER]
-    n_steps = int(round((args.dmax - args.dmin) / args.dstep))
+    # the last step at or below --dmax, with a tolerance for the rounding of
+    # the division (0..1 by 0.1 ends at 1)
+    n_steps = math.floor((args.dmax - args.dmin) / args.dstep + 1e-9)
     grid = [args.dmin + i * args.dstep for i in range(n_steps + 1)]
     for d in grid:
         q_mu, e_mu, rep = ratesmod.operating_point(replace(link0, distance_km=d), proto)
@@ -164,6 +173,8 @@ def _run_episodes(args, links: tuple, ppo_cfg: Optional[PpoConfig],
     must leave blocks after it and enough history before the event.
     """
     link, proto, channel, reward_cfg = links
+    if args.blocks < 1:
+        raise UsageError(f"--blocks must be >= 1, got {args.blocks}")
     for flag, what in (("tcn", "forecaster"), ("policy", "policy")):
         path = getattr(args, flag)
         if path is None and "ml" in controllers:
@@ -197,6 +208,7 @@ def _episode_name(args, controller: str, seed: int) -> str:
 
 
 def cmd_simulate(args) -> int:
+    _check_seed(args.seed)
     cfg = _load_cfg(args)
     links = _link_configs(cfg, args)
     ppo_cfg = cfgmod.typed(cfg, "ppo") if args.policy is not None else None
@@ -227,6 +239,7 @@ def _train_tcn(train, tcn_cfg, link, proto, channel, seed: int) -> tuple:
 
 
 def cmd_train(args) -> int:
+    _check_seed(args.seed)
     cfg = _load_cfg(args)
     link, proto, channel, reward_cfg = _link_configs(cfg, args)
     # every section is checked before anything is trained or written

@@ -106,8 +106,9 @@ class Action:
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, mask: np.ndarray) -> "Action":
-        vec = np.asarray(vec, dtype=float) * mask
-        return cls(*[float(x) for x in vec], mask=tuple(float(m) for m in mask))
+        """The deltas ``vec * mask``, both in ACTION_ORDER, keeping the mask."""
+        mask = np.asarray(mask, dtype=float)
+        return cls(*(np.asarray(vec, dtype=float) * mask).tolist(), mask=tuple(mask.tolist()))
 
 
 @dataclass(frozen=True)
@@ -128,15 +129,17 @@ class RolloutBuffer:
         self.log_probs: List[float] = []
         self.values: List[float] = []
         self.rewards: List[float] = []
-        self.masks: List[np.ndarray] = []
+        self.masks: List[Sequence[float]] = []
 
-    def add(self, obs, pre_squash, log_prob, value, reward, mask) -> None:
-        self.obs.append(np.asarray(obs, dtype=float))
-        self.pre_squash.append(np.asarray(pre_squash, dtype=float))
-        self.log_probs.append(float(log_prob))
-        self.values.append(float(value))
-        self.rewards.append(float(reward))
-        self.masks.append(np.asarray(mask, dtype=float))
+    def add(self, obs: np.ndarray, pre_squash: np.ndarray, log_prob: float, value: float,
+            reward: float, mask: Sequence[float]) -> None:
+        """Store one transition as given; ``ppo_update`` stacks each field."""
+        self.obs.append(obs)
+        self.pre_squash.append(pre_squash)
+        self.log_probs.append(log_prob)
+        self.values.append(value)
+        self.rewards.append(reward)
+        self.masks.append(mask)
 
     def __len__(self) -> int:
         return len(self.rewards)
@@ -218,31 +221,38 @@ class ActorCritic:
         return mean, float(_mlp_forward(self.critic, x, _dense_array, np.tanh)[0, 0])
 
     def sigma(self) -> np.ndarray:
-        return np.exp(np.clip(self.log_std.data, -5.0, 2.0))
+        """exp(log_std) with log_std clipped to [-5, 2], from the live
+        parameter (``np.clip``'s values, without its Python dispatch)."""
+        return np.exp(np.minimum(np.maximum(self.log_std.data, -5.0), 2.0))
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
         return {name: p.data for name, p in self.named.items()}
+
+
+def _unit(x: float, box: Tuple[float, float]) -> float:
+    """``x`` clamped into ``box`` and scaled to [-1, 1]."""
+    lo, hi = box
+    return 2.0 * (min(max(x, lo), hi) - lo) / (hi - lo) - 1.0
 
 
 def observe(z_fc: np.ndarray, z_tm: np.ndarray, ctrl: ControlState) -> np.ndarray:
     """Fixed-order observation: the normalized forecast and current
     telemetry rows, each clipped to +-OBS_Z_CLIP and scaled to [-1, 1], and
     the control parameters scaled to [-1, 1]."""
-    z_fc = np.clip(z_fc, -OBS_Z_CLIP, OBS_Z_CLIP) / OBS_Z_CLIP
-    z_tm = np.clip(z_tm, -OBS_Z_CLIP, OBS_Z_CLIP) / OBS_Z_CLIP
+    rows = np.concatenate((z_fc, z_tm))
+    n = len(rows)
+    obs = np.empty(n + 5)
+    np.divide(np.minimum(np.maximum(rows, -OBS_Z_CLIP), OBS_Z_CLIP), OBS_Z_CLIP, out=obs[:n])
+    obs[n:] = (_unit(ctrl.mu_s, SAFE_MU_S), _unit(ctrl.mu_w, SAFE_MU_W),
+               _unit(ctrl.p_z, SAFE_PZ), _unit(ctrl.theta_c, SAFE_THETA_C),
+               _unit(ctrl.phi_c, SAFE_PHI_C))
+    return obs
 
-    def scale(x, box):
-        lo, hi = box
-        return 2.0 * (min(max(x, lo), hi) - lo) / (hi - lo) - 1.0
 
-    ctrl_part = np.array([
-        scale(ctrl.mu_s, SAFE_MU_S),
-        scale(ctrl.mu_w, SAFE_MU_W),
-        scale(ctrl.p_z, SAFE_PZ),
-        scale(ctrl.theta_c, SAFE_THETA_C),
-        scale(ctrl.phi_c, SAFE_PHI_C),
-    ])
-    return np.concatenate([z_fc, z_tm, ctrl_part])
+# each protocol's action mask as an array, in ACTION_ORDER; read-only
+_MASKS = {kind: np.array(spec.mask) for kind, spec in PROTOCOLS.items()}
+for _mask in _MASKS.values():
+    _mask.flags.writeable = False
 
 
 def act(nets: ActorCritic, obs: np.ndarray, rng: np.random.Generator,
@@ -253,17 +263,17 @@ def act(nets: ActorCritic, obs: np.ndarray, rng: np.random.Generator,
     back to the zero action with the ``fallback`` flag set.
     """
     nets.act_calls += 1
-    mask = np.asarray(PROTOCOLS[protocol].mask)
+    mask = _MASKS[protocol]
     mean, value = nets.mean_value(obs)
     noise = rng.standard_normal(nets.act_dim)
-    if not (np.all(np.isfinite(mean)) and math.isfinite(value)):
+    if not (np.isfinite(mean).all() and math.isfinite(value)):
         return ActionSample(Action.from_vector(np.zeros(nets.act_dim), mask),
                             0.0, 0.0, np.zeros(nets.act_dim), fallback=True)
     sigma = nets.sigma()
     u = mean if deterministic else mean + sigma * noise
     z = (u - mean) / sigma
     logp_terms = -0.5 * z**2 - np.log(sigma) - 0.5 * LOG2PI
-    log_prob = float(np.sum(logp_terms * mask))
+    log_prob = float((logp_terms * mask).sum())
     deltas = np.tanh(u) * ACTION_CAPS
     return ActionSample(Action.from_vector(deltas, mask), log_prob, value, u)
 

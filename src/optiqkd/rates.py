@@ -16,6 +16,7 @@ into this module.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Tuple, Union
@@ -155,20 +156,18 @@ class DecoyBounds:
 
 
 @dataclass(frozen=True)
-class RateComponents:
-    """Diagnostic terms of a key-rate evaluation, clamp-free."""
-
-    ec_leak: float
-    pa_term: float
-    raw: float
-
-
-@dataclass(frozen=True)
 class KeyRateReport:
+    """A key rate, clamped at zero, per pulse, per second and after the
+    finite-size deduction, and the clamp-free terms it came from: the
+    error-correction leak, the privacy-amplification term and the raw
+    rate."""
+
     r_per_pulse: float
     r_bps: float
     r_finite: float
-    components: RateComponents
+    ec_leak: float
+    pa_term: float
+    raw: float
 
 
 def binary_entropy(x: float) -> float:
@@ -185,34 +184,38 @@ def transmittance(link: LinkParams) -> float:
     return 10.0 ** (-link.alpha_db_per_km * link.distance_km / 10.0) * link.eta_det
 
 
-def bb84_gains(mu: float, eta: float, y0: float, e_d: float, e0: float = 0.5) -> GainStats:
-    """Weak-coherent-pulse gain and error model at intensity ``mu``.
-
-    Single-photon terms follow the Poissonian-source yield expansion
-    Y1 = Y0 + eta and e1*Q1 = e0*Y0 + e_d*eta*mu*exp(-mu); the overall
-    gain sums the photon-number ladder Yn = Y0 + 1 - (1-eta)^n, which
-    collapses to the closed form Y0 + 1 - exp(-eta*mu).
-
-    A dark channel (eta = 0, y0 = 0) yields zero gains and error rates
-    reported at the random baseline e0.
-    """
+def wcp_gain(mu: float, eta: float, y0: float, e_d: float,
+             e0: float = 0.5) -> Tuple[float, float]:
+    """Overall gain Q_mu and error rate E_mu of a weak coherent pulse at
+    intensity ``mu``: the photon-number ladder Yn = Y0 + 1 - (1-eta)^n
+    summed under Poisson statistics, in its closed form
+    Q_mu = Y0 + 1 - exp(-eta*mu). A dark channel (eta = 0, y0 = 0) has
+    zero gain and its error rate at the random baseline e0."""
     if mu <= 0:
         raise ValueError("mu must be positive")
     _check_prob("eta", eta)
-    y1 = min(y0 + eta, 1.0)
-    q1 = y1 * mu * math.exp(-mu)
-    q_mu = min(y0 + (1.0 - math.exp(-eta * mu)), 1.0)
+    detected = 1.0 - math.exp(-eta * mu)
+    q_mu = min(y0 + detected, 1.0)
     if q_mu <= 0.0:
-        return GainStats(q_mu=0.0, e_mu=e0, q1=q1, e1=e0 if q1 <= 0 else e0, y1=y1)
-    e_mu = (e0 * y0 + e_d * (1.0 - math.exp(-eta * mu))) / q_mu
-    e1 = e0 if q1 <= 0 else (e0 * y0 + e_d * eta * mu * math.exp(-mu)) / q1
-    return GainStats(
-        q_mu=q_mu,
-        e_mu=min(max(e_mu, 0.0), 1.0),
-        q1=min(q1, 1.0),
-        e1=min(max(e1, 0.0), 1.0),
-        y1=y1,
-    )
+        return 0.0, e0
+    return q_mu, min(max((e0 * y0 + e_d * detected) / q_mu, 0.0), 1.0)
+
+
+def bb84_gains(mu: float, eta: float, y0: float, e_d: float, e0: float = 0.5) -> GainStats:
+    """Weak-coherent-pulse gain and error model at intensity ``mu``.
+
+    The overall terms are :func:`wcp_gain`'s. Single-photon terms follow
+    the Poissonian-source yield expansion Y1 = Y0 + eta and
+    e1*Q1 = e0*Y0 + e_d*eta*mu*exp(-mu); a dark channel reports e1 = e0.
+    """
+    q_mu, e_mu = wcp_gain(mu, eta, y0, e_d, e0)
+    y1 = min(y0 + eta, 1.0)
+    p1 = math.exp(-mu)
+    q1 = y1 * mu * p1
+    if q_mu <= 0.0:
+        return GainStats(q_mu=q_mu, e_mu=e_mu, q1=q1, e1=e0, y1=y1)
+    e1 = e0 if q1 <= 0 else (e0 * y0 + e_d * eta * mu * p1) / q1
+    return GainStats(q_mu=q_mu, e_mu=e_mu, q1=min(q1, 1.0), e1=min(max(e1, 0.0), 1.0), y1=y1)
 
 
 def bb84_model_gains(link: LinkParams, mu: float) -> GainStats:
@@ -260,12 +263,7 @@ def decoy_bounds(
 def _report(r_raw: float, ec_leak: float, pa_term: float, cfg: ProtocolConfig, f_rep: float) -> KeyRateReport:
     r_pp = max(r_raw, 0.0)
     r_fin = finite_key_rate(r_pp, cfg.finite_key.n_block, cfg.finite_key.epsilon)
-    return KeyRateReport(
-        r_per_pulse=r_pp,
-        r_bps=r_pp * f_rep,
-        r_finite=r_fin,
-        components=RateComponents(ec_leak=ec_leak, pa_term=pa_term, raw=r_raw),
-    )
+    return KeyRateReport(r_pp, r_pp * f_rep, r_fin, ec_leak, pa_term, r_raw)
 
 
 def bb84_key_rate(
@@ -280,7 +278,7 @@ def bb84_key_rate(
 
     R = q * { -Q_mu f(E) H2(E) + Q1 [1 - H2(e1)] } with (Q1, e1) taken
     from decoy bounds or from model gain statistics. Negative raw values
-    are preserved in the components and clamped in the headline fields.
+    are kept in ``raw`` and clamped in the headline fields.
     """
     _check_prob("q_mu", q_mu)
     _check_prob("e_mu", e_mu)
@@ -370,8 +368,10 @@ def cow_key_rate(
     return _report(raw, ec_leak, pa_term, cfg, f_rep)
 
 
+@functools.lru_cache(maxsize=64)
 def finite_key_penalty(n: float, eps: float) -> float:
-    """Finite-size rate deduction Delta_FK(N, eps)."""
+    """Finite-size rate deduction Delta_FK(N, eps), computed once per
+    (N, eps): every block of a run deducts the same."""
     if n < 1:
         raise ValueError("block size must be >= 1")
     if not 0.0 < eps < 1.0:
@@ -417,6 +417,9 @@ def _cow_key_fraction(proto: ProtocolConfig, p_z: float) -> float:
     return 0.9 * (1.0 - proto.cow.monitor_fraction)
 
 
+_NO_SINGLE_PHOTONS = DecoyBounds(0.0, 0.0, 0.5)  # what an infeasible bound certifies
+
+
 def _decoy_rate(obs_s: Tuple[float, float], obs_w: Tuple[float, float],
                 mu_s: float, mu_w: float, link: LinkParams, proto: ProtocolConfig,
                 q: float) -> KeyRateReport:
@@ -426,7 +429,7 @@ def _decoy_rate(obs_s: Tuple[float, float], obs_w: Tuple[float, float],
     try:
         bounds = decoy_bounds(obs_s, obs_w, mu_s, mu_w, link.y0, link.e0)
     except BoundInfeasibleError:
-        bounds = DecoyBounds(0.0, 0.0, 0.5)
+        bounds = _NO_SINGLE_PHOTONS
     return bb84_key_rate(bounds, min(obs_s[0], 1.0), min(obs_s[1], 1.0), proto,
                          f_rep=link.f_rep, q=q)
 

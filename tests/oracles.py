@@ -215,3 +215,193 @@ def index_oracle(x, idx, g):
     grad = np.zeros_like(x)
     np.add.at(grad, idx, g)
     return x[idx], grad
+
+
+# -- bitwise references for the closed-loop block ----------------------------
+#
+# The per-block code the package ran before its episode constants were
+# hoisted: the channel re-derived the transmittance, the loss steps so far
+# and the misalignment angle on every block, and the controller went through
+# numpy's Python-level dispatch on 5-vectors. The package must give the same
+# bits; tests compare the two with ``==``.
+
+def closed_form_gains_oracle(mu, eta, y0, e_d, e0=0.5):
+    """(Q_mu, E_mu) of the closed-form weak-coherent-pulse gain model, as
+    ``rates.bb84_gains`` computed them, each exponential taken twice."""
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must be in [0, 1.0], got {eta!r}")
+    q_mu = min(y0 + (1.0 - math.exp(-eta * mu)), 1.0)
+    if q_mu <= 0.0:
+        return 0.0, e0
+    e_mu = (e0 * y0 + e_d * (1.0 - math.exp(-eta * mu))) / q_mu
+    return q_mu, min(max(e_mu, 0.0), 1.0)
+
+
+def effective_link_oracle(link, sched, ctrl, t, protocol="bb84", dphi=0.0):
+    """(eta, v, e_d_eff, e_ph) of block ``t``, every term taken from the
+    link and the schedule on the spot (the loss steps summed over the
+    events so far)."""
+    from optiqkd.rates import cow_visibility, transmittance
+
+    if not 0 <= t < sched.blocks:
+        raise ValueError(f"block {t} outside schedule of length {sched.blocks}")
+    p = float(sched.depol_p[t])
+    gamma = float(sched.damp_gamma[t])
+    loss_db = sum(ev.magnitude for ev in sched.events if ev.block_index <= t)
+    eta = transmittance(link) * 10.0 ** (-loss_db / 10.0) * (1.0 - gamma)
+    m_err = min(max(link.e_d + float(sched.misalign_err[t]), 0.0), 1.0)
+    theta_t = math.asin(math.sqrt(m_err))
+    theta_err = theta_t - ctrl.theta_c
+    if protocol == "cow":
+        v = cow_visibility(ctrl.mu_s, dphi - ctrl.phi_c) * (1.0 - p)
+        e_ph = (1.0 - v) / 2.0
+    else:
+        v = (1.0 - p) * math.cos(theta_err) ** 2
+        e_ph = 0.0
+    e_d_eff = min(max(math.sin(theta_err) ** 2 + p / 2.0, 0.0), 0.5)
+    return eta, min(max(v, 0.0), 1.0), e_d_eff, e_ph
+
+
+def _sample_fraction_oracle(rng, trials, p):
+    trials = max(int(trials), 0)
+    p = min(max(p, 0.0), 1.0)
+    if trials == 0:
+        return 0, 0
+    return int(rng.binomial(trials, p)), trials
+
+
+def step_block_oracle(link, sched, ctrl, proto, t, rng, channel, dphi=0.0):
+    """One block's telemetry, abort flag unset, drawn from ``rng`` in the
+    order ``channel.Simulator.step`` draws: per protocol, the sifted and
+    error counts (BB84: signal then weak decoy; COW: then the monitor
+    line)."""
+    from optiqkd.channel import Telemetry, _estimate_eta, wilson_interval
+    from optiqkd.rates import PROTOCOLS
+
+    eta, v, e_d_eff, e_ph = effective_link_oracle(link, sched, ctrl, t, proto.kind, dphi)
+    q_sift = PROTOCOLS[proto.kind].key_fraction(proto, ctrl.p_z)
+    sample = _sample_fraction_oracle
+    q_w_hat = e_w_hat = 0.0
+    if proto.kind == "bb84":
+        n_sig = int(round(channel.n_pulses * proto.bb84.p_s))
+        n_weak = channel.n_pulses - n_sig
+        gs = closed_form_gains_oracle(ctrl.mu_s, eta, link.y0, e_d_eff, link.e0)
+        gw = closed_form_gains_oracle(ctrl.mu_w, eta, link.y0, e_d_eff, link.e0)
+        n_sift, trials = sample(rng, round(n_sig * q_sift), gs[0])
+        n_err, _ = sample(rng, n_sift, gs[1])
+        n_sift_w, trials_w = sample(rng, round(n_weak * q_sift), gw[0])
+        n_err_w, _ = sample(rng, n_sift_w, gw[1])
+        q_mu_hat = n_sift / trials if trials else 0.0
+        q_w_hat = n_sift_w / trials_w if trials_w else 0.0
+        e_w_hat = n_err_w / n_sift_w if n_sift_w else link.e0
+        mu_for_eta = ctrl.mu_s
+    elif proto.kind == "e91":
+        eta_pair = eta * link.eta_det
+        v_pair = proto.e91.v_source * v
+        q_c = min(link.y0 + eta_pair, 1.0)
+        e_pair = (link.e0 * link.y0 + (1.0 - v_pair) / 2.0 * eta_pair) / q_c if q_c > 0 else link.e0
+        n_sift, trials = sample(rng, round(channel.n_pulses * q_sift), q_c)
+        n_err, _ = sample(rng, n_sift, e_pair)
+        q_mu_hat = n_sift / trials if trials else 0.0
+        mu_for_eta = 1.0
+    else:
+        g = closed_form_gains_oracle(ctrl.mu_s, eta, link.y0, e_d_eff, link.e0)
+        n_sift, trials = sample(rng, round(channel.n_pulses * q_sift), g[0])
+        n_err, _ = sample(rng, n_sift, g[1])
+        n_mon, _ = sample(rng, round(channel.n_pulses * proto.cow.monitor_fraction), g[0])
+        n_mon_err, _ = sample(rng, n_mon, e_ph)
+        q_mu_hat = n_sift / trials if trials else 0.0
+        mu_for_eta = ctrl.mu_s
+    if n_sift > 0:
+        e_mu_hat = n_err / n_sift
+        e_lo, e_hi = wilson_interval(n_err, n_sift)
+    else:
+        e_mu_hat, (e_lo, e_hi) = 0.5, (0.0, 1.0)
+    if proto.kind == "cow":
+        e_ph_hat = n_mon_err / n_mon if n_mon > 0 else 0.5
+        v_hat = min(max(1.0 - 2.0 * e_ph_hat, 0.0), 1.0)
+    else:
+        v_hat = min(max(1.0 - 2.0 * e_mu_hat, 0.0), 1.0)
+    return Telemetry(block_index=t, n_pulses=channel.n_pulses, n_sifted=n_sift,
+                     n_errors=n_err, q_mu_hat=q_mu_hat, e_mu_hat=e_mu_hat, e_lo=e_lo,
+                     e_hi=e_hi, v_hat=v_hat,
+                     eta_hat=_estimate_eta(q_mu_hat, link.y0, mu_for_eta),
+                     q_w_hat=q_w_hat, e_w_hat=e_w_hat)
+
+
+class SimulatorOracle:
+    """``channel.Simulator`` on :func:`step_block_oracle`: the same seed, the
+    two-block abort rule and the COW phase walk."""
+
+    def __init__(self, link, proto, sched, seed, channel):
+        self.link, self.proto, self.sched, self.channel = link, proto, sched, channel
+        self.rng = np.random.Generator(np.random.Philox(key=seed))
+        self.dphi = 0.0
+        self.t = 0
+        self.prev_exceeded = False
+
+    def step(self, ctrl):
+        from optiqkd.channel import PHASE_BOUND, PHASE_REVERSION, PHASE_STEP_SCALE
+
+        telem = step_block_oracle(self.link, self.sched, ctrl, self.proto, self.t, self.rng,
+                                  self.channel, self.dphi)
+        exceeded = telem.n_sifted > 0 and telem.e_mu_hat > self.channel.abort_qber
+        telem.aborted = exceeded and self.prev_exceeded
+        self.prev_exceeded = exceeded and not telem.aborted
+        if self.proto.kind == "cow":
+            xi = self.rng.standard_normal()
+            self.dphi = (1.0 - PHASE_REVERSION) * self.dphi + PHASE_STEP_SCALE * xi
+            self.dphi = min(max(self.dphi, -PHASE_BOUND), PHASE_BOUND)
+        self.t += 1
+        return telem
+
+
+def observe_oracle(z_fc, z_tm, ctrl):
+    """The observation vector with each row clipped on its own and the
+    control entries scaled by a nested helper."""
+    from optiqkd.controller import (OBS_Z_CLIP, SAFE_MU_S, SAFE_MU_W, SAFE_PHI_C, SAFE_PZ,
+                                    SAFE_THETA_C)
+
+    z_fc = np.clip(z_fc, -OBS_Z_CLIP, OBS_Z_CLIP) / OBS_Z_CLIP
+    z_tm = np.clip(z_tm, -OBS_Z_CLIP, OBS_Z_CLIP) / OBS_Z_CLIP
+
+    def scale(x, box):
+        lo, hi = box
+        return 2.0 * (min(max(x, lo), hi) - lo) / (hi - lo) - 1.0
+
+    ctrl_part = np.array([
+        scale(ctrl.mu_s, SAFE_MU_S),
+        scale(ctrl.mu_w, SAFE_MU_W),
+        scale(ctrl.p_z, SAFE_PZ),
+        scale(ctrl.theta_c, SAFE_THETA_C),
+        scale(ctrl.phi_c, SAFE_PHI_C),
+    ])
+    return np.concatenate([z_fc, z_tm, ctrl_part])
+
+
+def act_oracle(nets, obs, rng, protocol="bb84", deterministic=False):
+    """``controller.act`` through ``np.clip``, ``np.sum`` and ``np.all``, with
+    a mask array and an ``Action`` built per call (``act_calls`` is not
+    counted)."""
+    from optiqkd.controller import ACTION_CAPS, LOG2PI, Action, ActionSample
+    from optiqkd.rates import PROTOCOLS
+
+    def action(vec, mask):
+        vec = np.asarray(vec, dtype=float) * mask
+        return Action(*[float(x) for x in vec], mask=tuple(float(m) for m in mask))
+
+    mask = np.asarray(PROTOCOLS[protocol].mask)
+    mean, value = nets.mean_value(obs)
+    noise = rng.standard_normal(nets.act_dim)
+    if not (np.all(np.isfinite(mean)) and math.isfinite(value)):
+        return ActionSample(action(np.zeros(nets.act_dim), mask),
+                            0.0, 0.0, np.zeros(nets.act_dim), fallback=True)
+    sigma = np.exp(np.clip(nets.log_std.data, -5.0, 2.0))
+    u = mean if deterministic else mean + sigma * noise
+    z = (u - mean) / sigma
+    logp_terms = -0.5 * z**2 - np.log(sigma) - 0.5 * LOG2PI
+    log_prob = float(np.sum(logp_terms * mask))
+    deltas = np.tanh(u) * ACTION_CAPS
+    return ActionSample(action(deltas, mask), log_prob, value, u)

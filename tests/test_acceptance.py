@@ -193,10 +193,10 @@ def test_03_e91_threshold_window():
     def e91_raw(q_err):
         # Werner-state parameterization: S = 2*sqrt(2)*(1 - 2Q)
         s, _ = e91_quantities(1.0 - 2.0 * q_err)
-        return e91_key_rate(s, q_err, e91_cfg, q=1.0).components.raw
+        return e91_key_rate(s, q_err, e91_cfg, q=1.0).raw
 
     def sifted_raw(q_err):
-        return bb84_sifted_key_rate(1.0, q_err, sifted_cfg, q=1.0).components.raw
+        return bb84_sifted_key_rate(1.0, q_err, sifted_cfg, q=1.0).raw
 
     def zero(rate):
         a, b = 0.02, 0.2

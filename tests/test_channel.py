@@ -1,17 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from optiqkd.channel import (ChannelConfig, ControlState, DEPOL_FRACTION, MISALIGN_FRACTION,
-                             NoiseSchedule, ScheduleEvent, Simulator,
+from optiqkd.channel import (SCENARIOS, ChannelConfig, ControlState, DEPOL_FRACTION,
+                             MISALIGN_FRACTION, LinkSeries, NoiseSchedule, ScheduleEvent,
+                             Simulator,
                              TELEMETRY_CSV_HEADER,
                              UnknownScenarioError, effective_link,
-                             make_scenario, step_block, wilson_interval)
+                             make_scenario, wilson_interval)
 from optiqkd.rates import (PROTOCOLS, LinkParams, ProtocolConfig, bb84_gains,
                            transmittance)
 
-from oracles import bit_level_sample_block, wilson_oracle
+from oracles import SimulatorOracle, bit_level_sample_block, wilson_oracle
 
 LINK = LinkParams()
 PROTO = ProtocolConfig()
@@ -64,39 +66,39 @@ class TestEffectiveLink:
     def test_depolarizing_visibility(self):
         link = LinkParams(e_d=0.0)  # perfect alignment
         sched = constant_schedule(10, depol_p=0.1)
-        eff = effective_link(link, sched, CTRL, 0)
+        eff = effective_link(LinkSeries(link, sched), CTRL, 0)
         assert eff.v == pytest.approx(0.9, rel=1e-12)
         assert eff.e_d_eff == pytest.approx(0.05, rel=1e-12)
 
     def test_step_loss_db(self):
         sched = make_scenario("splice-3db", 200)
-        before = effective_link(LINK, sched, CTRL, 99)
-        after = effective_link(LINK, sched, CTRL, 100)
+        before = effective_link(LinkSeries(LINK, sched), CTRL, 99)
+        after = effective_link(LinkSeries(LINK, sched), CTRL, 100)
         assert before.eta == pytest.approx(transmittance(LINK), rel=1e-12)
         assert after.eta / before.eta == pytest.approx(10 ** -0.3, rel=1e-9)
 
     def test_damping_is_loss_only(self):
         sched = constant_schedule(10, damp_gamma=0.2)
-        eff = effective_link(LINK, sched, CTRL, 0)
-        ref = effective_link(LINK, make_scenario("nominal", 10), CTRL, 0)
+        eff = effective_link(LinkSeries(LINK, sched), CTRL, 0)
+        ref = effective_link(LinkSeries(LINK, make_scenario("nominal", 10)), CTRL, 0)
         assert eff.eta == pytest.approx(0.8 * ref.eta, rel=1e-12)
         assert eff.v == pytest.approx(ref.v, rel=1e-12)
 
     def test_intrinsic_error_realized_as_angle(self):
-        eff = effective_link(LINK, make_scenario("nominal", 10), CTRL, 0)
+        eff = effective_link(LinkSeries(LINK, make_scenario("nominal", 10)), CTRL, 0)
         assert eff.e_d_eff == pytest.approx(LINK.e_d, rel=1e-9)
         # compensating the full angle removes the intrinsic misalignment
         theta = math.asin(math.sqrt(LINK.e_d))
-        eff2 = effective_link(LINK, make_scenario("nominal", 10),
+        eff2 = effective_link(LinkSeries(LINK, make_scenario("nominal", 10)),
                               ControlState(theta_c=theta), 0)
         assert eff2.e_d_eff == pytest.approx(0.0, abs=1e-12)
 
     def test_cow_phase_compensation(self):
         sched = make_scenario("nominal", 10)
         ctrl = ControlState(mu_s=0.5, phi_c=0.3)
-        eff = effective_link(LINK, sched, ctrl, 0, protocol="cow", dphi=0.3)
+        eff = effective_link(LinkSeries(LINK, sched), ctrl, 0, protocol="cow", dphi=0.3)
         assert eff.e_ph == pytest.approx(0.0, abs=1e-12)
-        eff2 = effective_link(LINK, sched, CTRL, 0, protocol="cow", dphi=0.3)
+        eff2 = effective_link(LinkSeries(LINK, sched), CTRL, 0, protocol="cow", dphi=0.3)
         assert eff2.e_ph > 0.0
 
     def test_monotone_damage(self):
@@ -105,7 +107,7 @@ class TestEffectiveLink:
         last = -1.0
         for p in grid:
             sched = constant_schedule(5, depol_p=float(p))
-            eff = effective_link(LINK, sched, CTRL, 0)
+            eff = effective_link(LinkSeries(LINK, sched), CTRL, 0)
             g = bb84_gains(0.5, eff.eta, LINK.y0, eff.e_d_eff)
             assert g.e_mu >= last - 1e-15
             last = g.e_mu
@@ -114,16 +116,14 @@ class TestEffectiveLink:
 class TestStepBlock:
     def test_dark_channel_degenerate_block(self):
         link = LinkParams(distance_km=2000.0, y0=0.0)
-        rng = np.random.Generator(np.random.Philox(key=1))
-        t = step_block(link, make_scenario("nominal", 5), CTRL, PROTO, 0, rng)
+        t = Simulator(link, PROTO, make_scenario("nominal", 5), seed=1).step(CTRL)
         assert t.n_sifted == 0
         assert t.e_mu_hat == 0.5
         assert (t.e_lo, t.e_hi) == (0.0, 1.0)
 
     def test_estimate_concentration(self):
-        rng = np.random.Generator(np.random.Philox(key=1))
-        t = step_block(LINK, make_scenario("nominal", 5), CTRL, PROTO, 0, rng,
-                       channel=ChannelConfig(n_pulses=1_000_000))
+        t = Simulator(LINK, PROTO, make_scenario("nominal", 5), seed=1,
+                      channel=ChannelConfig(n_pulses=1_000_000)).step(CTRL)
         g = bb84_gains(0.5, transmittance(LINK), LINK.y0, LINK.e_d)
         n_trials = round(1_000_000 * PROTO.bb84.p_s * 0.5)
         sigma = math.sqrt(g.q_mu * (1 - g.q_mu) / n_trials)
@@ -146,10 +146,10 @@ class TestStepBlock:
         assert ta != tb  # loss event visible after the midpoint
 
     def test_counts_nested(self):
-        rng = np.random.Generator(np.random.Philox(key=2))
-        for t in range(20):
-            telem = step_block(LINK, make_scenario("noise-sweep", 20), CTRL, PROTO,
-                               t, rng, channel=ChannelConfig(n_pulses=100_000))
+        sim = Simulator(LINK, PROTO, make_scenario("noise-sweep", 20), seed=2,
+                        channel=ChannelConfig(n_pulses=100_000))
+        for _ in range(20):
+            telem = sim.step(CTRL)
             assert telem.n_errors <= telem.n_sifted <= telem.n_pulses
             assert telem.e_lo <= telem.e_mu_hat <= telem.e_hi
 
@@ -167,11 +167,82 @@ class TestStepBlock:
         assert not any(sim.step(CTRL).aborted for _ in range(50))
 
     def test_csv_row_format(self):
-        rng = np.random.Generator(np.random.Philox(key=7))
-        telem = step_block(LINK, make_scenario("nominal", 5), CTRL, PROTO, 0, rng)
+        telem = Simulator(LINK, PROTO, make_scenario("nominal", 5), seed=7).step(CTRL)
         row = telem.csv_row()
         assert len(row.split(",")) == len(TELEMETRY_CSV_HEADER.split(","))
         assert row.split(",")[-1] in ("0", "1")
+
+
+def random_control(rng):
+    """A control inside the controller's safe boxes."""
+    mu_s = rng.uniform(0.1, 1.0)
+    return ControlState(mu_s=mu_s, mu_w=rng.uniform(0.02, mu_s - 0.05),
+                        p_z=rng.uniform(0.5, 0.95), theta_c=rng.uniform(-0.6, 0.6),
+                        phi_c=rng.uniform(-math.pi, math.pi))
+
+
+def run_against_oracle(link, proto, sched, seed, channel=ChannelConfig()):
+    """Step ``Simulator`` and the per-block code it replaced side by side
+    under one random control per block; every telemetry field and the COW
+    phase must be equal. Returns the telemetry and the phase after each
+    block."""
+    sim = Simulator(link, proto, sched, seed=seed, channel=channel)
+    ref = SimulatorOracle(link, proto, sched, seed=seed, channel=channel)
+    controls = np.random.default_rng(seed)
+    telem, phases = [], []
+    for _ in range(sched.blocks):
+        ctrl = random_control(controls)
+        got, want = sim.step(ctrl), ref.step(ctrl)
+        assert dataclasses.astuple(got) == dataclasses.astuple(want), got.block_index
+        assert sim.dphi == ref.dphi
+        telem.append(got)
+        phases.append(sim.dphi)
+    return telem, phases
+
+
+KINDS = ("bb84", "e91", "cow")
+
+
+class TestAgainstOracle:
+    """``Simulator.step`` computes each run's constants once; these pin it
+    to the per-block code of ``tests/oracles.py``, which derived them on
+    every block."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_scenarios_with_random_controls(self, kind, scenario):
+        run_against_oracle(LINK, ProtocolConfig(kind=kind), make_scenario(scenario, 120),
+                           seed=SCENARIOS.index(scenario) * 10 + KINDS.index(kind))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_aborts(self, kind):
+        telem, _ = run_against_oracle(LINK, ProtocolConfig(kind=kind),
+                                      constant_schedule(40, depol_p=0.35), seed=21)
+        assert sum(t.aborted for t in telem) >= 5
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("link,channel", [
+        (LinkParams(distance_km=2000.0, y0=0.0), ChannelConfig()),  # dark fiber
+        (LINK, ChannelConfig(n_pulses=1)),  # too few pulses for a sifted trial
+    ])
+    def test_zero_sift_blocks(self, kind, link, channel):
+        telem, _ = run_against_oracle(link, ProtocolConfig(kind=kind),
+                                      make_scenario("noise-sweep", 30), seed=22, channel=channel)
+        assert all(t.n_sifted == 0 and t.e_mu_hat == 0.5 for t in telem)
+
+    def test_cow_phase_drift(self):
+        _, phases = run_against_oracle(LINK, ProtocolConfig(kind="cow"),
+                                       make_scenario("nominal", 200), seed=23)
+        assert len(set(phases)) == 200 and max(map(abs, phases)) > 0.05
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_loss_steps_summed_in_event_order(self, kind):
+        # several fractional steps, one before the schedule and one past it
+        sched = NoiseSchedule(60, np.zeros(60), np.full(60, 0.1), np.full(60, 0.02), events=[
+            ScheduleEvent(-2, "StepLossDb", 0.1), ScheduleEvent(0, "StepLossDb", 0.2),
+            ScheduleEvent(13, "StepLossDb", 0.7), ScheduleEvent(14, "StepLossDb", -0.3),
+            ScheduleEvent(41, "StepLossDb", 1.9), ScheduleEvent(75, "StepLossDb", 3.0)])
+        run_against_oracle(LINK, ProtocolConfig(kind=kind), sched, seed=24)
 
 
 class TestWilson:
@@ -197,9 +268,8 @@ class TestWilson:
         hits = 0
         trials = 500
         for seed in range(trials):
-            rng = np.random.Generator(np.random.Philox(key=seed))
-            t = step_block(LINK, sched, CTRL, PROTO, 0, rng,
-                           channel=ChannelConfig(n_pulses=10_000_000))
+            t = Simulator(LINK, PROTO, sched, seed=seed,
+                          channel=ChannelConfig(n_pulses=10_000_000)).step(CTRL)
             if t.e_lo <= g.e_mu <= t.e_hi:
                 hits += 1
         assert hits / trials >= 0.93

@@ -67,6 +67,19 @@ class TestRates:
     def test_unknown_protocol_usage_error(self, tmp_path, capsys):
         assert run(["rates", "--protocol", "b92", "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("grid,distances", [
+        (["--dmin", "0", "--dmax", "11", "--dstep", "4"], [0, 4, 8]),
+        (["--dmin", "0", "--dmax", "12", "--dstep", "4"], [0, 4, 8, 12]),
+        (["--dmin", "0", "--dmax", "1", "--dstep", "0.1"], [i / 10 for i in range(11)]),
+        (["--dmin", "0", "--dmax", "0.3", "--dstep", "0.1"], [0, 0.1, 0.2, 0.3]),
+        (["--dmin", "10", "--dmax", "10"], [10]),
+    ])
+    def test_grid_ends_at_last_step_within_dmax(self, tmp_path, grid, distances):
+        assert run(["rates", "--out", str(tmp_path)] + grid) == 0
+        rows = (tmp_path / "rates_bb84.csv").read_text().strip().split("\n")[1:]
+        got = [float(r.split(",")[0]) for r in rows]
+        assert got == pytest.approx(distances, rel=1e-12, abs=1e-12)
+
     @pytest.mark.parametrize("grid", [["--dmin", "50", "--dmax", "10"],
                                       ["--dstep", "-5"], ["--dstep", "0"],
                                       ["--dmax", "inf"], ["--dstep", "nan"]])
@@ -416,6 +429,24 @@ class TestEval:
         assert run(["eval", "--controllers", "ml,static", "--seeds", "1",
                     "--policy", str(tmp_path / "nope.ckpt"),
                     "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["simulate", "--seed", "-1"], "--seed"),
+    (["train", "tcn", "--seed", "-1"], "--seed"),
+    (["train", "ppo", "--seed", "-2"], "--seed"),
+    (["eval", "--controllers", "static,recalib", "--seeds=-1..2"], "--seeds"),
+    (["eval", "--controllers", "static", "--seeds", "3,-4"], "--seeds"),
+    (["simulate", "--blocks", "0"], "--blocks"),
+    (["simulate", "--blocks", "-3"], "--blocks"),
+    (["eval", "--controllers", "static", "--seeds", "1", "--blocks", "0"], "--blocks"),
+])
+def test_negative_seed_or_no_block_usage_error(tmp_path, capsys, argv, flag):
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and f"{flag} must be >= " in err
+    assert not out.exists()
 
 
 def test_parse_seeds():

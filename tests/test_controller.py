@@ -16,6 +16,8 @@ from optiqkd.controller import (ACTION_CAPS, Action, ActorCritic,
 from optiqkd.rates import PROTOCOLS
 from optiqkd.tcn import FEATURES, Normalizer, telemetry_features
 
+from oracles import act_oracle, observe_oracle
+
 
 def nominal_telemetry():
     return Telemetry(block_index=0, n_pulses=10**6, n_sifted=4000, n_errors=60,
@@ -96,6 +98,50 @@ class TestAct:
         s = act(nets, np.zeros(OBS_DIM), np.random.default_rng(3))
         assert s.fallback
         assert s.action.as_vector().tolist() == [0.0] * 5
+
+
+def assert_same_sample(got, want):
+    assert got.action == want.action
+    assert got.action.mask == want.action.mask
+    assert got.log_prob == want.log_prob and got.value == want.value
+    assert got.pre_squash.tobytes() == want.pre_squash.tobytes()
+    assert got.fallback == want.fallback
+
+
+class TestAgainstOracle:
+    """``act`` and ``observe`` against the numpy-dispatching code they
+    replaced (``tests/oracles.py``): the same bits."""
+
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    @pytest.mark.parametrize("deterministic", [False, True])
+    def test_act(self, protocol, deterministic):
+        nets = ActorCritic(PpoConfig(), rng=np.random.default_rng(30))
+        # log_std on both sides of the [-5, 2] clip and inside it
+        nets.log_std.data[:] = [-7.0, -5.0, -0.7, 2.0, 3.5]
+        rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+        for obs in np.random.default_rng(32).uniform(-1.5, 1.5, (100, OBS_DIM)):
+            assert_same_sample(act(nets, obs, rng, protocol, deterministic),
+                               act_oracle(nets, obs, ref_rng, protocol, deterministic))
+
+    @pytest.mark.parametrize("broken", ["actor", "critic"])
+    def test_act_nonfinite_fallback(self, broken):
+        nets = ActorCritic(PpoConfig(), rng=np.random.default_rng(33))
+        getattr(nets, broken)[-1].w.data[0, 0] = np.nan
+        obs = np.random.default_rng(34).uniform(-1, 1, OBS_DIM)
+        got = act(nets, obs, np.random.default_rng(35))
+        assert got.fallback
+        assert_same_sample(got, act_oracle(nets, obs, np.random.default_rng(35)))
+
+    def test_observe_out_of_box(self):
+        rng = np.random.default_rng(36)
+        boxes = (SAFE_MU_S, SAFE_MU_W, SAFE_PZ, SAFE_THETA_C, SAFE_PHI_C)
+        for _ in range(200):
+            z_fc, z_tm = rng.uniform(-12, 12, (2, len(FEATURES)))
+            # each knob anywhere from well below its box to well above it
+            knobs = [rng.uniform(lo - (hi - lo), hi + (hi - lo)) for lo, hi in boxes]
+            ctrl = ControlState(*knobs)
+            assert (observe(z_fc, z_tm, ctrl).tobytes()
+                    == observe_oracle(z_fc, z_tm, ctrl).tobytes())
 
 
 def graph_mean_value(nets, obs):

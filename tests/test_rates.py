@@ -181,7 +181,7 @@ class TestBb84KeyRate:
     def test_sifted_variant_near_threshold(self):
         q_mu = 0.01
         rep = bb84_sifted_key_rate(q_mu, 0.11, ProtocolConfig(f_ec=1.0), q=0.5)
-        assert abs(rep.components.raw) <= 1e-3 * q_mu
+        assert abs(rep.raw) <= 1e-3 * q_mu
 
     def test_sifted_consistency_with_full_rate(self):
         # Q1 = Q_mu, e1 = E_mu, f = 1 collapses Eq-style rate to the
@@ -189,14 +189,14 @@ class TestBb84KeyRate:
         cfg = ProtocolConfig(f_ec=1.0)
         for e in (0.01, 0.05, 0.11, 0.2):
             g = GainStats(q_mu=0.01, e_mu=e, q1=0.01, e1=e, y1=0.02)
-            full = bb84_key_rate(g, 0.01, e, cfg, q=0.5).components.raw
-            sift = bb84_sifted_key_rate(0.01, e, cfg, q=0.5).components.raw
+            full = bb84_key_rate(g, 0.01, e, cfg, q=0.5).raw
+            sift = bb84_sifted_key_rate(0.01, e, cfg, q=0.5).raw
             assert abs(full - sift) < 1e-12
 
     def test_negative_raw_preserved_and_clamped(self):
         g = GainStats(q_mu=0.01, e_mu=0.2, q1=0.002, e1=0.2, y1=0.02)
         rep = bb84_key_rate(g, 0.01, 0.2, PROTO, q=0.5)
-        assert rep.components.raw < 0.0
+        assert rep.raw < 0.0
         assert rep.r_per_pulse == 0.0
         assert rep.r_finite == 0.0
 
@@ -232,7 +232,7 @@ class TestE91:
         cfg = ProtocolConfig(kind="e91", f_ec=1.16)
         for q_err in (0.0, 0.05, 0.3):
             rep = e91_key_rate(2.0, q_err, cfg, q=0.5)
-            assert rep.components.pa_term == pytest.approx(0.0, abs=1e-12)
+            assert rep.pa_term == pytest.approx(0.0, abs=1e-12)
             assert rep.r_per_pulse == 0.0
 
     def test_oracle_agreement(self):
@@ -240,7 +240,7 @@ class TestE91:
         for v in (0.99, 0.95, 0.9, 0.85):
             s, q_err = e91_quantities(v)
             rep = e91_key_rate(s, q_err, cfg, q=0.5)
-            assert rep.components.raw == pytest.approx(
+            assert rep.raw == pytest.approx(
                 e91_rate_oracle(v, 1.16, 0.5), rel=1e-12)
 
     def test_bracket_changes_sign_exactly_once(self):
@@ -249,7 +249,7 @@ class TestE91:
         raws = []
         for q_err in grid:
             s, _ = e91_quantities(1.0 - 2.0 * q_err)
-            raws.append(e91_key_rate(s, q_err, cfg, q=1.0).components.raw)
+            raws.append(e91_key_rate(s, q_err, cfg, q=1.0).raw)
         signs = np.sign(raws)
         changes = np.sum(signs[:-1] != signs[1:])
         assert changes == 1
