@@ -110,8 +110,10 @@ def parse_seeds(text: str) -> List[int]:
 
 
 def _check_seed(seed: int, flag: str = "--seed") -> None:
-    if seed < 0:
-        raise UsageError(f"{flag} must be >= 0, got {seed}")
+    # each run derives its generator keys from the seed (up to about
+    # 4000 * seed), and a Philox key must stay below 2**128
+    if not 0 <= seed < 2**64:
+        raise UsageError(f"{flag} must be >= 0 and < 2**64, got {seed}")
 
 
 def _load_cfg(args) -> dict:

@@ -219,15 +219,16 @@ def index_oracle(x, idx, g):
 
 # -- bitwise references for the closed-loop block ----------------------------
 #
-# The per-block code the package ran before its episode constants were
-# hoisted: the channel re-derived the transmittance, the loss steps so far
-# and the misalignment angle on every block, and the controller went through
-# numpy's Python-level dispatch on 5-vectors. The package must give the same
-# bits; tests compare the two with ``==``.
+# Per-block code that derives every term on the spot: the channel takes the
+# transmittance, the loss steps so far and the misalignment angle from the
+# link and the schedule on every block, and the controller goes through
+# numpy's Python-level dispatch on 5-vectors. The package computes these
+# once per run, or without the dispatch, and must give the same bits; tests
+# compare the two with ``==``.
 
 def closed_form_gains_oracle(mu, eta, y0, e_d, e0=0.5):
-    """(Q_mu, E_mu) of the closed-form weak-coherent-pulse gain model, as
-    ``rates.bb84_gains`` computed them, each exponential taken twice."""
+    """(Q_mu, E_mu) of the closed-form weak-coherent-pulse gain model, each
+    exponential taken twice."""
     if mu <= 0:
         raise ValueError("mu must be positive")
     if not 0.0 <= eta <= 1.0:

@@ -11,9 +11,10 @@ from optiqkd.channel import (SCENARIOS, ChannelConfig, ControlState, DEPOL_FRACT
                              UnknownScenarioError, effective_link,
                              make_scenario, wilson_interval)
 from optiqkd.rates import (PROTOCOLS, LinkParams, ProtocolConfig, bb84_gains,
-                           transmittance)
+                           transmittance, wcp_gain)
 
-from oracles import SimulatorOracle, bit_level_sample_block, wilson_oracle
+from oracles import (SimulatorOracle, bit_level_sample_block, closed_form_gains_oracle,
+                     effective_link_oracle, wilson_oracle)
 
 LINK = LinkParams()
 PROTO = ProtocolConfig()
@@ -182,7 +183,7 @@ def random_control(rng):
 
 
 def run_against_oracle(link, proto, sched, seed, channel=ChannelConfig()):
-    """Step ``Simulator`` and the per-block code it replaced side by side
+    """Step ``Simulator`` and its per-block reference side by side
     under one random control per block; every telemetry field and the COW
     phase must be equal. Returns the telemetry and the phase after each
     block."""
@@ -201,11 +202,21 @@ def run_against_oracle(link, proto, sched, seed, channel=ChannelConfig()):
 
 
 KINDS = ("bb84", "e91", "cow")
+# fractional loss steps whose sum depends on the order they are added in:
+# three count from block 0 (two of them from before the schedule), one
+# gains back, and one lies past the end; the misalignment runs past both
+# ends of [0, 1]
+LOSS_STEPS = NoiseSchedule(
+    60, np.full(60, 0.05), np.full(60, 0.1), np.linspace(-0.05, 1.2, 60), events=[
+        ScheduleEvent(-3, "StepLossDb", 0.1), ScheduleEvent(-1, "StepLossDb", 0.2),
+        ScheduleEvent(0, "StepLossDb", 0.3), ScheduleEvent(13, "StepLossDb", 0.7),
+        ScheduleEvent(14, "StepLossDb", -0.3), ScheduleEvent(41, "StepLossDb", 1.9),
+        ScheduleEvent(75, "StepLossDb", 3.0)])
 
 
 class TestAgainstOracle:
     """``Simulator.step`` computes each run's constants once; these pin it
-    to the per-block code of ``tests/oracles.py``, which derived them on
+    to the per-block code of ``tests/oracles.py``, which derives them on
     every block."""
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -213,6 +224,21 @@ class TestAgainstOracle:
     def test_scenarios_with_random_controls(self, kind, scenario):
         run_against_oracle(LINK, ProtocolConfig(kind=kind), make_scenario(scenario, 120),
                            seed=SCENARIOS.index(scenario) * 10 + KINDS.index(kind))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("scenario", SCENARIOS + ("loss-steps",))
+    def test_effective_link_and_gains_are_the_oracles(self, kind, scenario):
+        # the terms themselves, whose last bits a binomial draw may hide
+        sched = LOSS_STEPS if scenario == "loss-steps" else make_scenario(scenario, 120)
+        series = LinkSeries(LINK, sched)
+        rng = np.random.default_rng(25)
+        for t in range(sched.blocks):
+            ctrl, dphi = random_control(rng), rng.uniform(-math.pi, math.pi)
+            eff = effective_link(series, ctrl, t, kind, dphi)
+            assert tuple(eff) == effective_link_oracle(LINK, sched, ctrl, t, kind, dphi), t
+            for mu in (ctrl.mu_s, ctrl.mu_w):
+                args = (mu, eff.eta, LINK.y0, eff.e_d_eff, LINK.e0)
+                assert wcp_gain(*args) == closed_form_gains_oracle(*args), t
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_aborts(self, kind):
@@ -230,6 +256,12 @@ class TestAgainstOracle:
                                       make_scenario("noise-sweep", 30), seed=22, channel=channel)
         assert all(t.n_sifted == 0 and t.e_mu_hat == 0.5 for t in telem)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_few_pulses(self, kind):
+        # trial counts of a few pulses, where rounding the splits shows
+        run_against_oracle(LINK, ProtocolConfig(kind=kind), make_scenario("nominal", 200),
+                           seed=26, channel=ChannelConfig(n_pulses=15))
+
     def test_cow_phase_drift(self):
         _, phases = run_against_oracle(LINK, ProtocolConfig(kind="cow"),
                                        make_scenario("nominal", 200), seed=23)
@@ -237,12 +269,7 @@ class TestAgainstOracle:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_loss_steps_summed_in_event_order(self, kind):
-        # several fractional steps, one before the schedule and one past it
-        sched = NoiseSchedule(60, np.zeros(60), np.full(60, 0.1), np.full(60, 0.02), events=[
-            ScheduleEvent(-2, "StepLossDb", 0.1), ScheduleEvent(0, "StepLossDb", 0.2),
-            ScheduleEvent(13, "StepLossDb", 0.7), ScheduleEvent(14, "StepLossDb", -0.3),
-            ScheduleEvent(41, "StepLossDb", 1.9), ScheduleEvent(75, "StepLossDb", 3.0)])
-        run_against_oracle(LINK, ProtocolConfig(kind=kind), sched, seed=24)
+        run_against_oracle(LINK, ProtocolConfig(kind=kind), LOSS_STEPS, seed=24)
 
 
 class TestWilson:

@@ -434,6 +434,7 @@ class TestEval:
 @pytest.mark.parametrize("argv,flag", [
     (["simulate", "--seed", "-1"], "--seed"),
     (["train", "tcn", "--seed", "-1"], "--seed"),
+    (["train", "tcn", "--seed", str(2**64)], "--seed"),
     (["train", "ppo", "--seed", "-2"], "--seed"),
     (["eval", "--controllers", "static,recalib", "--seeds=-1..2"], "--seeds"),
     (["eval", "--controllers", "static", "--seeds", "3,-4"], "--seeds"),
@@ -441,7 +442,7 @@ class TestEval:
     (["simulate", "--blocks", "-3"], "--blocks"),
     (["eval", "--controllers", "static", "--seeds", "1", "--blocks", "0"], "--blocks"),
 ])
-def test_negative_seed_or_no_block_usage_error(tmp_path, capsys, argv, flag):
+def test_seed_out_of_range_or_no_block_usage_error(tmp_path, capsys, argv, flag):
     out = tmp_path / "o"
     assert run(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err

@@ -109,8 +109,8 @@ def assert_same_sample(got, want):
 
 
 class TestAgainstOracle:
-    """``act`` and ``observe`` against the numpy-dispatching code they
-    replaced (``tests/oracles.py``): the same bits."""
+    """``act`` and ``observe`` against references that take numpy's
+    Python-level dispatch (``tests/oracles.py``): the same bits."""
 
     @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
     @pytest.mark.parametrize("deterministic", [False, True])
