@@ -9,7 +9,6 @@ import math
 
 import numpy as np
 
-from optiqkd import nn
 from optiqkd.controller import ActorCritic, PpoConfig, RolloutBuffer, ppo_update
 
 TARGET = 0.6
@@ -26,16 +25,15 @@ for seed in (1, 2, 3):
             nets.opt_actor.lr /= 10.0
             nets.opt_critic.lr /= 10.0
         for _ in range(cfg.rollout):
-            mean = nets.forward_actor(nn.Var(obs[None, :])).data[0]
+            mean, value = nets.mean_value(obs)
             sigma = nets.sigma()
             u = mean + sigma * rng.standard_normal(1)
             action = float(np.tanh(u)[0])
             z = (u - mean) / sigma
             logp = float(np.sum(-0.5 * z**2 - np.log(sigma)
                                 - 0.5 * math.log(2 * math.pi)))
-            value = float(nets.forward_critic(nn.Var(obs[None, :])).data[0])
             buf.add(obs, u, logp, value, -(action - TARGET) ** 2, mask)
         ppo_update(buf, nets)
-    final = math.tanh(float(nets.forward_actor(nn.Var(obs[None, :])).data[0, 0]))
+    final = math.tanh(float(nets.mean_value(obs)[0][0]))
     print(f"seed {seed}: deterministic action {final:.4f} "
           f"(optimum {TARGET}, rel err {abs(final - TARGET) / TARGET:.3f})")

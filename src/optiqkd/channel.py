@@ -102,6 +102,8 @@ class NoiseSchedule:
         if np.any(self.damp_gamma < 0) or np.any(self.damp_gamma > 1):
             raise ValueError("damp_gamma must lie in [0, 1]")
         idx = [ev.block_index for ev in self.events]
+        if any(not 0 <= i < self.blocks for i in idx):
+            raise ValueError(f"event block indices must lie in [0, {self.blocks}), got {idx}")
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise ValueError("event block indices must be strictly increasing")
 
@@ -218,8 +220,7 @@ class LinkSeries:
         self.blocks = sched.blocks
         steps = np.zeros(sched.blocks)
         for ev in sched.events:  # an event counts from its block on
-            if ev.block_index < sched.blocks:
-                steps[max(ev.block_index, 0)] += ev.magnitude
+            steps[ev.block_index] = ev.magnitude
         # cumsum adds the steps in event order, as summing the events would
         loss_db = np.cumsum(steps).tolist()
         eta0 = transmittance(link)

@@ -6,17 +6,21 @@ their allowed operating ranges, so no sampled action can push the link
 outside safe settings. Transitions are used once per update and discarded
 (on-policy buffer).
 
-Inference (:meth:`ActorCritic.mean_value`, which :func:`act` calls once
-per block) runs on plain arrays and reads each layer's live weights on
-every call: unlike ``tcn.Forecaster`` it keeps no copy, so it follows
-``ppo_update`` mid-episode and a checkpoint restored by ``nn.set_params``.
+Nothing here builds an ``nn`` graph. Inference
+(:meth:`ActorCritic.mean_value`, which :func:`act` calls once per block)
+runs on plain arrays and reads each layer's live weights on every call:
+unlike ``tcn.Forecaster`` it keeps no copy, so it follows ``ppo_update``
+mid-episode and a checkpoint restored by ``nn.set_params``. Each PPO
+minibatch step runs the same forward on plain arrays, keeping each
+layer's tanh output, and backpropagates gradients derived by hand into
+the two Adam optimizers, bitwise equal to the graph of the same losses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -155,19 +159,28 @@ def _mlp(sizes: Sequence[int], rng: np.random.Generator,
     return layers
 
 
-def _mlp_forward(layers: Sequence[nn.DenseLayer], h, dense: Callable, tanh: Callable):
-    """The layer stack on input ``h`` (B, n_in): ``tanh`` after every
-    ``dense(h, w, b)`` but the last. ``nn.dense``/``nn.tanh`` build the
-    graph; :func:`_dense_array`/``np.tanh`` compute the same values on
-    plain arrays."""
+def _mlp_forward(layers: Sequence[nn.DenseLayer],
+                 x: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray]:
+    """Each layer's input and the stack's output on plain ``x`` (B, n_in):
+    ``tanh`` after every affine map but the last, in ``nn.dense``'s
+    arithmetic."""
+    inputs = [x]
     for layer in layers[:-1]:
-        h = tanh(dense(h, layer.w, layer.b))
-    return dense(h, layers[-1].w, layers[-1].b)
+        inputs.append(np.tanh(inputs[-1] @ layer.w.data.T + layer.b.data))
+    return inputs, inputs[-1] @ layers[-1].w.data.T + layers[-1].b.data
 
 
-def _dense_array(x: np.ndarray, w: nn.Var, b: nn.Var) -> np.ndarray:
-    """``nn.dense``'s forward arithmetic on a plain (B, n_in) array."""
-    return x @ w.data.T + b.data
+def _mlp_backward(layers: Sequence[nn.DenseLayer], inputs: Sequence[np.ndarray],
+                  g: np.ndarray) -> List[np.ndarray]:
+    """The gradients of each layer's ``w`` and ``b``, in layer order, from
+    the gradient ``g`` of the stack's output, in the arithmetic of the
+    ``nn.dense`` and ``nn.tanh`` closures; the input ``inputs[0]`` gets none."""
+    grads: List[np.ndarray] = []
+    for i in range(len(layers) - 1, -1, -1):
+        grads[:0] = (g.T @ inputs[i], g.sum(axis=0))
+        if i:
+            g = (g @ layers[i].w.data) * (1.0 - inputs[i] * inputs[i])
+    return grads
 
 
 class ActorCritic:
@@ -206,19 +219,12 @@ class ActorCritic:
     def critic_params(self) -> List[nn.Var]:
         return [p for name, p in self.named.items() if name.startswith("critic")]
 
-    def forward_actor(self, obs: nn.Var) -> nn.Var:
-        return _mlp_forward(self.actor, obs, nn.dense, nn.tanh)
-
-    def forward_critic(self, obs: nn.Var) -> nn.Var:
-        return nn.index(_mlp_forward(self.critic, obs, nn.dense, nn.tanh), (slice(None), 0))
-
     def mean_value(self, obs: np.ndarray) -> Tuple[np.ndarray, float]:
         """The actor's mean (act_dim,) and the critic's value at one
-        observation, bitwise equal to :meth:`forward_actor` and
-        :meth:`forward_critic` at batch 1, with no graph built."""
+        observation: the forward of :func:`ppo_update` at batch 1."""
         x = np.asarray(obs, dtype=float)[None, :]
-        mean = _mlp_forward(self.actor, x, _dense_array, np.tanh)[0]
-        return mean, float(_mlp_forward(self.critic, x, _dense_array, np.tanh)[0, 0])
+        mean = _mlp_forward(self.actor, x)[1][0]
+        return mean, float(_mlp_forward(self.critic, x)[1][0, 0])
 
     def sigma(self) -> np.ndarray:
         """exp(log_std) with log_std clipped to [-5, 2], from the live
@@ -312,14 +318,48 @@ def discounted_returns(rewards: Sequence[float], gamma: float) -> np.ndarray:
     return out
 
 
-def _gaussian_log_prob(mean: nn.Var, log_std: nn.Var, u: np.ndarray,
-                       mask: np.ndarray) -> nn.Var:
-    """Masked diagonal-Gaussian log density of pre-squash actions (B,)."""
-    ls = nn.clip(log_std, -5.0, 2.0)
-    inv_sigma = nn.exp(nn.mul(ls, nn.const(-1.0)))
-    z = nn.mul(nn.const(u) - mean, inv_sigma)
-    terms = nn.mul(nn.square(z), nn.const(-0.5)) - ls - nn.const(0.5 * LOG2PI)
-    return nn.vsum(nn.mul(terms, nn.const(mask)), axis=1)
+def _ppo_step(nets: ActorCritic, obs: np.ndarray, u: np.ndarray, mask: np.ndarray,
+              logp_old: np.ndarray, adv: np.ndarray,
+              returns: np.ndarray) -> Tuple[float, float, float]:
+    """One minibatch step on plain arrays: the clipped surrogate less the
+    entropy bonus, and the critic's squared error, each differentiated by
+    hand and followed by one Adam step of its net. Every operation is the
+    one the ``nn`` graph of these losses runs, in its order, so the update
+    is the graph's to the bit (``tests/oracles.py`` keeps that graph).
+    Returns the policy loss, the value loss and the entropy; a non-finite
+    loss raises :class:`DivergenceError` before either step."""
+    cfg, n = nets.cfg, len(obs)
+    lo, hi = 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps
+    log_std = nets.log_std.data
+    ls = np.clip(log_std, -5.0, 2.0)
+    inv_sigma = np.exp(ls * -1.0)
+    inputs, mean = _mlp_forward(nets.actor, obs)
+    diff = u - mean
+    z = diff * inv_sigma
+    logp = ((z * z * -0.5 - ls - 0.5 * LOG2PI) * mask).sum(axis=1)
+    ratio = np.exp(logp - logp_old)
+    p1, p2 = ratio * adv, np.clip(ratio, lo, hi) * adv
+    take = p1 <= p2
+    mask_mean = mask.mean(axis=0)
+    entropy = ((ls + 0.5 * (LOG2PI + 1.0)) * mask_mean).sum()
+    policy_loss = -np.where(take, p1, p2).mean() - entropy * cfg.entropy_weight
+    v_inputs, v_pred = _mlp_forward(nets.critic, obs)
+    err = v_pred[:, 0] - returns
+    value_loss = (err * err).mean()
+    if not (np.isfinite(policy_loss) and np.isfinite(value_loss)):
+        raise DivergenceError("non-finite PPO loss")
+    # the mean's -1/n through the minimum, the ratio clip and the log density
+    g = -1.0 / n
+    g_ratio = (g * take) * adv + ((g * ~take) * adv) * ((ratio > lo) & (ratio < hi))
+    g_terms = (g_ratio * ratio)[:, None] * mask
+    g_z = g_terms * -0.5 * 2.0 * z
+    g_ls = -g_terms.sum(axis=0) + (g_z * diff).sum(axis=0) * inv_sigma * -1.0
+    inside = (log_std > -5.0) & (log_std < 2.0)
+    g_log_std = g_ls * inside + (-cfg.entropy_weight * mask_mean) * inside
+    nets.opt_actor.step(_mlp_backward(nets.actor, inputs, -(g_z * inv_sigma)) + [g_log_std])
+    g_v = 1.0 / n * 2.0 * err
+    nets.opt_critic.step(_mlp_backward(nets.critic, v_inputs, g_v.reshape(n, 1)))
+    return float(policy_loss), float(value_loss), float(entropy)
 
 
 def ppo_update(buffer: RolloutBuffer, nets: ActorCritic) -> Dict[str, float]:
@@ -343,39 +383,19 @@ def ppo_update(buffer: RolloutBuffer, nets: ActorCritic) -> Dict[str, float]:
 
     snap = {name: p.data.copy() for name, p in nets.named.items()}
     rng = np.random.Generator(np.random.Philox(key=len(buffer)))
-    policy_losses, value_losses, entropies = [], [], []
+    stats = []
     try:
         for _ in range(cfg.epochs):
             order = rng.permutation(len(buffer))
             for start in range(0, len(order), cfg.minibatch):
                 sel = order[start:start + cfg.minibatch]
-                obs_v = nn.const(obs[sel])
-                mean = nets.forward_actor(obs_v)
-                logp = _gaussian_log_prob(mean, nets.log_std, u[sel], masks[sel])
-                ratio = nn.exp(logp - nn.const(logp_old[sel]))
-                adv_v = nn.const(adv[sel])
-                surr = nn.minimum(nn.mul(ratio, adv_v),
-                                  nn.mul(nn.clip(ratio, 1.0 - cfg.clip_eps,
-                                                 1.0 + cfg.clip_eps), adv_v))
-                ls = nn.clip(nets.log_std, -5.0, 2.0)
-                entropy = nn.vsum(nn.mul(ls + nn.const(0.5 * (LOG2PI + 1.0)),
-                                         nn.const(masks[sel].mean(axis=0))))
-                policy_loss = nn.neg(nn.vmean(surr)) - nn.mul(entropy, nn.const(cfg.entropy_weight))
-                v_pred = nets.forward_critic(obs_v)
-                value_loss = nn.vmean(nn.square(v_pred - nn.const(returns[sel])))
-                if not (np.isfinite(policy_loss.data) and np.isfinite(value_loss.data)):
-                    raise DivergenceError("non-finite PPO loss")
-                nn.backward(policy_loss)
-                nets.opt_actor.step()
-                nn.backward(value_loss)
-                nets.opt_critic.step()
-                policy_losses.append(float(policy_loss.data))
-                value_losses.append(float(value_loss.data))
-                entropies.append(float(entropy.data))
+                stats.append(_ppo_step(nets, obs[sel], u[sel], masks[sel], logp_old[sel],
+                                       adv[sel], returns[sel]))
     except (DivergenceError, nn.NonFiniteGradientError):
         nn.set_params(nets.named, snap)
         buffer.clear()
         raise
+    policy_losses, value_losses, entropies = zip(*stats)
     report = {
         "mean_reward": float(np.mean(buffer.rewards)),
         "policy_loss": float(np.mean(policy_losses)),

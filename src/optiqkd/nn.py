@@ -146,16 +146,6 @@ def relu(a: Var) -> Var:
     return Var(np.maximum(a.data, 0.0), [(a, lambda g: g * mask)])
 
 
-def tanh(a: Var) -> Var:
-    out = np.tanh(a.data)
-    return Var(out, [(a, lambda g: g * (1.0 - out * out))])
-
-
-def exp(a: Var) -> Var:
-    out = np.exp(a.data)
-    return Var(out, [(a, lambda g: g * out)])
-
-
 def square(a: Var) -> Var:
     return Var(a.data * a.data, [(a, lambda g: g * 2.0 * a.data)])
 
@@ -181,19 +171,6 @@ def vmean(a: Var, axis=None) -> Var:
         return np.broadcast_to(np.expand_dims(g, axis), a.data.shape) / n
 
     return Var(out, [(a, bw)])
-
-
-def minimum(a: Var, b: Var) -> Var:
-    take_a = a.data <= b.data
-    return Var(
-        np.where(take_a, a.data, b.data),
-        [(a, lambda g: g * take_a), (b, lambda g: g * ~take_a)],
-    )
-
-
-def clip(a: Var, lo: float, hi: float) -> Var:
-    inside = (a.data > lo) & (a.data < hi)
-    return Var(np.clip(a.data, lo, hi), [(a, lambda g: g * inside)])
 
 
 def index(a: Var, idx) -> Var:
@@ -417,12 +394,13 @@ class Adam:
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.state = init_adam_state(self.params)
 
-    def step(self) -> None:
-        grads = []
-        for p in self.params:
-            if p.grad is None:
+    def step(self, grads: Optional[Sequence[np.ndarray]] = None) -> None:
+        """One update from ``grads`` (one per parameter, in order), or else
+        from the ``grad`` that :func:`backward` left on each parameter."""
+        if grads is None:
+            if any(p.grad is None for p in self.params):
                 raise GraphStateError("parameter has no gradient; run backward first")
-            grads.append(p.grad)
+            grads = [p.grad for p in self.params]
         adam_step(self.params, grads, self.state, self.lr, self.beta1,
                   self.beta2, self.eps)
 

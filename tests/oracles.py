@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from optiqkd import nn
+
 Z_95 = 1.959963984540054
 
 
@@ -406,3 +408,120 @@ def act_oracle(nets, obs, rng, protocol="bb84", deterministic=False):
     log_prob = float(np.sum(logp_terms * mask))
     deltas = np.tanh(u) * ACTION_CAPS
     return ActionSample(action(deltas, mask), log_prob, value, u)
+
+
+# -- the PPO update on the nn graph ---------------------------------------
+# Graph ops that only this reference and a few tests build; ``nn`` keeps the
+# ops the package's own training and the benchmark kernels use.
+
+def tanh(a):
+    out = np.tanh(a.data)
+    return nn.Var(out, [(a, lambda g: g * (1.0 - out * out))])
+
+
+def exp(a):
+    out = np.exp(a.data)
+    return nn.Var(out, [(a, lambda g: g * out)])
+
+
+def minimum(a, b):
+    take_a = a.data <= b.data
+    return nn.Var(
+        np.where(take_a, a.data, b.data),
+        [(a, lambda g: g * take_a), (b, lambda g: g * ~take_a)],
+    )
+
+
+def clip(a, lo, hi):
+    inside = (a.data > lo) & (a.data < hi)
+    return nn.Var(np.clip(a.data, lo, hi), [(a, lambda g: g * inside)])
+
+
+def _graph_mlp(layers, h):
+    for layer in layers[:-1]:
+        h = tanh(nn.dense(h, layer.w, layer.b))
+    return nn.dense(h, layers[-1].w, layers[-1].b)
+
+
+def forward_actor(nets, obs):
+    """The actor's mean (B, act_dim) as a graph node on ``obs`` (a Var)."""
+    return _graph_mlp(nets.actor, obs)
+
+
+def forward_critic(nets, obs):
+    """The critic's value (B,) as a graph node on ``obs`` (a Var)."""
+    return nn.index(_graph_mlp(nets.critic, obs), (slice(None), 0))
+
+
+def _gaussian_log_prob(mean, log_std, u, mask):
+    """Masked diagonal-Gaussian log density of pre-squash actions (B,)."""
+    from optiqkd.controller import LOG2PI
+
+    ls = clip(log_std, -5.0, 2.0)
+    inv_sigma = exp(nn.mul(ls, nn.const(-1.0)))
+    z = nn.mul(nn.const(u) - mean, inv_sigma)
+    terms = nn.mul(nn.square(z), nn.const(-0.5)) - ls - nn.const(0.5 * LOG2PI)
+    return nn.vsum(nn.mul(terms, nn.const(mask)), axis=1)
+
+
+def ppo_update_oracle(buffer, nets):
+    """``controller.ppo_update`` with every minibatch step built as an
+    ``nn`` graph and differentiated by ``nn.backward``; each parameter's
+    ``grad`` goes to its net's ``Adam.step``."""
+    from optiqkd.controller import LOG2PI, discounted_returns
+    from optiqkd.tcn import DivergenceError
+
+    cfg = nets.cfg
+    if len(buffer) < cfg.minibatch:
+        raise ValueError("buffer shorter than one minibatch")
+    obs = np.stack(buffer.obs)
+    u = np.stack(buffer.pre_squash)
+    masks = np.stack(buffer.masks)
+    logp_old = np.asarray(buffer.log_probs)
+    returns = discounted_returns(buffer.rewards, cfg.gamma)
+    adv = returns - np.asarray(buffer.values)
+    adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+
+    snap = {name: p.data.copy() for name, p in nets.named.items()}
+    rng = np.random.Generator(np.random.Philox(key=len(buffer)))
+    policy_losses, value_losses, entropies = [], [], []
+    try:
+        for _ in range(cfg.epochs):
+            order = rng.permutation(len(buffer))
+            for start in range(0, len(order), cfg.minibatch):
+                sel = order[start:start + cfg.minibatch]
+                obs_v = nn.const(obs[sel])
+                mean = forward_actor(nets, obs_v)
+                logp = _gaussian_log_prob(mean, nets.log_std, u[sel], masks[sel])
+                ratio = exp(logp - nn.const(logp_old[sel]))
+                adv_v = nn.const(adv[sel])
+                surr = minimum(nn.mul(ratio, adv_v),
+                               nn.mul(clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps),
+                                      adv_v))
+                ls = clip(nets.log_std, -5.0, 2.0)
+                entropy = nn.vsum(nn.mul(ls + nn.const(0.5 * (LOG2PI + 1.0)),
+                                         nn.const(masks[sel].mean(axis=0))))
+                policy_loss = nn.neg(nn.vmean(surr)) - nn.mul(entropy, nn.const(cfg.entropy_weight))
+                v_pred = forward_critic(nets, obs_v)
+                value_loss = nn.vmean(nn.square(v_pred - nn.const(returns[sel])))
+                if not (np.isfinite(policy_loss.data) and np.isfinite(value_loss.data)):
+                    raise DivergenceError("non-finite PPO loss")
+                nn.backward(policy_loss)
+                nets.opt_actor.step()
+                nn.backward(value_loss)
+                nets.opt_critic.step()
+                policy_losses.append(float(policy_loss.data))
+                value_losses.append(float(value_loss.data))
+                entropies.append(float(entropy.data))
+    except (DivergenceError, nn.NonFiniteGradientError):
+        nn.set_params(nets.named, snap)
+        buffer.clear()
+        raise
+    report = {
+        "mean_reward": float(np.mean(buffer.rewards)),
+        "policy_loss": float(np.mean(policy_losses)),
+        "value_loss": float(np.mean(value_losses)),
+        "entropy": float(np.mean(entropies)),
+    }
+    buffer.clear()
+    return report

@@ -302,17 +302,16 @@ def test_05_ppo_toy_convergence():
                 nets.opt_actor.lr /= 10.0
                 nets.opt_critic.lr /= 10.0
             for _ in range(cfg.rollout):
-                mean = nets.forward_actor(nn.Var(obs[None, :])).data[0]
+                mean, v = nets.mean_value(obs)
                 sigma = nets.sigma()
                 u = mean + sigma * rng.standard_normal(1)
                 a = float(np.tanh(u)[0])
                 z = (u - mean) / sigma
                 logp = float(np.sum(-0.5 * z**2 - np.log(sigma)
                                     - 0.5 * math.log(2 * math.pi)))
-                v = float(nets.forward_critic(nn.Var(obs[None, :])).data[0])
                 buf.add(obs, u, logp, v, -(a - target) ** 2, mask)
             ppo_update(buf, nets)
-        det = math.tanh(float(nets.forward_actor(nn.Var(obs[None, :])).data[0, 0]))
+        det = math.tanh(float(nets.mean_value(obs)[0][0]))
         final.append(det)
     rel_errs = [abs(a - target) / target for a in final]
     elapsed = time.monotonic() - t0

@@ -62,6 +62,12 @@ class TestScenarios:
                           events=[ScheduleEvent(5, "StepLossDb", 0.1),
                                   ScheduleEvent(5, "StepLossDb", 0.1)])
 
+    @pytest.mark.parametrize("block", [-1, 10])
+    def test_event_outside_schedule_refused(self, block):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 10\)"):
+            NoiseSchedule(10, np.zeros(10), np.zeros(10), np.zeros(10),
+                          events=[ScheduleEvent(block, "StepLossDb", 0.1)])
+
 
 class TestEffectiveLink:
     def test_depolarizing_visibility(self):
@@ -202,16 +208,16 @@ def run_against_oracle(link, proto, sched, seed, channel=ChannelConfig()):
 
 
 KINDS = ("bb84", "e91", "cow")
-# fractional loss steps whose sum depends on the order they are added in:
-# three count from block 0 (two of them from before the schedule), one
-# gains back, and one lies past the end; the misalignment runs past both
-# ends of [0, 1]
+# fractional loss steps whose running sum depends on the order they are
+# added in (0.1 + 0.2 + 0.3 is not 0.1 + (0.2 + 0.3)): one at the first
+# block, one that gains back, one at the last block; the misalignment runs
+# past both ends of [0, 1]
 LOSS_STEPS = NoiseSchedule(
     60, np.full(60, 0.05), np.full(60, 0.1), np.linspace(-0.05, 1.2, 60), events=[
-        ScheduleEvent(-3, "StepLossDb", 0.1), ScheduleEvent(-1, "StepLossDb", 0.2),
-        ScheduleEvent(0, "StepLossDb", 0.3), ScheduleEvent(13, "StepLossDb", 0.7),
+        ScheduleEvent(0, "StepLossDb", 0.1), ScheduleEvent(1, "StepLossDb", 0.2),
+        ScheduleEvent(2, "StepLossDb", 0.3), ScheduleEvent(13, "StepLossDb", 0.7),
         ScheduleEvent(14, "StepLossDb", -0.3), ScheduleEvent(41, "StepLossDb", 1.9),
-        ScheduleEvent(75, "StepLossDb", 3.0)])
+        ScheduleEvent(59, "StepLossDb", 3.0)])
 
 
 class TestAgainstOracle:

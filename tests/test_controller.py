@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -10,13 +11,14 @@ from optiqkd.controller import (ACTION_CAPS, Action, ActorCritic,
                                 PpoConfig, RewardConfig,
                                 RolloutBuffer, SAFE_MU_GAP, SAFE_MU_S,
                                 SAFE_MU_W, SAFE_PZ, SAFE_PHI_C, SAFE_THETA_C,
-                                act, apply_action,
+                                LOG2PI, act, apply_action,
                                 discounted_returns, load_policy, observe,
                                 ppo_update, reward, save_policy)
 from optiqkd.rates import PROTOCOLS
 from optiqkd.tcn import FEATURES, Normalizer, telemetry_features
 
-from oracles import act_oracle, observe_oracle
+from oracles import (act_oracle, clip, exp, forward_actor, forward_critic, minimum,
+                     observe_oracle, ppo_update_oracle)
 
 
 def nominal_telemetry():
@@ -145,9 +147,9 @@ class TestAgainstOracle:
 
 
 def graph_mean_value(nets, obs):
-    """The batch-1 graph forward that ``ppo_update`` differentiates."""
+    """The batch-1 graph forward that ``ppo_update_oracle`` differentiates."""
     x = nn.const(obs[None, :])
-    return nets.forward_actor(x).data[0], float(nets.forward_critic(x).data[0])
+    return forward_actor(nets, x).data[0], float(forward_critic(nets, x).data[0])
 
 
 def assert_mean_value_is_graph(nets, seed):
@@ -281,9 +283,9 @@ class TestClipProperty:
         logp_old = nn.Var(np.array([0.0, 0.0]))
         logp_new = nn.Var(np.array([0.5, 0.05]))  # ratios e^0.5=1.65, e^0.05=1.05
         adv = np.array([1.0, 1.0])
-        ratio = nn.exp(logp_new - logp_old)
-        clipped = nn.clip(ratio, 1.0 - eps, 1.0 + eps)
-        surr = nn.minimum(nn.mul(ratio, nn.Var(adv)), nn.mul(clipped, nn.Var(adv)))
+        ratio = exp(logp_new - logp_old)
+        clipped = clip(ratio, 1.0 - eps, 1.0 + eps)
+        surr = minimum(nn.mul(ratio, nn.Var(adv)), nn.mul(clipped, nn.Var(adv)))
         loss = nn.neg(nn.vmean(surr))
         nn.backward(loss)
         assert logp_new.grad[0] == 0.0  # clipped sample: no push
@@ -293,8 +295,8 @@ class TestClipProperty:
         eps = 0.2
         ratio = nn.Var(np.array([1.1, 0.9]))
         adv = nn.Var(np.array([0.5, -0.5]))
-        clipped = nn.clip(ratio, 1.0 - eps, 1.0 + eps)
-        assert np.allclose(nn.minimum(nn.mul(ratio, adv), nn.mul(clipped, adv)).data,
+        clipped = clip(ratio, 1.0 - eps, 1.0 + eps)
+        assert np.allclose(minimum(nn.mul(ratio, adv), nn.mul(clipped, adv)).data,
                            (ratio.data * adv.data))
 
 
@@ -303,13 +305,12 @@ def fill_buffer(nets, cfg, rng, n, reward_fn):
     obs = np.array([1.0])
     mask = np.ones(1)
     for _ in range(n):
-        mean = nets.forward_actor(nn.Var(obs[None, :])).data[0]
+        mean, v = nets.mean_value(obs)
         sigma = nets.sigma()
         u = mean + sigma * rng.standard_normal(1)
         a = float(np.tanh(u)[0])
         z = (u - mean) / sigma
         logp = float(np.sum(-0.5 * z**2 - np.log(sigma) - 0.5 * math.log(2 * math.pi)))
-        v = float(nets.forward_critic(nn.Var(obs[None, :])).data[0])
         buf.add(obs, u, logp, v, reward_fn(a), mask)
     return buf
 
@@ -347,6 +348,158 @@ class TestPpoUpdate:
         buf = fill_buffer(nets, cfg, np.random.default_rng(5), 10, lambda a: 0.0)
         with pytest.raises(ValueError):
             ppo_update(buf, nets)
+
+
+def add_transitions(bufs, nets, rng, mask, n, reward_fn):
+    """Add the same ``n`` on-policy transitions of ``nets`` to each buffer."""
+    for _ in range(n):
+        obs = rng.uniform(-1.5, 1.5, nets.obs_dim)
+        mean, value = nets.mean_value(obs)
+        sigma = nets.sigma()
+        u = mean + sigma * rng.standard_normal(nets.act_dim)
+        z = (u - mean) / sigma
+        logp = float(((-0.5 * z**2 - np.log(sigma) - 0.5 * LOG2PI) * mask).sum())
+        r = reward_fn(rng)
+        for buf in bufs:
+            buf.add(obs, u, logp, value, r, mask)
+
+
+def assert_same_learner(got, want):
+    """Parameters, both Adam states (``m``, ``v``, ``t``) and the buffer."""
+    for name, p in got.named.items():
+        assert np.array_equal(p.data, want.named[name].data), name
+    for opt in ("opt_actor", "opt_critic"):
+        a, b = getattr(got, opt).state, getattr(want, opt).state
+        assert a["t"] == b["t"], opt
+        assert np.array_equal(a["m"], b["m"]) and np.array_equal(a["v"], b["v"]), opt
+    assert len(got.buffer) == len(want.buffer) == 0
+
+
+def run_against_oracle(nets, updates, protocol="bb84", reward_fn=lambda rng: rng.normal(),
+                       before_update=None, seed=40):
+    """``updates`` rounds of one rollout and one ``ppo_update`` on ``nets``,
+    and of the same rollout and ``ppo_update_oracle`` on a copy; the two
+    must agree to the bit after every round. Returns the last rollout's
+    observations, pre-squash actions, log-probabilities and masks."""
+    ref = copy.deepcopy(nets)
+    rng = np.random.default_rng(seed)
+    mask = (np.asarray(PROTOCOLS[protocol].mask) if nets.act_dim == len(ACTION_CAPS)
+            else np.ones(nets.act_dim))
+    for i in range(updates):
+        if before_update:
+            before_update(i, nets, ref)
+        add_transitions((nets.buffer, ref.buffer), nets, rng, mask, nets.cfg.rollout, reward_fn)
+        rollout = copy.deepcopy(nets.buffer)
+        assert ppo_update(nets.buffer, nets) == ppo_update_oracle(ref.buffer, ref)
+        assert_same_learner(nets, ref)
+    return rollout
+
+
+def ratios(nets, rollout):
+    """exp(new log-probability - old) of each transition under ``nets``."""
+    logp = [np.sum((-0.5 * ((u - nets.mean_value(obs)[0]) / nets.sigma())**2
+                    - np.log(nets.sigma()) - 0.5 * LOG2PI) * mask)
+            for obs, u, mask in zip(rollout.obs, rollout.pre_squash, rollout.masks)]
+    return np.exp(np.array(logp) - np.array(rollout.log_probs))
+
+
+class TestPpoAgainstOracle:
+    """``ppo_update``'s hand-derived gradients against the ``nn`` graph of
+    ``tests/oracles.py``: parameters, Adam moments and step counts, the
+    report and the cleared buffer, all to the bit."""
+
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_each_protocol_mask(self, protocol):
+        nets = ActorCritic(PpoConfig(), rng=np.random.default_rng(41))
+        run_against_oracle(nets, 2, protocol)
+
+    def test_ragged_last_minibatch(self):
+        # 100 = 64 + 36: the last minibatch's means divide by 36
+        nets = ActorCritic(PpoConfig(rollout=100, minibatch=64), rng=np.random.default_rng(42))
+        run_against_oracle(nets, 3, "e91")
+
+    def test_log_std_outside_and_on_clip_edges(self):
+        nets = ActorCritic(PpoConfig(rollout=128), rng=np.random.default_rng(43))
+        nets.log_std.data[:] = [-6.0, 3.0, -0.7, -5.0, 2.0]
+        run_against_oracle(nets, 3)
+
+    def test_clip_binds_under_heavy_advantages(self):
+        nets = ActorCritic(PpoConfig(rollout=128, lr=0.05, epochs=6),
+                           rng=np.random.default_rng(44))
+        rollout = run_against_oracle(nets, 3, reward_fn=lambda rng: 1e3 * rng.standard_cauchy())
+        ratio = ratios(nets, rollout)
+        assert np.any(ratio > 1.2) and np.any(ratio < 0.8)
+
+    def test_one_dimensional_nets(self):
+        cfg = PpoConfig(rollout=64, minibatch=32, lr=3e-3, hidden=(32, 32))
+        nets = ActorCritic(cfg, obs_dim=1, act_dim=1, rng=np.random.default_rng(45))
+        run_against_oracle(nets, 4)
+
+    def test_learning_rate_lowered_between_updates(self):
+        def lower(i, *both):
+            if i == 1:
+                for nets in both:
+                    nets.opt_actor.lr /= 10.0
+                    nets.opt_critic.lr /= 7.0
+
+        nets = ActorCritic(PpoConfig(rollout=128), rng=np.random.default_rng(46))
+        run_against_oracle(nets, 3, "cow", before_update=lower)
+
+    def test_nan_reward_restores_snapshot(self):
+        nets = ActorCritic(PpoConfig(rollout=64), rng=np.random.default_rng(47))
+        run_against_oracle(nets, 1)  # moves the Adam moments off zero
+        ref = copy.deepcopy(nets)
+        before = copy.deepcopy(nets.state_arrays())
+        rng = np.random.default_rng(48)
+        add_transitions((nets.buffer, ref.buffer), nets, rng, np.ones(5), 64,
+                        lambda rng: math.nan)
+        with pytest.raises(DivergenceError):
+            ppo_update(nets.buffer, nets)
+        with pytest.raises(DivergenceError):
+            ppo_update_oracle(ref.buffer, ref)
+        assert_same_learner(nets, ref)
+        for name, arr in before.items():
+            assert np.array_equal(nets.named[name].data, arr), name
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_inf_gradient_restores_snapshot(self):
+        # huge observations the critic's tiny first layer keeps finite: the
+        # losses are finite, the critic's first-layer gradient overflows
+        # after the actor (whose second layer is zero) has stepped
+        nets = ActorCritic(PpoConfig(rollout=64), rng=np.random.default_rng(49))
+        for layers in (nets.actor, nets.critic):
+            layers[0].w.data *= 1e-308
+        nets.actor[1].w.data[:] = 0.0
+        ref = copy.deepcopy(nets)
+        before = copy.deepcopy(nets.state_arrays())
+        rng = np.random.default_rng(50)
+        add_transitions((nets.buffer, ref.buffer), nets, rng, np.ones(5), 64,
+                        lambda rng: 1e6 * rng.normal())
+        for buf in (nets.buffer, ref.buffer):
+            buf.obs[:] = [1e308 * obs for obs in buf.obs]
+        with pytest.raises(nn.NonFiniteGradientError):
+            ppo_update(nets.buffer, nets)
+        with pytest.raises(nn.NonFiniteGradientError):
+            ppo_update_oracle(ref.buffer, ref)
+        assert_same_learner(nets, ref)
+        assert nets.opt_actor.state["t"] == 1 and nets.opt_critic.state["t"] == 0
+        for name, arr in before.items():
+            assert np.array_equal(nets.named[name].data, arr), name
+
+    def test_update_builds_no_graph(self, monkeypatch):
+        nets = ActorCritic(PpoConfig(rollout=64), rng=np.random.default_rng(51))
+        add_transitions((nets.buffer,), nets, np.random.default_rng(52), np.ones(5), 64,
+                        lambda rng: rng.normal())
+        made = []
+        init = nn.Var.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(nn.Var, "__init__", counting_init)
+        ppo_update(nets.buffer, nets)
+        assert not made
 
 
 class TestCheckpoint:

@@ -13,7 +13,7 @@ from optiqkd.controller import ActorCritic, PpoConfig
 from optiqkd.tcn import TcnConfig, TcnModel
 
 from oracles import (adam_step_oracle, conv1d_causal_oracle, fd_gradient, index_oracle,
-                     max_rel_err, relu_oracle)
+                     max_rel_err, relu_oracle, tanh)
 
 
 class TestConvCausal:
@@ -149,7 +149,7 @@ class TestBackward:
                 h = relu(conv1d_causal(Var(xv), Var(kv), Var(bv), dilation=2))
                 h = residual_add(h, h)
                 last = nn.index(h, (slice(None), slice(None), -1))
-                y = nn.tanh(dense(last, Var(wv), Var(b2v)))
+                y = tanh(dense(last, Var(wv), Var(b2v)))
                 return nn.vmean(nn.square(y))
 
             loss = None
@@ -157,7 +157,7 @@ class TestBackward:
             h = relu(conv1d_causal(vars_[4], vars_[0], vars_[1], dilation=2))
             h = residual_add(h, h)
             last = nn.index(h, (slice(None), slice(None), -1))
-            y = nn.tanh(dense(last, vars_[2], vars_[3]))
+            y = tanh(dense(last, vars_[2], vars_[3]))
             loss = nn.vmean(nn.square(y))
             backward(loss)
             arrays = (k, b, w, b2, x)
