@@ -14,12 +14,11 @@ print(f"{'km':>5} {'Y1 true':>12} {'Y1 lower':>12} {'slack %':>8} "
       f"{'e1 true':>10} {'e1 upper':>10}")
 for d in range(0, 151, 15):
     link = LinkParams(distance_km=float(d))
-    gs = bb84_model_gains(link, proto.bb84.mu_s)
-    gw = bb84_model_gains(link, proto.bb84.mu_w)
     eta = transmittance(link)
     y1 = min(link.y0 + eta, 1.0)
     e1 = min((link.e0 * link.y0 + link.e_d * eta) / y1, 1.0)
-    b = decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu), proto.bb84.mu_s, proto.bb84.mu_w,
+    b = decoy_bounds(bb84_model_gains(link, proto.bb84.mu_s),
+                     bb84_model_gains(link, proto.bb84.mu_w), proto.bb84.mu_s, proto.bb84.mu_w,
                      link.y0)
     slack = 100.0 * (y1 - b.y1_lower) / y1
     print(f"{d:>5} {y1:>12.5e} {b.y1_lower:>12.5e} {slack:>8.2f} "

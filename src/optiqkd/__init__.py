@@ -2,13 +2,12 @@
 simulator, a dilated-causal-convolution forecaster, and a PPO controller."""
 
 from .rates import (PROTOCOLS, Bb84Config, BoundInfeasibleError, CowConfig,
-                    DecoyBounds, E91Config, FiniteKeyConfig, GainStats,
-                    KeyRateReport, LinkParams, ProtocolConfig, bb84_gains,
-                    bb84_key_rate, bb84_model_gains, bb84_sifted_key_rate,
-                    binary_entropy, cow_key_rate,
-                    cow_phase_error, cow_visibility, decoy_bounds, e91_key_rate,
-                    e91_quantities, finite_key_penalty, finite_key_rate,
-                    operating_point, transmittance, wcp_gain)
+                    DecoyBounds, E91Config, FiniteKeyConfig, KeyRateReport,
+                    LinkParams, ProtocolConfig, bb84_key_rate, bb84_model_gains,
+                    bb84_sifted_key_rate, binary_entropy, cow_key_rate,
+                    cow_visibility, decoy_bounds, e91_key_rate, e91_quantities,
+                    finite_key_penalty, finite_key_rate, operating_point,
+                    transmittance, wcp_gain)
 from .channel import (ChannelConfig, ControlState, LinkSeries, NoiseSchedule, ScheduleEvent,
                       Simulator, Telemetry, UnknownScenarioError, effective_link,
                       make_scenario, wilson_interval)

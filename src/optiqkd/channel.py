@@ -21,7 +21,6 @@ from .rates import (PROTOCOLS, LinkParams, ProtocolConfig, cow_visibility, trans
                     wcp_gain)
 
 SCENARIOS = ("nominal", "noise-sweep", "splice-3db", "sine-drift")
-EVENT_KINDS = ("StepLossDb",)
 
 # Composite stressor mapping for the noise-sweep scenario: a stressor
 # level L splits into an irreducible depolarizing part (p = DEPOL_FRAC*L)
@@ -69,13 +68,10 @@ class UnknownScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class ScheduleEvent:
-    block_index: int
-    kind: str
-    magnitude: float
+    """A persistent loss step of ``magnitude`` dB from ``block_index`` on."""
 
-    def __post_init__(self) -> None:
-        if self.kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {self.kind!r}")
+    block_index: int
+    magnitude: float
 
 
 @dataclass
@@ -197,7 +193,7 @@ def make_scenario(name: str, blocks: int) -> NoiseSchedule:
     if name == "splice-3db":
         return NoiseSchedule(
             blocks, zeros, zeros.copy(), zeros.copy(),
-            events=[ScheduleEvent(blocks // 2, "StepLossDb", 3.0)],
+            events=[ScheduleEvent(blocks // 2, 3.0)],
             name="splice-3db",
         )
     # sine-drift: one slow environmental driver modulating depolarization and loss
@@ -253,18 +249,17 @@ def effective_link(series: LinkSeries, ctrl: ControlState, t: int,
     return EffectiveParams(series.eta[t], min(max(v, 0.0), 1.0), e_d_eff, e_ph)
 
 
-def wilson_interval(n_err: int, n: int, conf: float = 0.95) -> Tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(n_err: int, n: int) -> Tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if n_err < 0 or n < 0 or n_err > n:
         raise ValueError("need 0 <= n_err <= n")
     if n == 0:
         return 0.0, 1.0
-    z = Z_95 if conf == 0.95 else NormalDist().inv_cdf(0.5 + conf / 2.0)
     p = n_err / n
-    z2 = z * z
+    z2 = Z_95 * Z_95
     denom = 1.0 + z2 / n
     center = (p + z2 / (2.0 * n)) / denom
-    margin = z * math.sqrt((p * (1.0 - p) + z2 / (4.0 * n)) / n) / denom
+    margin = Z_95 * math.sqrt((p * (1.0 - p) + z2 / (4.0 * n)) / n) / denom
     # no errors (or no successes) puts the bound exactly at 0 (or 1);
     # center - margin would leave a rounding residue there
     lo = 0.0 if n_err == 0 else max(0.0, center - margin)

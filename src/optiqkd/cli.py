@@ -25,7 +25,7 @@ from . import tcn as tcnmod
 from .channel import SCENARIOS, Simulator, UnknownScenarioError, make_scenario
 from .controller import PpoConfig, load_policy, save_policy
 from .loop import EpisodeLog, run_episode, train_policy
-from .nn import NonFiniteGradientError
+from .nn import DivergenceError
 from .tcn import (load_tcn, make_dataset, save_tcn, telemetry_features,
                   train_forecaster)
 
@@ -104,6 +104,8 @@ def parse_seeds(text: str) -> List[int]:
         raise UsageError(f"--seeds takes N..M or a comma list of integers, got {text!r}") from None
     if not seeds:
         raise UsageError("empty seeds list")
+    if len(set(seeds)) < len(seeds):
+        raise UsageError(f"--seeds names a seed twice: {text!r}")
     for seed in seeds:
         _check_seed(seed, "--seeds")
     return seeds
@@ -139,6 +141,8 @@ def cmd_rates(args) -> int:
         raise UsageError("--dmin, --dmax and --dstep must be finite")
     if args.dstep <= 0:
         raise UsageError(f"--dstep must be positive, got {args.dstep:g}")
+    if args.dmin < 0:
+        raise UsageError(f"--dmin must be >= 0, got {args.dmin:g}")
     if args.dmax < args.dmin:
         raise UsageError(f"--dmax {args.dmax:g} is below --dmin {args.dmin:g}")
     cfg = _load_cfg(args)
@@ -247,6 +251,11 @@ def cmd_train(args) -> int:
     # every section is checked before anything is trained or written
     train = cfgmod.typed(cfg, "train")
     tcn_cfg, ppo_cfg = cfgmod.typed(cfg, "tcn"), cfgmod.typed(cfg, "ppo")
+    corpus = len(train.tcn_scenarios) * train.tcn_blocks
+    if (args.model == "tcn" or args.tcn is None) and corpus <= tcn_cfg.window:
+        raise ValueError(f"train.tcn_blocks {train.tcn_blocks} over {len(train.tcn_scenarios)} "
+                         f"train.tcn_scenarios is {corpus} blocks, too few for one "
+                         f"tcn.window of {tcn_cfg.window} blocks and the block after it")
     out = _outdir(args)
     if args.model == "tcn":
         dataset, model, curve = _train_tcn(train, tcn_cfg, link, proto, channel, args.seed)
@@ -289,6 +298,8 @@ def cmd_eval(args) -> int:
     for c in controllers:
         if c not in loopmod.CONTROLLER_KINDS:
             raise UsageError(f"unknown controller {c!r}")
+    if len(set(controllers)) < len(controllers):
+        raise UsageError(f"--controllers names a controller twice: {args.controllers!r}")
     seeds = parse_seeds(args.seeds)
     if len(controllers) < 2:  # one controller is not compared
         _run_episodes(args, links, ppo_cfg, controllers, seeds)
@@ -304,6 +315,8 @@ def cmd_eval(args) -> int:
 
 def cmd_show_config(args) -> int:
     cfg = _load_cfg(args)
+    for name in cfgmod.SECTIONS:  # print only what the other commands can run
+        cfgmod.typed(cfg, name)
     sys.stdout.write(cfgmod.config_json(cfg))
     return 0
 
@@ -325,7 +338,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, UnknownScenarioError, cfgmod.OverrideError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (tcnmod.DivergenceError, NonFiniteGradientError) as exc:
+    except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError, RuntimeError, KeyError) as exc:

@@ -27,7 +27,6 @@ import numpy as np
 from . import nn
 from .channel import ControlState
 from .rates import PROTOCOLS
-from .tcn import DivergenceError
 
 LOG2PI = math.log(2.0 * math.pi)
 
@@ -103,10 +102,6 @@ class Action:
     d_theta_c: float = 0.0
     d_phi_c: float = 0.0
     mask: Tuple[float, ...] = (1.0, 1.0, 1.0, 1.0, 1.0)
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.d_mu_s, self.d_mu_w, self.d_pz,
-                         self.d_theta_c, self.d_phi_c])
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, mask: np.ndarray) -> "Action":
@@ -327,7 +322,7 @@ def _ppo_step(nets: ActorCritic, obs: np.ndarray, u: np.ndarray, mask: np.ndarra
     one the ``nn`` graph of these losses runs, in its order, so the update
     is the graph's to the bit (``tests/oracles.py`` keeps that graph).
     Returns the policy loss, the value loss and the entropy; a non-finite
-    loss raises :class:`DivergenceError` before either step."""
+    loss raises :class:`nn.DivergenceError` before either step."""
     cfg, n = nets.cfg, len(obs)
     lo, hi = 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps
     log_std = nets.log_std.data
@@ -347,7 +342,7 @@ def _ppo_step(nets: ActorCritic, obs: np.ndarray, u: np.ndarray, mask: np.ndarra
     err = v_pred[:, 0] - returns
     value_loss = (err * err).mean()
     if not (np.isfinite(policy_loss) and np.isfinite(value_loss)):
-        raise DivergenceError("non-finite PPO loss")
+        raise nn.DivergenceError("non-finite PPO loss")
     # the mean's -1/n through the minimum, the ratio clip and the log density
     g = -1.0 / n
     g_ratio = (g * take) * adv + ((g * ~take) * adv) * ((ratio > lo) & (ratio < hi))
@@ -366,9 +361,9 @@ def ppo_update(buffer: RolloutBuffer, nets: ActorCritic) -> Dict[str, float]:
     """Clipped-surrogate policy update plus squared-error critic fit.
 
     Runs ``nets.cfg.epochs`` passes of shuffled minibatches through the
-    nets' own optimizers, then clears the buffer. On a non-finite loss the
-    parameters are restored to their pre-update snapshot and
-    :class:`DivergenceError` is raised.
+    nets' own optimizers, then clears the buffer. On a non-finite loss or
+    gradient the parameters are restored to their pre-update snapshot and
+    :class:`nn.DivergenceError` is raised.
     """
     cfg = nets.cfg
     if len(buffer) < cfg.minibatch:
@@ -391,7 +386,7 @@ def ppo_update(buffer: RolloutBuffer, nets: ActorCritic) -> Dict[str, float]:
                 sel = order[start:start + cfg.minibatch]
                 stats.append(_ppo_step(nets, obs[sel], u[sel], masks[sel], logp_old[sel],
                                        adv[sel], returns[sel]))
-    except (DivergenceError, nn.NonFiniteGradientError):
+    except nn.DivergenceError:
         nn.set_params(nets.named, snap)
         buffer.clear()
         raise

@@ -84,7 +84,6 @@ class BlockRecord:
     skr_bps: float
     skr_finite: float
     reward: float
-    aborted: bool
 
 
 @dataclass
@@ -104,10 +103,7 @@ class EpisodeLog:
         return np.array([min(r.telem.e_mu_hat, 0.5) for r in self.records])
 
     def abort_count(self) -> int:
-        return sum(1 for r in self.records if r.aborted)
-
-    def total_secret_bits(self, block_seconds: float = ChannelConfig.block_seconds) -> float:
-        return float(sum(r.skr_bps * block_seconds for r in self.records))
+        return sum(1 for r in self.records if r.telem.aborted)
 
     def csv(self) -> str:
         lines = [EPISODE_CSV_HEADER]
@@ -236,7 +232,7 @@ def run_episode(
 
         log.records.append(BlockRecord(block=t, ctrl=ctrl, telem=telem,
                                        skr_bps=skr_bps, skr_finite=skr_finite,
-                                       reward=r, aborted=telem.aborted))
+                                       reward=r))
         if forecaster is not None:
             z_tm = forecaster.push(telemetry_features(telem))
         if telem.aborted:

@@ -28,8 +28,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 
-class NonFiniteGradientError(RuntimeError):
-    """An optimizer step received NaN or Inf gradients and was rejected."""
+class DivergenceError(RuntimeError):
+    """Training diverged: a loss or a gradient became non-finite."""
 
 
 class GraphStateError(RuntimeError):
@@ -244,11 +244,11 @@ def conv1d_causal(x: Var, kernel: Var, bias: Var, dilation: int = 1) -> Var:
             f"conv channel mismatch: input has {x.data.shape[1]}, kernel wants {n_in}")
     x_data = x.data
     b_sz, _, t_len = x_data.shape
-    cols = np.zeros((b_sz, k, n_in, t_len))
-    for i in range(k):
-        shift = i * dilation
-        if shift < t_len:
-            cols[:, i, :, shift:] = x_data[:, :, :t_len - shift]
+    cols = np.empty((b_sz, k, n_in, t_len))
+    for i in range(k):  # each tap zero-fills only the steps before its shift
+        shift = min(i * dilation, t_len)
+        cols[:, i, :, :shift] = 0.0
+        cols[:, i, :, shift:] = x_data[:, :, :t_len - shift]
     out = flat_kernel(kernel.data) @ cols.reshape(b_sz, k * n_in, t_len)
     out += bias.data[None, :, None]
 
@@ -366,12 +366,12 @@ def adam_step(
     The gradients are concatenated in parameter order and updated with
     the flat moments of :func:`init_adam_state` in one vectorized pass;
     each parameter then takes its slice of the step. Rejects the whole
-    step (raising :class:`NonFiniteGradientError`) if any gradient entry
+    step (raising :class:`DivergenceError`) if any gradient entry
     is not finite, leaving parameters and ``state`` untouched.
     """
     g = np.concatenate([np.ravel(x) for x in grads])
     if not np.isfinite(g).all():
-        raise NonFiniteGradientError("non-finite gradient; step rejected")
+        raise DivergenceError("non-finite gradient; step rejected")
     state["t"] += 1
     t = state["t"]
     m, v = state["m"], state["v"]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Tuple
 
 if TYPE_CHECKING:
     from .channel import ControlState, Telemetry
@@ -136,17 +136,6 @@ class ProtocolConfig:
 
 
 @dataclass(frozen=True)
-class GainStats:
-    """Overall and single-photon gain/error statistics at one intensity."""
-
-    q_mu: float
-    e_mu: float
-    q1: float
-    e1: float
-    y1: float
-
-
-@dataclass(frozen=True)
 class DecoyBounds:
     """Two-intensity decoy bounds on the single-photon contribution."""
 
@@ -158,15 +147,11 @@ class DecoyBounds:
 @dataclass(frozen=True)
 class KeyRateReport:
     """A key rate, clamped at zero, per pulse, per second and after the
-    finite-size deduction, and the clamp-free terms it came from: the
-    error-correction leak, the privacy-amplification term and the raw
-    rate."""
+    finite-size deduction, and the clamp-free raw rate it came from."""
 
     r_per_pulse: float
     r_bps: float
     r_finite: float
-    ec_leak: float
-    pa_term: float
     raw: float
 
 
@@ -201,26 +186,9 @@ def wcp_gain(mu: float, eta: float, y0: float, e_d: float,
     return q_mu, min(max((e0 * y0 + e_d * detected) / q_mu, 0.0), 1.0)
 
 
-def bb84_gains(mu: float, eta: float, y0: float, e_d: float, e0: float = 0.5) -> GainStats:
-    """Weak-coherent-pulse gain and error model at intensity ``mu``.
-
-    The overall terms are :func:`wcp_gain`'s. Single-photon terms follow
-    the Poissonian-source yield expansion Y1 = Y0 + eta and
-    e1*Q1 = e0*Y0 + e_d*eta*mu*exp(-mu); a dark channel reports e1 = e0.
-    """
-    q_mu, e_mu = wcp_gain(mu, eta, y0, e_d, e0)
-    y1 = min(y0 + eta, 1.0)
-    p1 = math.exp(-mu)
-    q1 = y1 * mu * p1
-    if q_mu <= 0.0:
-        return GainStats(q_mu=q_mu, e_mu=e_mu, q1=q1, e1=e0, y1=y1)
-    e1 = e0 if q1 <= 0 else (e0 * y0 + e_d * eta * mu * p1) / q1
-    return GainStats(q_mu=q_mu, e_mu=e_mu, q1=min(q1, 1.0), e1=min(max(e1, 0.0), 1.0), y1=y1)
-
-
-def bb84_model_gains(link: LinkParams, mu: float) -> GainStats:
-    """Gain model evaluated at a link's nominal transmittance."""
-    return bb84_gains(mu, transmittance(link), link.y0, link.e_d, link.e0)
+def bb84_model_gains(link: LinkParams, mu: float) -> Tuple[float, float]:
+    """:func:`wcp_gain`'s (Q_mu, E_mu) at a link's nominal transmittance."""
+    return wcp_gain(mu, transmittance(link), link.y0, link.e_d, link.e0)
 
 
 def decoy_bounds(
@@ -260,14 +228,14 @@ def decoy_bounds(
     return DecoyBounds(y1_lower=y1_lower, q1_lower=q1_lower, e1_upper=e1_upper)
 
 
-def _report(r_raw: float, ec_leak: float, pa_term: float, cfg: ProtocolConfig, f_rep: float) -> KeyRateReport:
+def _report(r_raw: float, cfg: ProtocolConfig, f_rep: float) -> KeyRateReport:
     r_pp = max(r_raw, 0.0)
     r_fin = finite_key_rate(r_pp, cfg.finite_key.n_block, cfg.finite_key.epsilon)
-    return KeyRateReport(r_pp, r_pp * f_rep, r_fin, ec_leak, pa_term, r_raw)
+    return KeyRateReport(r_pp, r_pp * f_rep, r_fin, r_raw)
 
 
 def bb84_key_rate(
-    bounds_or_gains: Union[DecoyBounds, GainStats],
+    bounds: DecoyBounds,
     q_mu: float,
     e_mu: float,
     cfg: ProtocolConfig,
@@ -276,20 +244,15 @@ def bb84_key_rate(
 ) -> KeyRateReport:
     """Decoy-state BB84 secure fraction per emitted pulse.
 
-    R = q * { -Q_mu f(E) H2(E) + Q1 [1 - H2(e1)] } with (Q1, e1) taken
-    from decoy bounds or from model gain statistics. Negative raw values
+    R = q * { -Q_mu f(E) H2(E) + Q1 [1 - H2(e1)] } with Q1 the decoy
+    bounds' ``q1_lower`` and e1 their ``e1_upper``. Negative raw values
     are kept in ``raw`` and clamped in the headline fields.
     """
     _check_prob("q_mu", q_mu)
     _check_prob("e_mu", e_mu)
-    if isinstance(bounds_or_gains, DecoyBounds):
-        q1, e1 = bounds_or_gains.q1_lower, bounds_or_gains.e1_upper
-    else:
-        q1, e1 = bounds_or_gains.q1, bounds_or_gains.e1
     ec_leak = q_mu * cfg.f_ec * binary_entropy(min(e_mu, 0.5))
-    pa_term = q1 * (1.0 - binary_entropy(min(e1, 0.5)))
-    raw = q * (pa_term - ec_leak)
-    return _report(raw, ec_leak, pa_term, cfg, f_rep)
+    pa_term = bounds.q1_lower * (1.0 - binary_entropy(min(bounds.e1_upper, 0.5)))
+    return _report(q * (pa_term - ec_leak), cfg, f_rep)
 
 
 def bb84_sifted_key_rate(
@@ -303,8 +266,7 @@ def bb84_sifted_key_rate(
     _check_prob("q_mu", q_mu)
     _check_prob("e_mu", e_mu)
     h = binary_entropy(min(e_mu, 0.5))
-    raw = q * q_mu * (1.0 - 2.0 * h)
-    return _report(raw, q_mu * h, q_mu * (1.0 - h), cfg, f_rep)
+    return _report(q * q_mu * (1.0 - 2.0 * h), cfg, f_rep)
 
 
 def e91_quantities(v: float) -> Tuple[float, float]:
@@ -330,8 +292,7 @@ def e91_key_rate(
     ec_leak = cfg.f_ec * binary_entropy(q_err)
     holevo_arg = (1.0 + math.sqrt(max(0.0, (s / 2.0) ** 2 - 1.0))) / 2.0
     pa_term = 1.0 - binary_entropy(min(holevo_arg, 1.0))
-    raw = q * (pa_term - ec_leak)
-    return _report(raw, ec_leak, pa_term, cfg, f_rep)
+    return _report(q * (pa_term - ec_leak), cfg, f_rep)
 
 
 def cow_visibility(alpha_sq: float, dphi: float) -> float:
@@ -339,11 +300,6 @@ def cow_visibility(alpha_sq: float, dphi: float) -> float:
     if alpha_sq < 0:
         raise ValueError("alpha_sq must be >= 0")
     return math.exp(-2.0 * alpha_sq * (1.0 - math.cos(dphi)))
-
-
-def cow_phase_error(alpha_sq: float, dphi: float) -> float:
-    """Phase (coherence) error (1 - V) / 2 implied by the drift."""
-    return (1.0 - cow_visibility(alpha_sq, dphi)) / 2.0
 
 
 def cow_key_rate(
@@ -364,8 +320,7 @@ def cow_key_rate(
     _check_prob("e_ph", e_ph)
     ec_leak = q_mu * cfg.f_ec * binary_entropy(min(e_mu, 0.5))
     pa_term = q_mu * (1.0 - binary_entropy(min(e_ph, 0.5)))
-    raw = q * (pa_term - ec_leak)
-    return _report(raw, ec_leak, pa_term, cfg, f_rep)
+    return _report(q * (pa_term - ec_leak), cfg, f_rep)
 
 
 @functools.lru_cache(maxsize=64)
@@ -435,11 +390,10 @@ def _decoy_rate(obs_s: Tuple[float, float], obs_w: Tuple[float, float],
 
 
 def _bb84_point(link: LinkParams, proto: ProtocolConfig, q: float):
-    gs = bb84_model_gains(link, proto.bb84.mu_s)
-    gw = bb84_model_gains(link, proto.bb84.mu_w)
-    rep = _decoy_rate((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu),
-                      proto.bb84.mu_s, proto.bb84.mu_w, link, proto, q)
-    return gs.q_mu, gs.e_mu, rep
+    obs_s = bb84_model_gains(link, proto.bb84.mu_s)
+    obs_w = bb84_model_gains(link, proto.bb84.mu_w)
+    return (*obs_s, _decoy_rate(obs_s, obs_w, proto.bb84.mu_s, proto.bb84.mu_w,
+                                link, proto, q))
 
 
 def _e91_point(link: LinkParams, proto: ProtocolConfig, q: float):
@@ -450,8 +404,8 @@ def _e91_point(link: LinkParams, proto: ProtocolConfig, q: float):
 
 
 def _cow_point(link: LinkParams, proto: ProtocolConfig, q: float):
-    gs = bb84_gains(proto.cow.alpha_sq, transmittance(link), link.y0, link.e_d, link.e0)
-    return gs.q_mu, gs.e_mu, cow_key_rate(gs.q_mu, gs.e_mu, 0.0, proto, f_rep=link.f_rep, q=q)
+    q_mu, e_mu = wcp_gain(proto.cow.alpha_sq, transmittance(link), link.y0, link.e_d, link.e0)
+    return q_mu, e_mu, cow_key_rate(q_mu, e_mu, 0.0, proto, f_rep=link.f_rep, q=q)
 
 
 def _bb84_block(link: LinkParams, proto: ProtocolConfig, ctrl: ControlState,

@@ -26,10 +26,6 @@ from .channel import Telemetry
 FEATURES = ("q_mu", "e_mu", "v", "eta")
 
 
-class DivergenceError(RuntimeError):
-    """Training loss became non-finite."""
-
-
 @dataclass
 class TcnConfig:
     """One conv layer per entry of ``dilations``."""
@@ -194,7 +190,7 @@ def tcn_train(
 
     The normalizer is calibrated from the full training corpus and frozen
     before the first update, so the observation scaling seen downstream is
-    stable. Aborts with :class:`DivergenceError` if the loss goes non-finite.
+    stable. Aborts with :class:`nn.DivergenceError` if the loss goes non-finite.
     """
     if len(dataset) < 1:
         raise ValueError("empty training dataset")
@@ -216,7 +212,7 @@ def tcn_train(
             pred = model.forward_batch(windows[sel])
             loss = nn.vmean(nn.square(pred - nn.const(targets[sel])))
             if not np.isfinite(loss.data):
-                raise DivergenceError("forecaster training diverged")
+                raise nn.DivergenceError("forecaster training diverged")
             nn.backward(loss)
             opt.step()
             losses.append(float(loss.data))

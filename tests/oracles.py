@@ -469,7 +469,6 @@ def ppo_update_oracle(buffer, nets):
     ``nn`` graph and differentiated by ``nn.backward``; each parameter's
     ``grad`` goes to its net's ``Adam.step``."""
     from optiqkd.controller import LOG2PI, discounted_returns
-    from optiqkd.tcn import DivergenceError
 
     cfg = nets.cfg
     if len(buffer) < cfg.minibatch:
@@ -505,7 +504,7 @@ def ppo_update_oracle(buffer, nets):
                 v_pred = forward_critic(nets, obs_v)
                 value_loss = nn.vmean(nn.square(v_pred - nn.const(returns[sel])))
                 if not (np.isfinite(policy_loss.data) and np.isfinite(value_loss.data)):
-                    raise DivergenceError("non-finite PPO loss")
+                    raise nn.DivergenceError("non-finite PPO loss")
                 nn.backward(policy_loss)
                 nets.opt_actor.step()
                 nn.backward(value_loss)
@@ -513,7 +512,7 @@ def ppo_update_oracle(buffer, nets):
                 policy_losses.append(float(policy_loss.data))
                 value_losses.append(float(value_loss.data))
                 entropies.append(float(entropy.data))
-    except (DivergenceError, nn.NonFiniteGradientError):
+    except nn.DivergenceError:
         nn.set_params(nets.named, snap)
         buffer.clear()
         raise

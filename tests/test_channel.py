@@ -10,8 +10,7 @@ from optiqkd.channel import (SCENARIOS, ChannelConfig, ControlState, DEPOL_FRACT
                              TELEMETRY_CSV_HEADER,
                              UnknownScenarioError, effective_link,
                              make_scenario, wilson_interval)
-from optiqkd.rates import (PROTOCOLS, LinkParams, ProtocolConfig, bb84_gains,
-                           transmittance, wcp_gain)
+from optiqkd.rates import PROTOCOLS, LinkParams, ProtocolConfig, transmittance, wcp_gain
 
 from oracles import (SimulatorOracle, bit_level_sample_block, closed_form_gains_oracle,
                      effective_link_oracle, wilson_oracle)
@@ -38,7 +37,7 @@ class TestScenarios:
         sched = make_scenario("splice-3db", 200)
         assert len(sched.events) == 1
         ev = sched.events[0]
-        assert ev.block_index == 100 and ev.kind == "StepLossDb" and ev.magnitude == 3.0
+        assert ev.block_index == 100 and ev.magnitude == 3.0
 
     def test_noise_sweep_levels(self):
         sched = make_scenario("noise-sweep", 600)
@@ -59,14 +58,14 @@ class TestScenarios:
     def test_event_ordering_enforced(self):
         with pytest.raises(ValueError):
             NoiseSchedule(10, np.zeros(10), np.zeros(10), np.zeros(10),
-                          events=[ScheduleEvent(5, "StepLossDb", 0.1),
-                                  ScheduleEvent(5, "StepLossDb", 0.1)])
+                          events=[ScheduleEvent(5, 0.1),
+                                  ScheduleEvent(5, 0.1)])
 
     @pytest.mark.parametrize("block", [-1, 10])
     def test_event_outside_schedule_refused(self, block):
         with pytest.raises(ValueError, match=r"must lie in \[0, 10\)"):
             NoiseSchedule(10, np.zeros(10), np.zeros(10), np.zeros(10),
-                          events=[ScheduleEvent(block, "StepLossDb", 0.1)])
+                          events=[ScheduleEvent(block, 0.1)])
 
 
 class TestEffectiveLink:
@@ -115,9 +114,9 @@ class TestEffectiveLink:
         for p in grid:
             sched = constant_schedule(5, depol_p=float(p))
             eff = effective_link(LinkSeries(LINK, sched), CTRL, 0)
-            g = bb84_gains(0.5, eff.eta, LINK.y0, eff.e_d_eff)
-            assert g.e_mu >= last - 1e-15
-            last = g.e_mu
+            e_mu = wcp_gain(0.5, eff.eta, LINK.y0, eff.e_d_eff)[1]
+            assert e_mu >= last - 1e-15
+            last = e_mu
 
 
 class TestStepBlock:
@@ -131,10 +130,10 @@ class TestStepBlock:
     def test_estimate_concentration(self):
         t = Simulator(LINK, PROTO, make_scenario("nominal", 5), seed=1,
                       channel=ChannelConfig(n_pulses=1_000_000)).step(CTRL)
-        g = bb84_gains(0.5, transmittance(LINK), LINK.y0, LINK.e_d)
+        q_mu = wcp_gain(0.5, transmittance(LINK), LINK.y0, LINK.e_d)[0]
         n_trials = round(1_000_000 * PROTO.bb84.p_s * 0.5)
-        sigma = math.sqrt(g.q_mu * (1 - g.q_mu) / n_trials)
-        assert abs(t.q_mu_hat - g.q_mu) < 5 * sigma
+        sigma = math.sqrt(q_mu * (1 - q_mu) / n_trials)
+        assert abs(t.q_mu_hat - q_mu) < 5 * sigma
 
     def test_determinism(self):
         for proto in (PROTO, ProtocolConfig(kind="e91"), ProtocolConfig(kind="cow")):
@@ -214,10 +213,9 @@ KINDS = ("bb84", "e91", "cow")
 # past both ends of [0, 1]
 LOSS_STEPS = NoiseSchedule(
     60, np.full(60, 0.05), np.full(60, 0.1), np.linspace(-0.05, 1.2, 60), events=[
-        ScheduleEvent(0, "StepLossDb", 0.1), ScheduleEvent(1, "StepLossDb", 0.2),
-        ScheduleEvent(2, "StepLossDb", 0.3), ScheduleEvent(13, "StepLossDb", 0.7),
-        ScheduleEvent(14, "StepLossDb", -0.3), ScheduleEvent(41, "StepLossDb", 1.9),
-        ScheduleEvent(59, "StepLossDb", 3.0)])
+        ScheduleEvent(0, 0.1), ScheduleEvent(1, 0.2), ScheduleEvent(2, 0.3),
+        ScheduleEvent(13, 0.7), ScheduleEvent(14, -0.3), ScheduleEvent(41, 1.9),
+        ScheduleEvent(59, 3.0)])
 
 
 class TestAgainstOracle:
@@ -296,14 +294,14 @@ class TestWilson:
 
     def test_estimator_consistency_large_blocks(self):
         # model value inside the 95% interval in >= 93% of seeded trials
-        g = bb84_gains(0.5, transmittance(LINK), LINK.y0, LINK.e_d)
+        e_mu = wcp_gain(0.5, transmittance(LINK), LINK.y0, LINK.e_d)[1]
         sched = make_scenario("nominal", 5)
         hits = 0
         trials = 500
         for seed in range(trials):
             t = Simulator(LINK, PROTO, sched, seed=seed,
                           channel=ChannelConfig(n_pulses=10_000_000)).step(CTRL)
-            if t.e_lo <= g.e_mu <= t.e_hi:
+            if t.e_lo <= e_mu <= t.e_hi:
                 hits += 1
         assert hits / trials >= 0.93
 

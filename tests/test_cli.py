@@ -87,6 +87,12 @@ class TestRates:
         assert run(["rates", "--out", str(tmp_path)] + grid) == 1
         assert not (tmp_path / "rates_bb84.csv").exists()
 
+    def test_negative_dmin_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(["rates", "--dmin", "-5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: --dmin must be >= 0")
+        assert not out.exists()
+
 
 class TestShowConfig:
     def test_prints_defaults(self, capsys):
@@ -159,6 +165,22 @@ class TestShowConfig:
         assert run(["show-config", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "not valid JSON" in err
+
+    @pytest.mark.parametrize("argv,name", [
+        (["--set", "link.distance_km=-3"], "distance_km"),
+        (["--set", "protocol.bb84.mu_w=0.9"], "mu_w"),
+        (["--set", "train.ppo_blocks=1"], "ppo_blocks"),
+        ({"tcn": {"epochs": "abc"}}, "'tcn.epochs'"),  # --config, as rates reads it
+    ])
+    def test_value_no_command_runs_runtime_error(self, tmp_path, capsys, argv, name):
+        # show-config refuses what every other command refuses
+        if isinstance(argv, dict):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(argv))
+            argv = ["--config", str(path)]
+        assert run(["show-config"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and name in captured.err
 
     def test_config_file_overlay(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -290,16 +312,25 @@ class TestTrain:
         assert "'bogus'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("what", ["tcn", "ppo"])
+    def test_corpus_without_a_window_runtime_error(self, tmp_path, capsys, what):
+        # 3 scenarios x 10 blocks hold no 32-block window and the block after it
+        out = tmp_path / "o"
+        assert run(["train", what, "--set", "train.tcn_blocks=10", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "train.tcn_blocks 10" in err and "tcn.window of 32" in err
+        assert not out.exists()
+
     def test_tcn_divergence_exit_code(self, tmp_path):
         assert run(["train", "tcn", "--seed", "1", "--out", str(tmp_path),
                     "--set", "tcn.lr=1e200"] + FAST_TCN[:-2]
                    + ["--set", "train.tcn_scenarios=[\"nominal\"]"]) == 2
 
     def test_ppo_divergence_exit_code(self, tmp_path, monkeypatch, capsys):
-        from optiqkd import cli, controller
+        from optiqkd import cli
 
         def diverge(*args, **kwargs):
-            raise controller.DivergenceError("non-finite PPO loss")
+            raise nn.DivergenceError("non-finite PPO loss")
 
         monkeypatch.setattr(cli, "train_policy", diverge)
         assert run(["train", "ppo", "--seed", "1", "--out", str(tmp_path)]
@@ -416,6 +447,17 @@ class TestEval:
         err = capsys.readouterr().err
         assert f"checkpoint {path}" in err and message in err
         assert not list(out.glob("episode_*.csv"))
+
+    @pytest.mark.parametrize("names,flag", [
+        (["--controllers", "static,static", "--seeds", "1"], "--controllers"),
+        (["--controllers", "static,recalib", "--seeds", "1,1"], "--seeds"),
+        (["--controllers", "static", "--seeds", "2,1,2"], "--seeds"),
+    ])
+    def test_repeated_name_usage_error(self, tmp_path, capsys, names, flag):
+        out = tmp_path / "o"
+        assert run(["eval", "--blocks", "110", "--out", str(out)] + names) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {flag} names ")
+        assert not out.exists()
 
     def test_empty_seeds_usage_error(self, tmp_path):
         assert run(["eval", "--seeds", "", "--out", str(tmp_path),

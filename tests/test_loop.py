@@ -36,7 +36,7 @@ def synthetic_log(skr_values, controller="static", scenario="synthetic", seed=0)
     for i, v in enumerate(skr_values):
         log.records.append(BlockRecord(block=i, ctrl=ControlState(), telem=telem,
                                        skr_bps=float(v), skr_finite=0.0,
-                                       reward=0.0, aborted=False))
+                                       reward=0.0))
     return log
 
 
@@ -52,7 +52,7 @@ class TestRunEpisode:
 
     def test_forced_high_qber_aborts_fast(self):
         log = run_episode(LINK, PROTO, storm(10), "static", seed=1, blocks=10)
-        aborted_at = [r.block for r in log.records if r.aborted]
+        aborted_at = [r.block for r in log.records if r.telem.aborted]
         assert aborted_at and aborted_at[0] <= 2
 
     def test_determinism_bitwise(self):
@@ -68,7 +68,7 @@ class TestRunEpisode:
     def test_abort_zeroes_rate_and_resets(self):
         log = run_episode(LINK, PROTO, storm(12), "recalib", seed=2, blocks=12)
         for r in log.records:
-            if r.aborted:
+            if r.telem.aborted:
                 assert r.skr_bps == 0.0 and r.skr_finite == 0.0
 
     def test_finite_never_exceeds_asymptotic(self):
@@ -78,7 +78,7 @@ class TestRunEpisode:
 
     def test_secret_bit_accounting(self):
         log = run_episode(LINK, PROTO, "nominal", "static", seed=4, blocks=50)
-        total = log.total_secret_bits()
+        total = float(log.skr_series().sum())
         lines = log.csv().strip().split("\n")[1:]
         col = EPISODE_CSV_HEADER.split(",").index("skr_bps")
         from_csv = sum(float(row.split(",")[col]) for row in lines)

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from optiqkd.channel import ControlState, Telemetry
-from optiqkd.rates import (Bb84Config, BoundInfeasibleError,
-                           FiniteKeyConfig, GainStats, LinkParams,
-                           ProtocolConfig, bb84_gains, bb84_key_rate,
-                           bb84_model_gains, bb84_sifted_key_rate, binary_entropy,
-                           block_key_rate, cow_key_rate, cow_phase_error,
+from optiqkd.rates import (Bb84Config, BoundInfeasibleError, DecoyBounds,
+                           FiniteKeyConfig, LinkParams, ProtocolConfig,
+                           bb84_key_rate, bb84_model_gains, bb84_sifted_key_rate,
+                           binary_entropy, block_key_rate, cow_key_rate,
                            cow_visibility, decoy_bounds, e91_key_rate, e91_quantities,
-                           finite_key_penalty, finite_key_rate, transmittance)
+                           finite_key_penalty, finite_key_rate, transmittance,
+                           wcp_gain)
 
 from oracles import (bb84_rate_oracle, cow_rate_oracle, cow_visibility_oracle,
                      decoy_bounds_oracle, e91_rate_oracle, finite_penalty_oracle,
@@ -58,23 +58,19 @@ class TestTransmittance:
 
 class TestBb84Gains:
     def test_dark_channel_convention(self):
-        g = bb84_gains(0.5, eta=0.0, y0=0.0, e_d=0.015)
-        assert g.q_mu == 0.0
-        assert g.e_mu == 0.5
+        assert wcp_gain(0.5, eta=0.0, y0=0.0, e_d=0.015) == (0.0, 0.5)
 
     def test_defaults_at_50km(self):
-        g = bb84_model_gains(LINK, 0.5)
+        q_mu, e_mu = bb84_model_gains(LINK, 0.5)
         oracle = poisson_gains_oracle(0.5, 0.02, 5e-6, 0.015)
-        assert g.q_mu == pytest.approx(9.955166250831893e-3, rel=1e-9)
-        assert g.e_mu == pytest.approx(1.5243592114777325e-2, rel=1e-9)
-        assert g.q_mu == pytest.approx(oracle["q_mu"], rel=1e-12)
-        assert g.e_mu == pytest.approx(oracle["e_mu"], rel=1e-12)
-        assert g.e1 == pytest.approx(oracle["e1_src"], rel=1e-12)
+        assert q_mu == pytest.approx(9.955166250831893e-3, rel=1e-9)
+        assert e_mu == pytest.approx(1.5243592114777325e-2, rel=1e-9)
+        assert q_mu == pytest.approx(oracle["q_mu"], rel=1e-12)
+        assert e_mu == pytest.approx(oracle["e_mu"], rel=1e-12)
 
     def test_no_error_sources(self):
         for eta, mu in [(0.02, 0.5), (0.5, 0.2), (1.0, 1.0)]:
-            g = bb84_gains(mu, eta=eta, y0=0.0, e_d=0.0)
-            assert g.e_mu == 0.0
+            assert wcp_gain(mu, eta=eta, y0=0.0, e_d=0.0)[1] == 0.0
 
     def test_closed_form_matches_poisson_sum(self):
         rng = np.random.default_rng(3)
@@ -83,26 +79,23 @@ class TestBb84Gains:
             eta = rng.uniform(1e-4, 1.0)
             y0 = rng.uniform(0, 1e-4)
             e_d = rng.uniform(0, 0.05)
-            fast = bb84_gains(mu, eta, y0, e_d)
+            q_mu, e_mu = wcp_gain(mu, eta, y0, e_d)
             slow = poisson_gains_oracle(mu, eta, y0, e_d)
-            assert fast.q_mu == pytest.approx(slow["q_mu"], rel=1e-12)
-            assert fast.e_mu == pytest.approx(slow["e_mu"], rel=1e-12)
+            assert q_mu == pytest.approx(slow["q_mu"], rel=1e-12)
+            assert e_mu == pytest.approx(slow["e_mu"], rel=1e-12)
 
     def test_invariants(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
-            g = bb84_gains(rng.uniform(0.05, 1.0), rng.uniform(1e-4, 1.0),
-                           rng.uniform(0, 1e-4), rng.uniform(0, 0.5))
-            assert 0.0 <= g.q_mu <= 1.0 and 0.0 <= g.e_mu <= 1.0
-            assert g.q1 <= g.q_mu + 1e-15
-            assert g.e1 * g.q1 <= g.q_mu + 1e-15
+            q_mu, e_mu = wcp_gain(rng.uniform(0.05, 1.0), rng.uniform(1e-4, 1.0),
+                                  rng.uniform(0, 1e-4), rng.uniform(0, 0.5))
+            assert 0.0 <= q_mu <= 1.0 and 0.0 <= e_mu <= 1.0
 
 
 class TestDecoyBounds:
     def test_bounds_bracket_truth_at_defaults(self):
-        gs = bb84_model_gains(LINK, 0.5)
-        gw = bb84_model_gains(LINK, 0.1)
-        b = decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu), 0.5, 0.1, LINK.y0)
+        b = decoy_bounds(bb84_model_gains(LINK, 0.5), bb84_model_gains(LINK, 0.1),
+                         0.5, 0.1, LINK.y0)
         oracle = poisson_gains_oracle(0.5, 0.02, 5e-6, 0.015)
         assert b.y1_lower <= oracle["y1"] + 1e-15
         assert b.e1_upper >= oracle["e1"] - 1e-15
@@ -111,17 +104,16 @@ class TestDecoyBounds:
         assert b.q1_lower == pytest.approx(b.y1_lower * 0.5 * math.exp(-0.5), rel=1e-12)
 
     def test_lossless_weak_limit(self):
-        gs = bb84_gains(0.5, eta=1.0, y0=0.0, e_d=0.0)
-        gw = bb84_gains(1e-6, eta=1.0, y0=0.0, e_d=0.0)
-        b = decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu), 0.5, 1e-6, 0.0)
+        b = decoy_bounds(wcp_gain(0.5, eta=1.0, y0=0.0, e_d=0.0),
+                         wcp_gain(1e-6, eta=1.0, y0=0.0, e_d=0.0), 0.5, 1e-6, 0.0)
         assert b.y1_lower == pytest.approx(1.0, abs=1e-3)
 
     def test_perturbed_observation_is_infeasible(self):
         link = LinkParams(distance_km=180.0)
-        gs = bb84_model_gains(link, 0.5)
-        gw = bb84_model_gains(link, 0.1)
+        obs_s = bb84_model_gains(link, 0.5)
+        q_w, e_w = bb84_model_gains(link, 0.1)
         with pytest.raises(BoundInfeasibleError):
-            decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu * 0.5, gw.e_mu), 0.5, 0.1, link.y0)
+            decoy_bounds(obs_s, (q_w * 0.5, e_w), 0.5, 0.1, link.y0)
 
     def test_safety_property_randomized(self):
         # module-level spot check; the full 1000-draw sweep runs in acceptance
@@ -143,18 +135,16 @@ class TestDecoyBounds:
 
 class TestBb84KeyRate:
     def test_error_free_channel(self):
-        g = GainStats(q_mu=0.01, e_mu=0.0, q1=0.01, e1=0.0, y1=0.02)
+        b = DecoyBounds(y1_lower=0.02, q1_lower=0.01, e1_upper=0.0)
         cfg = ProtocolConfig(f_ec=1.0)
-        rep = bb84_key_rate(g, 0.01, 0.0, cfg, q=0.5)
+        rep = bb84_key_rate(b, 0.01, 0.0, cfg, q=0.5)
         assert rep.r_per_pulse == pytest.approx(0.5 * 0.01, rel=1e-12)
 
     def test_defaults_against_oracle(self):
-        gs = bb84_model_gains(LINK, 0.5)
-        gw = bb84_model_gains(LINK, 0.1)
-        b = decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu), 0.5, 0.1, LINK.y0)
-        rep = bb84_key_rate(b, gs.q_mu, gs.e_mu, PROTO, q=0.5)
-        expected = bb84_rate_oracle(gs.q_mu, gs.e_mu, b.q1_lower, b.e1_upper,
-                                    1.16, 0.5)
+        q_mu, e_mu = obs_s = bb84_model_gains(LINK, 0.5)
+        b = decoy_bounds(obs_s, bb84_model_gains(LINK, 0.1), 0.5, 0.1, LINK.y0)
+        rep = bb84_key_rate(b, q_mu, e_mu, PROTO, q=0.5)
+        expected = bb84_rate_oracle(q_mu, e_mu, b.q1_lower, b.e1_upper, 1.16, 0.5)
         assert rep.r_per_pulse == pytest.approx(expected, rel=1e-12)
         assert rep.r_per_pulse == pytest.approx(1.9159486917774457e-3, rel=1e-9)
         assert rep.r_bps == pytest.approx(rep.r_per_pulse * 2.5e8, rel=1e-12)
@@ -188,14 +178,14 @@ class TestBb84KeyRate:
         # sifted approximation exactly
         cfg = ProtocolConfig(f_ec=1.0)
         for e in (0.01, 0.05, 0.11, 0.2):
-            g = GainStats(q_mu=0.01, e_mu=e, q1=0.01, e1=e, y1=0.02)
-            full = bb84_key_rate(g, 0.01, e, cfg, q=0.5).raw
+            b = DecoyBounds(y1_lower=0.02, q1_lower=0.01, e1_upper=e)
+            full = bb84_key_rate(b, 0.01, e, cfg, q=0.5).raw
             sift = bb84_sifted_key_rate(0.01, e, cfg, q=0.5).raw
             assert abs(full - sift) < 1e-12
 
     def test_negative_raw_preserved_and_clamped(self):
-        g = GainStats(q_mu=0.01, e_mu=0.2, q1=0.002, e1=0.2, y1=0.02)
-        rep = bb84_key_rate(g, 0.01, 0.2, PROTO, q=0.5)
+        b = DecoyBounds(y1_lower=0.02, q1_lower=0.002, e1_upper=0.2)
+        rep = bb84_key_rate(b, 0.01, 0.2, PROTO, q=0.5)
         assert rep.raw < 0.0
         assert rep.r_per_pulse == 0.0
         assert rep.r_finite == 0.0
@@ -204,10 +194,9 @@ class TestBb84KeyRate:
         prev = math.inf
         for d in np.arange(0.0, 200.1, 5.0):
             link = LinkParams(distance_km=float(d))
-            gs = bb84_model_gains(link, 0.5)
-            gw = bb84_model_gains(link, 0.1)
-            b = decoy_bounds((gs.q_mu, gs.e_mu), (gw.q_mu, gw.e_mu), 0.5, 0.1, link.y0)
-            r = bb84_key_rate(b, gs.q_mu, gs.e_mu, PROTO, q=0.5).r_per_pulse
+            q_mu, e_mu = obs_s = bb84_model_gains(link, 0.5)
+            b = decoy_bounds(obs_s, bb84_model_gains(link, 0.1), 0.5, 0.1, link.y0)
+            r = bb84_key_rate(b, q_mu, e_mu, PROTO, q=0.5).r_per_pulse
             assert r <= prev + 1e-15
             prev = r
 
@@ -229,10 +218,11 @@ class TestE91:
         assert rep.r_per_pulse == pytest.approx(0.5, rel=1e-12)
 
     def test_no_violation_yields_zero(self):
+        # S = 2 leaves no privacy term: the raw rate is the leak alone
         cfg = ProtocolConfig(kind="e91", f_ec=1.16)
         for q_err in (0.0, 0.05, 0.3):
             rep = e91_key_rate(2.0, q_err, cfg, q=0.5)
-            assert rep.pa_term == pytest.approx(0.0, abs=1e-12)
+            assert rep.raw == pytest.approx(-0.5 * 1.16 * h2_oracle(q_err), abs=1e-12)
             assert rep.r_per_pulse == 0.0
 
     def test_oracle_agreement(self):
@@ -258,13 +248,12 @@ class TestE91:
 class TestCow:
     def test_no_drift(self):
         assert cow_visibility(0.5, 0.0) == 1.0
-        assert cow_phase_error(0.5, 0.0) == 0.0
 
     def test_quarter_turn(self):
         v = cow_visibility(0.5, math.pi / 2.0)
         assert v == pytest.approx(math.exp(-1.0), rel=1e-12)
-        assert cow_phase_error(0.5, math.pi / 2.0) == pytest.approx(
-            0.31606027941427883, rel=1e-12)
+        # the phase error (1 - V) / 2
+        assert (1.0 - v) / 2.0 == pytest.approx(0.31606027941427883, rel=1e-12)
 
     def test_half_turn_quarter_photon(self):
         assert cow_visibility(0.25, math.pi) == pytest.approx(math.exp(-1.0), rel=1e-12)
@@ -283,12 +272,12 @@ class TestCow:
     def test_oracle_point_25km(self):
         link = LinkParams(distance_km=25.0)
         eta = transmittance(link)
-        g = bb84_gains(0.5, eta, link.y0, link.e_d)
-        e_ph = cow_phase_error(0.5, 0.3)
+        q_mu, e_mu = wcp_gain(0.5, eta, link.y0, link.e_d)
+        e_ph = (1.0 - cow_visibility(0.5, 0.3)) / 2.0
         cfg = ProtocolConfig(kind="cow", f_ec=1.16)
-        rep = cow_key_rate(g.q_mu, g.e_mu, e_ph, cfg, q=0.81)
+        rep = cow_key_rate(q_mu, e_mu, e_ph, cfg, q=0.81)
         assert rep.r_per_pulse == pytest.approx(
-            cow_rate_oracle(g.q_mu, g.e_mu, e_ph, 1.16, 0.81), rel=1e-12)
+            cow_rate_oracle(q_mu, e_mu, e_ph, 1.16, 0.81), rel=1e-12)
         assert rep.r_per_pulse == pytest.approx(0.018092809490448086, rel=1e-9)
 
 

@@ -4,7 +4,7 @@ import pytest
 from optiqkd import nn
 from optiqkd.channel import ControlState, Simulator, make_scenario
 from optiqkd.rates import LinkParams, ProtocolConfig
-from optiqkd.tcn import (FEATURES, DivergenceError, Forecaster, Normalizer, TcnConfig,
+from optiqkd.tcn import (FEATURES, Forecaster, Normalizer, TcnConfig,
                          TcnModel, dataset_mse, load_tcn, make_dataset,
                          persistence_mse, save_tcn, tcn_forward, tcn_train,
                          telemetry_features, train_forecaster)
@@ -125,7 +125,7 @@ class TestTraining:
     def test_divergence_guard(self):
         feats = collect_features("nominal", 60, seed=6)
         cfg = small_cfg(epochs=5, lr=1e200)
-        with pytest.raises(DivergenceError):
+        with pytest.raises(nn.DivergenceError):
             tcn_train(make_dataset(feats, cfg.window), cfg, np.random.default_rng(5))
 
     def test_loss_curve_shape(self):
