@@ -1,12 +1,12 @@
 """Fixed-seed outputs pinned by hash.
 
-For each protocol a tiny ``train tcn`` and ``train ppo`` make the
-checkpoints and write the loss and progress CSVs, and one ``eval
+For each protocol a tiny ``train tcn`` and ``train ppo`` write the two
+checkpoints and the loss and progress CSVs, and one ``eval
 ml,static,recalib`` (one seed, 300 blocks) per scenario in
 :data:`SCENARIOS` writes the episode and metrics CSVs, all through
 ``cli.main`` in this process. The scenarios cover the noise sweep, the
 loss step and the damping drift. ``golden/manifest.json`` holds the sha256
-of each CSV and the numpy and BLAS builds it was made with, because ML
+of each file and the numpy and BLAS builds it was made with, because ML
 bytes depend on the BLAS summation order. A change that moves outputs on
 purpose rewrites the manifest with ``python tests/golden/rewrite_manifest.py``.
 """
@@ -46,8 +46,8 @@ def build_info() -> Dict[str, str]:
 
 
 def run_set(out: Path) -> Dict[str, str]:
-    """Run the fixed-seed set under ``out``; the sha256 of each CSV it
-    writes, keyed ``protocol/file``."""
+    """Run the fixed-seed set under ``out``; the sha256 of each checkpoint
+    and CSV it writes, keyed ``protocol/file``."""
     hashes = {}
     for proto in PROTOCOLS:
         d = out / proto
@@ -64,7 +64,7 @@ def run_set(out: Path) -> Dict[str, str]:
                 code = main(argv)
             if code != 0:
                 raise RuntimeError(f"optiqkd {' '.join(argv)} exited {code}")
-        for path in sorted(d.rglob("*.csv")):
+        for path in sorted([*d.rglob("*.csv"), Path(tcn), Path(policy)]):
             hashes[f"{proto}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     return hashes
 
