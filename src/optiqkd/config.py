@@ -154,13 +154,17 @@ def _cast(key: str, val: Any, default: Any) -> Any:
 
 def _build(cls, section: Any, prefix: str, **fixed: Any):
     """Typed config from a section, each value cast to the type of the
-    field's default; ``fixed`` fields are passed as given."""
+    field's default; ``fixed`` fields are passed as given. A value out of
+    the config's range is refused naming the section."""
     if not isinstance(section, dict):
         raise ValueError(f"configuration key {prefix[:-1]!r} must be a section")
     default = cls()
-    return cls(**fixed, **{
-        f.name: _cast(prefix + f.name, section[f.name], getattr(default, f.name))
-        for f in fields(cls) if f.name in section and f.name not in fixed})
+    values = {f.name: _cast(prefix + f.name, section[f.name], getattr(default, f.name))
+              for f in fields(cls) if f.name in section and f.name not in fixed}
+    try:
+        return cls(**fixed, **values)
+    except ValueError as exc:
+        raise type(exc)(f"{prefix[:-1]}: {exc}") from None
 
 
 def typed(cfg: Dict[str, Any], name: str, **fixed: Any) -> Any:

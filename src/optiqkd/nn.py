@@ -1,12 +1,19 @@
-"""Minimal differentiable numeric kit shared by the forecaster and controller.
+"""Minimal numeric kit shared by the forecaster and controller.
 
-Reverse-mode automatic differentiation over float64 numpy arrays using a
-define-by-run graph: every operation returns a :class:`Var` that records
-its parents and the local gradient rule. Calling :func:`backward` on a
-scalar loss fills ``.grad`` on every reachable node that needs one.
+The layers hold each parameter as a :class:`Var` leaf, whose ``data``
+array the models read and :class:`Adam` updates in place. The dilated
+causal convolution is three array functions: the im2col forward
+:func:`conv1d_forward` and its gradients :func:`conv1d_grad_x` and
+:func:`conv1d_grad_kernel`. The forecaster's training step calls them on
+plain arrays with gradients derived by hand, as the controller's PPO step
+does for its dense layers; nothing in the package builds a graph.
 
-A leaf made by :func:`const` (input windows, targets, loss constants,
-observations) needs no gradient, and neither does an op whose inputs are
+The define-by-run graph remains for the gradient checks and the
+benchmark's kernel timings: every op returns a :class:`Var` that records
+its parents and the local gradient rule, and :func:`backward` on a scalar
+loss fills ``.grad`` on every reachable node that needs one. Its conv node
+:func:`conv1d_causal` wraps the array functions. A leaf made by
+:func:`const` needs no gradient, and neither does an op whose inputs are
 all such leaves: an op records only the parents that need a gradient, so
 ``backward`` never runs the closures of the others and their ``grad``
 stays ``None``. A plain ``Var(x)`` leaf gets a gradient; the operator
@@ -15,8 +22,8 @@ sugar promotes a bare number or array to a :func:`const`.
 :class:`Adam` keeps its first and second moments as one flat vector each
 over the concatenated parameters, in parameter order; :func:`adam_step`
 updates them with one vectorized pass and writes each parameter's slice
-back in place. A model instance (parameters, graph, optimizer state)
-belongs to one thread at a time; there is no global state.
+back in place. A model instance (parameters, optimizer state) belongs to
+one thread at a time; there is no global state.
 """
 
 from __future__ import annotations
@@ -199,23 +206,18 @@ def dense(x: Var, w: Var, b: Var) -> Var:
     ])
 
 
-def residual_add(x: Var, y: Var) -> Var:
-    if x.data.shape != y.data.shape:
-        raise ValueError(f"residual shapes differ: {x.data.shape} vs {y.data.shape}")
-    return add(x, y)
-
-
 def flat_kernel(kernel: np.ndarray) -> np.ndarray:
     """A conv kernel (C_out, C_in, k) as W (C_out, k*C_in), column
     ``i*C_in + c`` being ``kernel[:, c, i]``: the weights of input channel
-    c delayed by i taps. :func:`conv1d_causal` and
+    c delayed by i taps. :func:`conv1d_forward` and
     :meth:`Conv1dCausalLayer.frozen_step` both read this layout."""
     n_out, n_in, k = kernel.shape
     return kernel.transpose(0, 2, 1).reshape(n_out, k * n_in)
 
 
-def conv1d_causal(x: Var, kernel: Var, bias: Var, dilation: int = 1) -> Var:
-    """Dilated causal 1-D convolution with left zero-padding.
+def conv1d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
+                   dilation: int = 1) -> np.ndarray:
+    """Dilated causal 1-D convolution with left zero-padding, on arrays.
 
     x: (B, C_in, T), kernel: (C_out, C_in, k), bias: (C_out,).
     Output (B, C_out, T); the value at time t depends only on inputs
@@ -224,54 +226,66 @@ def conv1d_causal(x: Var, kernel: Var, bias: Var, dilation: int = 1) -> Var:
     Computed as im2col + GEMM: the columns cols (B, k*C_in, T) stack the
     k delayed copies of x, row ``i*C_in + c`` being channel c delayed by
     ``i*dilation`` (zeros before t = 0), and the output is ``W @ cols``
-    with W the :func:`flat_kernel`. The gradients take one matmul per
-    tap, each broadcast over the batch, on the tap's shift s =
-    ``i*dilation``:
-
-    - w.r.t. x: ``kernel[:, :, i].T @ g[:, :, s:]`` added at times ``:T-s``;
-    - w.r.t. the kernel: ``kernel[:, :, i]`` gets
-      ``sum_b g_b[:, s:] @ x_b[:, :T-s].T``.
-
-    The graph keeps only x, not the columns.
+    with W the :func:`flat_kernel`. :func:`conv1d_grad_x` and
+    :func:`conv1d_grad_kernel` are its two gradients.
     """
     if dilation < 1:
         raise ValueError("dilation must be >= 1")
-    if x.data.ndim != 3:
+    if x.ndim != 3:
         raise ValueError("conv input must be (batch, channels, time)")
-    _, n_in, k = kernel.data.shape
-    if x.data.shape[1] != n_in:
+    _, n_in, k = kernel.shape
+    if x.shape[1] != n_in:
         raise ValueError(
-            f"conv channel mismatch: input has {x.data.shape[1]}, kernel wants {n_in}")
-    x_data = x.data
-    b_sz, _, t_len = x_data.shape
+            f"conv channel mismatch: input has {x.shape[1]}, kernel wants {n_in}")
+    b_sz, _, t_len = x.shape
     cols = np.empty((b_sz, k, n_in, t_len))
     for i in range(k):  # each tap zero-fills only the steps before its shift
         shift = min(i * dilation, t_len)
         cols[:, i, :, :shift] = 0.0
-        cols[:, i, :, shift:] = x_data[:, :, :t_len - shift]
-    out = flat_kernel(kernel.data) @ cols.reshape(b_sz, k * n_in, t_len)
-    out += bias.data[None, :, None]
+        cols[:, i, :, shift:] = x[:, :, :t_len - shift]
+    out = flat_kernel(kernel) @ cols.reshape(b_sz, k * n_in, t_len)
+    out += bias[None, :, None]
+    return out
 
-    def bw_x(g):
-        gx = kernel.data[:, :, 0].T @ g
-        for i in range(1, k):
-            shift = i * dilation
-            if shift < t_len:
-                gx[:, :, :t_len - shift] += kernel.data[:, :, i].T @ g[:, :, shift:]
-        return gx
 
-    def bw_k(g):
-        gk = np.zeros_like(kernel.data)
-        for i in range(k):
-            shift = i * dilation
-            if shift < t_len:
-                taps = np.matmul(g[:, :, shift:], x_data[:, :, :t_len - shift].transpose(0, 2, 1))
-                gk[:, :, i] = taps.sum(axis=0)
-        return gk
+def conv1d_grad_x(kernel: np.ndarray, g: np.ndarray, dilation: int) -> np.ndarray:
+    """Gradient of :func:`conv1d_forward` w.r.t. x for the upstream ``g``
+    (B, C_out, T): one matmul per tap, broadcast over the batch, tap i
+    adding ``kernel[:, :, i].T @ g[:, :, s:]`` at times ``:T-s``, with
+    s = ``i*dilation``."""
+    t_len = g.shape[2]
+    gx = kernel[:, :, 0].T @ g
+    for i in range(1, kernel.shape[2]):
+        shift = i * dilation
+        if shift < t_len:
+            gx[:, :, :t_len - shift] += kernel[:, :, i].T @ g[:, :, shift:]
+    return gx
 
+
+def conv1d_grad_kernel(x: np.ndarray, g: np.ndarray, k: int, dilation: int) -> np.ndarray:
+    """Gradient of :func:`conv1d_forward` w.r.t. its (C_out, C_in, k)
+    kernel for the input ``x`` and upstream ``g``: tap i gets
+    ``sum_b g_b[:, s:] @ x_b[:, :T-s].T``, one matmul per batch entry
+    summed over the batch, with s = ``i*dilation``."""
+    t_len = x.shape[2]
+    gk = np.zeros((g.shape[1], x.shape[1], k))
+    for i in range(k):
+        shift = i * dilation
+        if shift < t_len:
+            taps = np.matmul(g[:, :, shift:], x[:, :, :t_len - shift].transpose(0, 2, 1))
+            gk[:, :, i] = taps.sum(axis=0)
+    return gk
+
+
+def conv1d_causal(x: Var, kernel: Var, bias: Var, dilation: int = 1) -> Var:
+    """:func:`conv1d_forward` as a graph node, whose gradients are
+    :func:`conv1d_grad_x` and :func:`conv1d_grad_kernel`. The graph keeps
+    only x, not the im2col columns."""
+    out = conv1d_forward(x.data, kernel.data, bias.data, dilation)
+    x_data, k = x.data, kernel.data.shape[2]
     return Var(out, [
-        (x, bw_x),
-        (kernel, bw_k),
+        (x, lambda g: conv1d_grad_x(kernel.data, g, dilation)),
+        (kernel, lambda g: conv1d_grad_kernel(x_data, g, k, dilation)),
         (bias, lambda g: g.sum(axis=0).sum(axis=1)),
     ])
 
@@ -394,13 +408,8 @@ class Adam:
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.state = init_adam_state(self.params)
 
-    def step(self, grads: Optional[Sequence[np.ndarray]] = None) -> None:
-        """One update from ``grads`` (one per parameter, in order), or else
-        from the ``grad`` that :func:`backward` left on each parameter."""
-        if grads is None:
-            if any(p.grad is None for p in self.params):
-                raise GraphStateError("parameter has no gradient; run backward first")
-            grads = [p.grad for p in self.params]
+    def step(self, grads: Sequence[np.ndarray]) -> None:
+        """One update from ``grads``, one per parameter, in order."""
         adam_step(self.params, grads, self.state, self.lr, self.beta1,
                   self.beta2, self.eps)
 

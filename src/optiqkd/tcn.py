@@ -1,14 +1,16 @@
 """Dilated-causal residual convolution network forecasting the channel state.
 
 The network reads a fixed-length window of normalized telemetry features
-and predicts the next block's normalized feature vector. Training runs
-batches of windows through the ``nn`` graph (:func:`tcn_forward` does the
-same for one window). The closed loop's :class:`Forecaster` streams
-instead: each block advances every conv layer by one step, without a
-graph, which gives the same forecast because a config's window is never
-shorter than its receptive field. Inference is read-only on the
-parameters; training mutates parameters and is single-threaded per model
-instance.
+and predicts the next block's normalized feature vector.
+:meth:`TcnModel.forward` runs a batch of windows on plain arrays
+(:func:`tcn_forward` and :func:`dataset_mse` call it), and each training
+step follows it with gradients derived by hand into ``nn.Adam``, bitwise
+equal to the ``nn`` graph of the same loss, which ``tests/oracles.py``
+keeps. The closed loop's :class:`Forecaster` streams instead: each block
+advances every conv layer by one step, which gives the same forecast
+because a config's window is never shorter than its receptive field.
+Inference is read-only on the parameters; training mutates parameters and
+is single-threaded per model instance.
 """
 
 from __future__ import annotations
@@ -120,15 +122,21 @@ class TcnModel:
     def params(self) -> List[nn.Var]:
         return list(self.named.values())
 
-    def forward_batch(self, windows: np.ndarray) -> nn.Var:
-        """windows: (B, W, F) normalized. Returns Var (B, F)."""
-        h = nn.const(np.transpose(windows, (0, 2, 1)))  # (B, F, W)
+    def forward(self, windows: np.ndarray,
+                tape: Optional[List[np.ndarray]] = None) -> np.ndarray:
+        """Predictions (B, F) from normalized windows (B, W, F), on plain
+        arrays. A ``tape`` list receives each layer's input and relu mask in
+        turn, then the top layer's output: what :func:`_gradients` reads."""
+        h = np.transpose(windows, (0, 2, 1))  # (B, F, W)
         for conv, proj in zip(self.convs, self.projs):
-            y = nn.relu(conv(h))
-            skip = proj(h) if proj is not None else h
-            h = nn.residual_add(y, skip)
-        last = nn.index(h, (slice(None), slice(None), -1))  # (B, hidden)
-        return self.head(last)
+            c = nn.conv1d_forward(h, conv.kernel.data, conv.bias.data, conv.dilation)
+            skip = h if proj is None else nn.conv1d_forward(h, proj.kernel.data, proj.bias.data)
+            if tape is not None:
+                tape += [h, c > 0]
+            h = np.maximum(c, 0.0) + skip
+        if tape is not None:
+            tape.append(h)
+        return h[:, :, -1] @ self.head.w.data.T + self.head.b.data
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
         arrays = {name: p.data for name, p in self.named.items()}
@@ -144,7 +152,7 @@ def tcn_forward(window: np.ndarray, model: TcnModel) -> np.ndarray:
     w = model.cfg.window
     if window.ndim != 2 or window.shape[0] < w or window.shape[1] != len(FEATURES):
         raise ValueError(f"window must be at least ({w}, {len(FEATURES)})")
-    return model.forward_batch(window[None, -w:, :]).data[0]
+    return model.forward(window[None, -w:, :])[0]
 
 
 def make_dataset(features: np.ndarray, window: int) -> List[Tuple[np.ndarray, np.ndarray]]:
@@ -173,9 +181,55 @@ def dataset_mse(dataset: Sequence[Tuple[np.ndarray, np.ndarray]], model: TcnMode
     errs = []
     for start in range(0, len(windows), model.cfg.batch_size):
         sl = slice(start, start + model.cfg.batch_size)
-        diff = targets[sl] - model.forward_batch(windows[sl]).data
+        diff = targets[sl] - model.forward(windows[sl])
         errs.append(np.mean(diff**2, axis=1))
     return float(np.mean(np.concatenate(errs)))
+
+
+def _last_step_kernel_grad(x: np.ndarray, g_last: np.ndarray, k: int,
+                           dilation: int) -> np.ndarray:
+    """:func:`nn.conv1d_grad_kernel` for an upstream gradient that is zero
+    but at the last time step, where it is ``g_last`` (B, C_out). Each tap's
+    time sum then has one nonzero term, so the sum is that product, to the bit."""
+    t_len = x.shape[2]
+    gk = np.zeros((g_last.shape[1], x.shape[1], k))
+    for i in range(k):
+        shift = i * dilation
+        if shift < t_len:
+            gk[:, :, i] = (g_last[:, :, None] * x[:, None, :, t_len - 1 - shift]).sum(axis=0)
+    return gk
+
+
+def _gradients(model: TcnModel, tape: List[np.ndarray], g: np.ndarray) -> List[np.ndarray]:
+    """Gradients of the loss w.r.t. every parameter, in ``model.named``
+    order, from its gradient ``g`` (B, F) at the predictions and the
+    ``tape`` of :meth:`TcnModel.forward`.
+
+    Every operation is the one the ``nn`` graph of the same forward runs
+    (``tests/oracles.py`` keeps it), so the gradients are the graph's to
+    the bit. The head reads the top layer's last step only, so the top
+    kernel takes :func:`_last_step_kernel_grad`. The input windows need no
+    gradient: layer 0 and its projection skip their x-gradients.
+    """
+    hs, masks = tape[0::2], tape[1::2]
+    top = hs[-1]
+    grads = {"head.w": g.T @ top[:, :, -1], "head.b": g.sum(axis=0)}
+    g_h = np.zeros_like(top)
+    g_h[:, :, -1] = g @ model.head.w.data
+    for i in reversed(range(len(model.convs))):
+        conv, proj, x = model.convs[i], model.projs[i], hs[i]
+        g_c, k = g_h * masks[i], model.cfg.kernel
+        if i == len(model.convs) - 1:
+            grads[f"conv{i}.kernel"] = _last_step_kernel_grad(x, g_c[:, :, -1], k, conv.dilation)
+        else:
+            grads[f"conv{i}.kernel"] = nn.conv1d_grad_kernel(x, g_c, k, conv.dilation)
+        grads[f"conv{i}.bias"] = g_c.sum(axis=0).sum(axis=1)
+        if proj is not None:
+            grads[f"proj{i}.kernel"] = nn.conv1d_grad_kernel(x, g_h, 1, 1)
+            grads[f"proj{i}.bias"] = g_h.sum(axis=0).sum(axis=1)
+        if i > 0:  # only layer 0 projects: above it the skip passes g_h on
+            g_h = nn.conv1d_grad_x(conv.kernel.data, g_c, conv.dilation) + g_h
+    return [grads[name] for name in model.named]
 
 
 def tcn_train(
@@ -188,9 +242,12 @@ def tcn_train(
 ) -> Tuple[TcnModel, List[float]]:
     """Minimize mean squared forecast error; returns per-epoch mean losses.
 
-    The normalizer is calibrated from the full training corpus and frozen
-    before the first update, so the observation scaling seen downstream is
-    stable. Aborts with :class:`nn.DivergenceError` if the loss goes non-finite.
+    Each minibatch step runs :meth:`TcnModel.forward` with a tape, the mean
+    squared error and its gradient, then :func:`_gradients` and one Adam
+    step. The normalizer is calibrated from the full training corpus and
+    frozen before the first update, so the observation scaling seen
+    downstream is stable. Aborts with :class:`nn.DivergenceError` if the
+    loss goes non-finite.
     """
     if len(dataset) < 1:
         raise ValueError("empty training dataset")
@@ -209,13 +266,13 @@ def tcn_train(
         losses = []
         for start in range(0, len(order), cfg.batch_size):
             sel = order[start:start + cfg.batch_size]
-            pred = model.forward_batch(windows[sel])
-            loss = nn.vmean(nn.square(pred - nn.const(targets[sel])))
-            if not np.isfinite(loss.data):
+            tape: List[np.ndarray] = []
+            diff = model.forward(windows[sel], tape) + (-targets[sel])
+            loss = (diff * diff).mean()
+            if not np.isfinite(loss):
                 raise nn.DivergenceError("forecaster training diverged")
-            nn.backward(loss)
-            opt.step()
-            losses.append(float(loss.data))
+            opt.step(_gradients(model, tape, (1.0 / diff.size) * 2.0 * diff))
+            losses.append(float(loss))
         curve.append(float(np.mean(losses)))
     return model, curve
 

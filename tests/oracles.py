@@ -506,9 +506,9 @@ def ppo_update_oracle(buffer, nets):
                 if not (np.isfinite(policy_loss.data) and np.isfinite(value_loss.data)):
                     raise nn.DivergenceError("non-finite PPO loss")
                 nn.backward(policy_loss)
-                nets.opt_actor.step()
+                nets.opt_actor.step([p.grad for p in nets.opt_actor.params])
                 nn.backward(value_loss)
-                nets.opt_critic.step()
+                nets.opt_critic.step([p.grad for p in nets.opt_critic.params])
                 policy_losses.append(float(policy_loss.data))
                 value_losses.append(float(value_loss.data))
                 entropies.append(float(entropy.data))
@@ -524,3 +524,51 @@ def ppo_update_oracle(buffer, nets):
     }
     buffer.clear()
     return report
+
+
+# -- the TCN forecaster as an ``nn`` graph -----------------------------------
+
+def tcn_forward_oracle(model, windows):
+    """Predictions (B, F) of a ``tcn.TcnModel`` for normalized windows
+    (B, W, F), as a graph node; the windows are a const leaf."""
+    h = nn.const(np.transpose(windows, (0, 2, 1)))  # (B, F, W)
+    for conv, proj in zip(model.convs, model.projs):
+        y = nn.relu(conv(h))
+        h = nn.add(y, proj(h) if proj is not None else h)
+    last = nn.index(h, (slice(None), slice(None), -1))  # (B, hidden)
+    return model.head(last)
+
+
+def tcn_train_oracle(dataset, cfg, rng, epochs=None, lr=None, model=None):
+    """``tcn.tcn_train`` with every minibatch loss built as an ``nn`` graph
+    and differentiated by ``nn.backward``; each parameter's ``grad`` goes to
+    ``Adam.step``. Returns the model, its optimizer and the loss curve."""
+    from optiqkd.tcn import Normalizer, TcnModel
+
+    if len(dataset) < 1:
+        raise ValueError("empty training dataset")
+    epochs = cfg.epochs if epochs is None else epochs
+    lr = cfg.lr if lr is None else lr
+    windows = np.stack([w for w, _ in dataset])
+    targets = np.stack([t for _, t in dataset])
+    if model is None:
+        corpus = np.concatenate([windows.reshape(-1, windows.shape[2]), targets])
+        model = TcnModel(cfg, rng, Normalizer.calibrate(corpus))
+    params = model.params()
+    opt = nn.Adam(params, lr=lr)
+    windows, targets = map(model.normalizer.normalize, (windows, targets))
+    curve = []
+    for _ in range(epochs):
+        order = rng.permutation(len(dataset))
+        losses = []
+        for start in range(0, len(order), cfg.batch_size):
+            sel = order[start:start + cfg.batch_size]
+            pred = tcn_forward_oracle(model, windows[sel])
+            loss = nn.vmean(nn.square(pred - nn.const(targets[sel])))
+            if not np.isfinite(loss.data):
+                raise nn.DivergenceError("forecaster training diverged")
+            nn.backward(loss)
+            opt.step([p.grad for p in params])
+            losses.append(float(loss.data))
+        curve.append(float(np.mean(losses)))
+    return model, opt, curve

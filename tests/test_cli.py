@@ -182,6 +182,21 @@ class TestShowConfig:
         captured = capsys.readouterr()
         assert captured.out == "" and name in captured.err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--set", "protocol.bb84.mu_w=0.9"], "protocol.bb84: need 0 < mu_w < mu_s"),
+        (["--set", "link.distance_km=-3"], "link: distance_km must be >= 0"),
+        # a cast error names its own full key, once
+        ({"protocol": {"bb84": {"mu_s": "abc"}}},
+         "configuration key 'protocol.bb84.mu_s' has unreadable value 'abc'"),
+    ])
+    def test_range_error_names_the_section(self, tmp_path, capsys, argv, message):
+        if isinstance(argv, dict):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(argv))
+            argv = ["--config", str(path)]
+        assert run(["show-config"] + argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_config_file_overlay(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"link": {"distance_km": 10.0}}))

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from optiqkd import nn
+from optiqkd import nn, tcn
 from optiqkd.channel import ControlState, Simulator, make_scenario
 from optiqkd.rates import LinkParams, ProtocolConfig
 from optiqkd.tcn import (FEATURES, Forecaster, Normalizer, TcnConfig,
                          TcnModel, dataset_mse, load_tcn, make_dataset,
                          persistence_mse, save_tcn, tcn_forward, tcn_train,
                          telemetry_features, train_forecaster)
+
+from oracles import tcn_forward_oracle, tcn_train_oracle
 
 LINK = LinkParams()
 PROTO = ProtocolConfig()
@@ -235,6 +237,143 @@ class TestForecaster:
         fc.forecast()
         fc.forecast()
         assert fc.calls == 2
+
+
+class TestTcnAgainstOracle:
+    """``tcn_train``'s hand-derived step against the ``nn`` graph it
+    replaces (``tests/oracles.py``): parameters, Adam moments and step
+    count, and the loss curve must be equal to the bit."""
+
+    CONFIGS = [
+        # (dilations, kernel, hidden): hidden 4 = len(FEATURES) gives an
+        # identity skip at layer 0, any other width a projection
+        ((1, 2, 4, 8), 3, 16),
+        ((1, 2, 4, 8), 3, F),
+        ((1,), 1, 8),
+        ((2, 8), 2, 6),
+        ((8,), 2, F),
+        ((1, 2), 3, 5),
+    ]
+
+    @staticmethod
+    def dataset(cfg, blocks, seed):
+        return make_dataset(collect_features("sine-drift", blocks, seed=seed), cfg.window)
+
+    @staticmethod
+    def train_recording_adam(monkeypatch, *args, **kw):
+        """``tcn_train``, and the ``nn.Adam`` it made."""
+        made = []
+
+        class Recording(nn.Adam):
+            def __init__(self, *a, **k):
+                super().__init__(*a, **k)
+                made.append(self)
+
+        monkeypatch.setattr(nn, "Adam", Recording)
+        model, curve = tcn_train(*args, **kw)
+        monkeypatch.undo()
+        assert len(made) == 1
+        return model, made[0], curve
+
+    @staticmethod
+    def assert_same(model, opt, curve, ref_model, ref_opt, ref_curve):
+        assert list(model.named) == list(ref_model.named)
+        for name, p in model.named.items():
+            assert np.array_equal(p.data, ref_model.named[name].data), name
+        assert opt.state["t"] == ref_opt.state["t"]
+        assert np.array_equal(opt.state["m"], ref_opt.state["m"])
+        assert np.array_equal(opt.state["v"], ref_opt.state["v"])
+        assert np.array_equal(curve, ref_curve)
+
+    @pytest.mark.parametrize("dilations,kernel,hidden", CONFIGS)
+    def test_training_matches_graph(self, monkeypatch, dilations, kernel, hidden):
+        cfg = TcnConfig(dilations=dilations, kernel=kernel, hidden=hidden,
+                        window=max(8, 1 + (kernel - 1) * sum(dilations)),
+                        epochs=3, batch_size=24)
+        ds = self.dataset(cfg, cfg.window + 83, seed=len(dilations) + kernel)
+        assert len(ds) % cfg.batch_size != 0  # a ragged last batch
+        got = self.train_recording_adam(monkeypatch, ds, cfg, np.random.default_rng(11))
+        want = tcn_train_oracle(ds, cfg, np.random.default_rng(11))
+        assert (got[0].projs[0] is None) == (hidden == F)
+        self.assert_same(*got, *want)
+
+    def test_two_stage_fit_matches_graph(self, monkeypatch):
+        # train_forecaster's second stage runs at lr/6 on the first's model
+        cfg = small_cfg(epochs=2)
+        ds = self.dataset(cfg, 70, seed=12)
+        model, curve = train_forecaster(ds, cfg, np.random.default_rng(13))
+        rng = np.random.default_rng(13)
+        ref, _, head = tcn_train_oracle(ds, cfg, rng)
+        ref, ref_opt, tail = tcn_train_oracle(ds, cfg, rng, lr=cfg.lr / 6.0, model=ref)
+        assert np.array_equal(curve, head + tail)
+        for name, p in model.named.items():
+            assert np.array_equal(p.data, ref.named[name].data), name
+        # the second stage alone, from equal models, also keeps equal Adam state
+        start = TcnModel(cfg, np.random.default_rng(14), Normalizer.identity(F))
+        twin = TcnModel(cfg, np.random.default_rng(14), Normalizer.identity(F))
+        got = self.train_recording_adam(monkeypatch, ds, cfg, np.random.default_rng(15),
+                                        lr=cfg.lr / 6.0, model=start)
+        want = tcn_train_oracle(ds, cfg, np.random.default_rng(15), lr=cfg.lr / 6.0,
+                                model=twin)
+        self.assert_same(*got, *want)
+
+    def test_nonfinite_loss_raises_where_the_graph_does(self):
+        cfg = small_cfg(epochs=5, lr=1e200)
+        ds = self.dataset(cfg, 60, seed=16)
+        models = []
+        for train in (tcn_train, tcn_train_oracle):
+            model = TcnModel(cfg, np.random.default_rng(17), Normalizer.identity(F))
+            with pytest.raises(nn.DivergenceError, match="training diverged"):
+                train(ds, cfg, np.random.default_rng(18), model=model)
+            models.append(model)
+        for name, p in models[0].named.items():
+            assert np.array_equal(p.data, models[1].named[name].data), name
+
+    @pytest.mark.parametrize("dilations,kernel,hidden", CONFIGS)
+    def test_top_kernel_gradient_is_the_full_time_sum(self, dilations, kernel, hidden):
+        # the top conv's upstream gradient is zero but at the last step, so
+        # its kernel gradient takes one product per tap: pin it to the sum
+        rng = np.random.default_rng(19)
+        d = dilations[-1]
+        x = rng.normal(size=(7, hidden, 1 + (kernel - 1) * d + rng.integers(0, 3)))
+        g_last = rng.normal(size=(7, 6))
+        g_last[0, :2] = 0.0
+        g = np.zeros((7, 6, x.shape[2]))
+        g[:, :, -1] = g_last
+        assert np.array_equal(tcn._last_step_kernel_grad(x, g_last, kernel, d),
+                              nn.conv1d_grad_kernel(x, g, kernel, d))
+
+    @pytest.mark.parametrize("dilations,kernel,hidden", CONFIGS[:3])
+    def test_forward_callers_match_graph(self, dilations, kernel, hidden):
+        cfg = TcnConfig(dilations=dilations, kernel=kernel, hidden=hidden,
+                        window=max(8, 1 + (kernel - 1) * sum(dilations)), batch_size=16)
+        feats = collect_features("sine-drift", cfg.window + 40, seed=20)
+        ds = make_dataset(feats, cfg.window)
+        model, _ = tcn_train(ds, cfg, np.random.default_rng(21), epochs=1)
+        windows = model.normalizer.normalize(np.stack([w for w, _ in ds]))
+        targets = model.normalizer.normalize(np.stack([t for _, t in ds]))
+        errs = [np.mean((targets[s:s + 16] - tcn_forward_oracle(model, windows[s:s + 16]).data)
+                        ** 2, axis=1) for s in range(0, len(ds), 16)]
+        assert dataset_mse(ds, model) == float(np.mean(np.concatenate(errs)))
+        z = model.normalizer.normalize(feats)
+        assert np.array_equal(tcn_forward(z, model),
+                              tcn_forward_oracle(model, z[None, -cfg.window:]).data[0])
+
+    def test_training_builds_no_graph(self, monkeypatch):
+        made = []
+        init = nn.Var.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        cfg = small_cfg(epochs=2)
+        ds = self.dataset(cfg, 50, seed=22)
+        model = TcnModel(cfg, np.random.default_rng(23), Normalizer.identity(F))
+        monkeypatch.setattr(nn.Var, "__init__", counting_init)
+        tcn_train(ds, cfg, np.random.default_rng(24), model=model)
+        dataset_mse(ds, model)
+        assert not made
 
 
 def test_training_improves_on_sine_benchmark_all_seeds():
