@@ -186,20 +186,6 @@ def dataset_mse(dataset: Sequence[Tuple[np.ndarray, np.ndarray]], model: TcnMode
     return float(np.mean(np.concatenate(errs)))
 
 
-def _last_step_kernel_grad(x: np.ndarray, g_last: np.ndarray, k: int,
-                           dilation: int) -> np.ndarray:
-    """:func:`nn.conv1d_grad_kernel` for an upstream gradient that is zero
-    but at the last time step, where it is ``g_last`` (B, C_out). Each tap's
-    time sum then has one nonzero term, so the sum is that product, to the bit."""
-    t_len = x.shape[2]
-    gk = np.zeros((g_last.shape[1], x.shape[1], k))
-    for i in range(k):
-        shift = i * dilation
-        if shift < t_len:
-            gk[:, :, i] = (g_last[:, :, None] * x[:, None, :, t_len - 1 - shift]).sum(axis=0)
-    return gk
-
-
 def _gradients(model: TcnModel, tape: List[np.ndarray], g: np.ndarray) -> List[np.ndarray]:
     """Gradients of the loss w.r.t. every parameter, in ``model.named``
     order, from its gradient ``g`` (B, F) at the predictions and the
@@ -207,9 +193,8 @@ def _gradients(model: TcnModel, tape: List[np.ndarray], g: np.ndarray) -> List[n
 
     Every operation is the one the ``nn`` graph of the same forward runs
     (``tests/oracles.py`` keeps it), so the gradients are the graph's to
-    the bit. The head reads the top layer's last step only, so the top
-    kernel takes :func:`_last_step_kernel_grad`. The input windows need no
-    gradient: layer 0 and its projection skip their x-gradients.
+    the bit. The input windows need no gradient: layer 0 and its
+    projection skip their x-gradients.
     """
     hs, masks = tape[0::2], tape[1::2]
     top = hs[-1]
@@ -218,11 +203,8 @@ def _gradients(model: TcnModel, tape: List[np.ndarray], g: np.ndarray) -> List[n
     g_h[:, :, -1] = g @ model.head.w.data
     for i in reversed(range(len(model.convs))):
         conv, proj, x = model.convs[i], model.projs[i], hs[i]
-        g_c, k = g_h * masks[i], model.cfg.kernel
-        if i == len(model.convs) - 1:
-            grads[f"conv{i}.kernel"] = _last_step_kernel_grad(x, g_c[:, :, -1], k, conv.dilation)
-        else:
-            grads[f"conv{i}.kernel"] = nn.conv1d_grad_kernel(x, g_c, k, conv.dilation)
+        g_c = g_h * masks[i]
+        grads[f"conv{i}.kernel"] = nn.conv1d_grad_kernel(x, g_c, model.cfg.kernel, conv.dilation)
         grads[f"conv{i}.bias"] = g_c.sum(axis=0).sum(axis=1)
         if proj is not None:
             grads[f"proj{i}.kernel"] = nn.conv1d_grad_kernel(x, g_h, 1, 1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from optiqkd import nn, tcn
+from optiqkd import nn
 from optiqkd.channel import ControlState, Simulator, make_scenario
 from optiqkd.rates import LinkParams, ProtocolConfig
 from optiqkd.tcn import (FEATURES, Forecaster, Normalizer, TcnConfig,
@@ -328,20 +328,6 @@ class TestTcnAgainstOracle:
             models.append(model)
         for name, p in models[0].named.items():
             assert np.array_equal(p.data, models[1].named[name].data), name
-
-    @pytest.mark.parametrize("dilations,kernel,hidden", CONFIGS)
-    def test_top_kernel_gradient_is_the_full_time_sum(self, dilations, kernel, hidden):
-        # the top conv's upstream gradient is zero but at the last step, so
-        # its kernel gradient takes one product per tap: pin it to the sum
-        rng = np.random.default_rng(19)
-        d = dilations[-1]
-        x = rng.normal(size=(7, hidden, 1 + (kernel - 1) * d + rng.integers(0, 3)))
-        g_last = rng.normal(size=(7, 6))
-        g_last[0, :2] = 0.0
-        g = np.zeros((7, 6, x.shape[2]))
-        g[:, :, -1] = g_last
-        assert np.array_equal(tcn._last_step_kernel_grad(x, g_last, kernel, d),
-                              nn.conv1d_grad_kernel(x, g, kernel, d))
 
     @pytest.mark.parametrize("dilations,kernel,hidden", CONFIGS[:3])
     def test_forward_callers_match_graph(self, dilations, kernel, hidden):
