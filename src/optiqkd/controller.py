@@ -18,6 +18,7 @@ the two Adam optimizers, bitwise equal to the graph of the same losses.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -362,8 +363,9 @@ def ppo_update(buffer: RolloutBuffer, nets: ActorCritic) -> Dict[str, float]:
 
     Runs ``nets.cfg.epochs`` passes of shuffled minibatches through the
     nets' own optimizers, then clears the buffer. On a non-finite loss or
-    gradient the parameters are restored to their pre-update snapshot and
-    :class:`nn.DivergenceError` is raised.
+    gradient the parameters and both Adam states (``m``, ``v``, ``t``) are
+    restored to their pre-update snapshot and :class:`nn.DivergenceError`
+    is raised.
     """
     cfg = nets.cfg
     if len(buffer) < cfg.minibatch:
@@ -377,6 +379,7 @@ def ppo_update(buffer: RolloutBuffer, nets: ActorCritic) -> Dict[str, float]:
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
     snap = {name: p.data.copy() for name, p in nets.named.items()}
+    opt_snap = copy.deepcopy((nets.opt_actor.state, nets.opt_critic.state))
     rng = np.random.Generator(np.random.Philox(key=len(buffer)))
     stats = []
     try:
@@ -388,6 +391,7 @@ def ppo_update(buffer: RolloutBuffer, nets: ActorCritic) -> Dict[str, float]:
                                        adv[sel], returns[sel]))
     except nn.DivergenceError:
         nn.set_params(nets.named, snap)
+        nets.opt_actor.state, nets.opt_critic.state = opt_snap
         buffer.clear()
         raise
     policy_losses, value_losses, entropies = zip(*stats)

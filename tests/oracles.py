@@ -6,6 +6,7 @@ transliterations, central finite differences) so that a defect in the
 package cannot hide in its own oracle.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -482,6 +483,7 @@ def ppo_update_oracle(buffer, nets):
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
     snap = {name: p.data.copy() for name, p in nets.named.items()}
+    opt_snap = copy.deepcopy((nets.opt_actor.state, nets.opt_critic.state))
     rng = np.random.Generator(np.random.Philox(key=len(buffer)))
     policy_losses, value_losses, entropies = [], [], []
     try:
@@ -514,6 +516,7 @@ def ppo_update_oracle(buffer, nets):
                 entropies.append(float(entropy.data))
     except nn.DivergenceError:
         nn.set_params(nets.named, snap)
+        nets.opt_actor.state, nets.opt_critic.state = opt_snap
         buffer.clear()
         raise
     report = {
