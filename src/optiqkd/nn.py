@@ -1,18 +1,20 @@
 """Minimal numeric kit shared by the forecaster and controller.
 
 The layers hold each parameter as a :class:`Var` leaf, whose ``data``
-array the models read and :class:`Adam` updates in place. The dilated
-causal convolution is three array functions: the im2col forward
-:func:`conv1d_forward` and its gradients :func:`conv1d_grad_x` and
-:func:`conv1d_grad_kernel`. The forecaster's training step calls them on
-plain arrays with gradients derived by hand, as the controller's PPO step
-does for its dense layers; nothing in the package builds a graph.
+array the models read and :class:`Adam` updates in place. The models'
+training steps run on plain arrays with gradients derived by hand: the
+forecaster's convolutions over the head's dependency cone in ``tcn``, the
+controller's dense layers in ``controller``. Nothing in the package builds
+a graph.
 
 The define-by-run graph remains for the gradient checks and the
 benchmark's kernel timings: every op returns a :class:`Var` that records
 its parents and the local gradient rule, and :func:`backward` on a scalar
 loss fills ``.grad`` on every reachable node that needs one. Its conv node
-:func:`conv1d_causal` wraps the array functions. A leaf made by
+:func:`conv1d_causal` is the full-window dilated causal convolution, built
+from three array functions that serve it alone: the im2col forward
+:func:`conv1d_forward` and its gradients :func:`conv1d_grad_x` and
+:func:`conv1d_grad_kernel`. A leaf made by
 :func:`const` needs no gradient, and neither does an op whose inputs are
 all such leaves: an op records only the parents that need a gradient, so
 ``backward`` never runs the closures of the others and their ``grad``

@@ -1,16 +1,20 @@
 """Dilated-causal residual convolution network forecasting the channel state.
 
 The network reads a fixed-length window of normalized telemetry features
-and predicts the next block's normalized feature vector.
-:meth:`TcnModel.forward` runs a batch of windows on plain arrays
-(:func:`tcn_forward` and :func:`dataset_mse` call it), and each training
-step follows it with gradients derived by hand into ``nn.Adam``, bitwise
-equal to the ``nn`` graph of the same loss, which ``tests/oracles.py``
-keeps. The closed loop's :class:`Forecaster` streams instead: each block
-advances every conv layer by one step, which gives the same forecast
-because a config's window is never shorter than its receptive field.
-Inference is read-only on the parameters; training mutates parameters and
-is single-threaded per model instance.
+and predicts the next block's normalized feature vector. The head reads
+only the top layer's last step, so :meth:`TcnModel.forward` computes only
+that step's dependency cone (:func:`dependency_cone`): with the default
+kernel 3 and dilations 1, 2, 4, 8 the layers keep 15, 7, 3 and 1 of the
+window's 32 steps. It runs a batch of windows on plain arrays, one gathered
+GEMM per conv (:func:`tcn_forward` and :func:`dataset_mse` call it), and
+each training step follows it with gradients derived by hand into
+``nn.Adam``. ``tests/oracles.py`` keeps the full-window ``nn`` graph of the
+same loss, which agrees up to rounding. The closed loop's
+:class:`Forecaster` streams instead: each block advances every conv layer
+by one step, which gives the same forecast because a config's window is
+never shorter than its receptive field. Inference is read-only on the
+parameters; training mutates parameters and is single-threaded per model
+instance.
 """
 
 from __future__ import annotations
@@ -89,12 +93,46 @@ def telemetry_features(telem: Telemetry) -> np.ndarray:
     return np.array([telem.q_mu_hat, telem.e_mu_hat, telem.v_hat, telem.eta_hat])
 
 
+def dependency_cone(cfg: TcnConfig) -> List[np.ndarray]:
+    """The steps each conv layer must compute for the head, as one index
+    table (k, n_l) per layer, bottom layer first.
+
+    The head reads the top layer's step ``window - 1``; layer l keeps the
+    n_l steps its layer above reads, and its output step t reads its input
+    at ``t - i*d_l`` for tap i. Entry [i, j] of table l is the position of
+    that input step for the j-th kept step among the steps layer l-1 keeps
+    (the input keeps the whole window), so row 0 locates the kept steps
+    themselves, which the residual skip reads. A window no shorter than
+    the receptive field keeps every step at or after 0, so the cone needs
+    no padding.
+    """
+    steps = np.array([cfg.window - 1])
+    tables = []
+    for layer in reversed(range(len(cfg.dilations))):
+        reads = steps - cfg.dilations[layer] * np.arange(cfg.kernel)[:, None]
+        steps = np.array(sorted(set(reads.flat))) if layer else np.arange(cfg.window)
+        tables.append(np.searchsorted(steps, reads))
+    return tables[::-1]
+
+
+def _scatter_matrix(idx: np.ndarray, n_in: int) -> np.ndarray:
+    """The 0/1 matrix (n_in, k*n) whose product with a layer's gradient
+    columns, tap-major as (k*n, ...), adds column ``t*n + j`` into input
+    position ``idx[t, j]``: the transpose of the gather by ``idx``."""
+    matrix = np.zeros((n_in, idx.size))
+    matrix[idx.ravel(), np.arange(idx.size)] = 1.0
+    return matrix
+
+
 class TcnModel:
     """Stack of {dilated causal conv -> ReLU -> residual add} blocks with a
     linear head reading the final time step.
 
     ``named`` maps each parameter's checkpoint name to its ``Var``, in
     checkpoint order; ``params``, ``state_arrays`` and ``load_tcn`` read it.
+    ``cone`` holds the :func:`dependency_cone` tables, one per conv layer,
+    and ``scatter`` the 0/1 matrices that route the x-gradients of layers
+    1 and up back through them.
     """
 
     def __init__(self, cfg: TcnConfig, rng: np.random.Generator,
@@ -118,6 +156,9 @@ class TcnModel:
             c_in = cfg.hidden
         self.head = nn.DenseLayer.create(cfg.hidden, n_feat, rng)
         self.named.update(self.head.named("head"))
+        self.cone = dependency_cone(cfg)
+        self.scatter = [_scatter_matrix(idx, below.shape[1])
+                        for below, idx in zip(self.cone, self.cone[1:])]
 
     def params(self) -> List[nn.Var]:
         return list(self.named.values())
@@ -125,18 +166,32 @@ class TcnModel:
     def forward(self, windows: np.ndarray,
                 tape: Optional[List[np.ndarray]] = None) -> np.ndarray:
         """Predictions (B, F) from normalized windows (B, W, F), on plain
-        arrays. A ``tape`` list receives each layer's input and relu mask in
-        turn, then the top layer's output: what :func:`_gradients` reads."""
-        h = np.transpose(windows, (0, 2, 1))  # (B, F, W)
-        for conv, proj in zip(self.convs, self.projs):
-            c = nn.conv1d_forward(h, conv.kernel.data, conv.bias.data, conv.dilation)
-            skip = h if proj is None else nn.conv1d_forward(h, proj.kernel.data, proj.bias.data)
+        arrays, over the dependency cone only.
+
+        Hidden states are channel-first and batch-last, (C, n, B) over a
+        layer's n kept steps. Each conv gathers its k taps through its
+        ``cone`` table into columns (C_in*k, n*B), one ``np.take`` whose
+        result needs no transpose: row ``c*k + i`` is channel c at tap i,
+        the order of the kernel's own (C_out, C_in, k) layout, so one GEMM
+        with the kernel reshaped to (C_out, C_in*k) computes the conv. The
+        skip, or the projection, reads tap 0 (rows ``::k``). A ``tape``
+        list receives each layer's columns and relu mask in turn, then the
+        top layer's output (C, B): what :func:`_gradients` reads."""
+        k, b_sz = self.cfg.kernel, windows.shape[0]
+        h = np.transpose(windows, (2, 1, 0))  # (F, W, B)
+        for conv, proj, idx in zip(self.convs, self.projs, self.cone):
+            cols = np.take(h, idx, axis=1).reshape(h.shape[0] * k, -1)
+            kernel = conv.kernel.data
+            c = kernel.reshape(len(kernel), -1) @ cols + conv.bias.data[:, None]
+            skip = cols[::k]
+            if proj is not None:
+                skip = proj.kernel.data[:, :, 0] @ skip + proj.bias.data[:, None]
             if tape is not None:
-                tape += [h, c > 0]
-            h = np.maximum(c, 0.0) + skip
+                tape += [cols, c > 0]
+            h = (np.maximum(c, 0.0) + skip).reshape(len(kernel), -1, b_sz)
         if tape is not None:
-            tape.append(h)
-        return h[:, :, -1] @ self.head.w.data.T + self.head.b.data
+            tape.append(h[:, 0])
+        return h[:, 0].T @ self.head.w.data.T + self.head.b.data
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
         arrays = {name: p.data for name, p in self.named.items()}
@@ -191,26 +246,34 @@ def _gradients(model: TcnModel, tape: List[np.ndarray], g: np.ndarray) -> List[n
     order, from its gradient ``g`` (B, F) at the predictions and the
     ``tape`` of :meth:`TcnModel.forward`.
 
-    Every operation is the one the ``nn`` graph of the same forward runs
-    (``tests/oracles.py`` keeps it), so the gradients are the graph's to
-    the bit. The input windows need no gradient: layer 0 and its
-    projection skip their x-gradients.
+    Gradients are (C, n*B) over each layer's kept steps, mirroring the
+    forward: a conv's kernel gradient is one GEMM ``g_c @ cols.T`` and its
+    bias gradient one sum. Its x-gradient columns, the reshaped kernel's
+    transpose times ``g_c`` plus ``g_h`` at the skip's tap 0, go back to
+    the input steps through the layer's ``scatter`` matrix, the transpose
+    of its cone gather, in one batched product. Steps outside the cone get
+    no gradient, as in the full-window graph (``tests/oracles.py``), which
+    the gradients equal up to rounding.
+    The input windows need no gradient: layer 0 and its projection skip
+    their x-gradients.
     """
-    hs, masks = tape[0::2], tape[1::2]
-    top = hs[-1]
-    grads = {"head.w": g.T @ top[:, :, -1], "head.b": g.sum(axis=0)}
-    g_h = np.zeros_like(top)
-    g_h[:, :, -1] = g @ model.head.w.data
+    cols, masks = tape[0:-1:2], tape[1:-1:2]
+    k, b_sz = model.cfg.kernel, g.shape[0]
+    grads = {"head.w": g.T @ tape[-1].T, "head.b": g.sum(axis=0)}
+    g_h = (g @ model.head.w.data).T  # (C, 1*B)
     for i in reversed(range(len(model.convs))):
-        conv, proj, x = model.convs[i], model.projs[i], hs[i]
+        kernel, proj = model.convs[i].kernel.data, model.projs[i]
         g_c = g_h * masks[i]
-        grads[f"conv{i}.kernel"] = nn.conv1d_grad_kernel(x, g_c, model.cfg.kernel, conv.dilation)
-        grads[f"conv{i}.bias"] = g_c.sum(axis=0).sum(axis=1)
+        grads[f"conv{i}.kernel"] = (g_c @ cols[i].T).reshape(kernel.shape)
+        grads[f"conv{i}.bias"] = g_c.sum(axis=1)
         if proj is not None:
-            grads[f"proj{i}.kernel"] = nn.conv1d_grad_kernel(x, g_h, 1, 1)
-            grads[f"proj{i}.bias"] = g_h.sum(axis=0).sum(axis=1)
+            grads[f"proj{i}.kernel"] = (g_h @ cols[i][::k].T)[:, :, None]
+            grads[f"proj{i}.bias"] = g_h.sum(axis=1)
         if i > 0:  # only layer 0 projects: above it the skip passes g_h on
-            g_h = nn.conv1d_grad_x(conv.kernel.data, g_c, conv.dilation) + g_h
+            g_cols = kernel.reshape(len(kernel), -1).T @ g_c
+            g_cols[::k] += g_h
+            g_x = np.matmul(model.scatter[i - 1], g_cols.reshape(kernel.shape[1], -1, b_sz))
+            g_h = g_x.reshape(kernel.shape[1], -1)
     return [grads[name] for name in model.named]
 
 
@@ -228,8 +291,10 @@ def tcn_train(
     squared error and its gradient, then :func:`_gradients` and one Adam
     step. The normalizer is calibrated from the full training corpus and
     frozen before the first update, so the observation scaling seen
-    downstream is stable. Aborts with :class:`nn.DivergenceError` if the
-    loss goes non-finite.
+    downstream is stable. Raises :class:`nn.DivergenceError` before the
+    first step if a normalized window or target holds a non-finite value,
+    whether or not the prediction reads it, and aborts with it if the loss
+    goes non-finite.
     """
     if len(dataset) < 1:
         raise ValueError("empty training dataset")
@@ -242,6 +307,9 @@ def tcn_train(
     params = model.params()
     opt = nn.Adam(params, lr=lr)
     windows, targets = map(model.normalizer.normalize, (windows, targets))
+    if not (np.isfinite(windows).all() and np.isfinite(targets).all()):
+        raise nn.DivergenceError(
+            "forecaster training diverged: a normalized window or target is not finite")
     curve: List[float] = []
     for _ in range(epochs):
         order = rng.permutation(len(dataset))
