@@ -22,14 +22,14 @@ OUT.mkdir(exist_ok=True)
 link, proto = LinkParams(), ProtocolConfig()
 
 t0 = time.time()
-rows = []
+cfg = TcnConfig()
+dataset = []  # windows sliced per scenario, so none runs across two
 ctrl = ControlState()
 for i, scen in enumerate(("nominal", "sine-drift", "noise-sweep")):
     sim = Simulator(link, proto, make_scenario(scen, 500), seed=(977 + i) * 4 + 1)
-    rows += [telemetry_features(sim.step(ctrl)) for _ in range(500)]
-cfg = TcnConfig()
-tcn_model, _ = train_forecaster(make_dataset(np.asarray(rows), cfg.window), cfg,
-                                np.random.Generator(np.random.Philox(key=15)))
+    rows = [telemetry_features(sim.step(ctrl)) for _ in range(500)]
+    dataset += make_dataset(np.asarray(rows), cfg.window)
+tcn_model, _ = train_forecaster(dataset, cfg, np.random.Generator(np.random.Philox(key=15)))
 print(f"forecaster trained in {time.time() - t0:.0f}s")
 
 t0 = time.time()

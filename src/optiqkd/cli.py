@@ -223,23 +223,24 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _tcn_training_features(train, link, proto, channel, seed: int) -> np.ndarray:
-    """Static-control telemetry across ``train.tcn_scenarios``."""
-    rows = []
+def _tcn_dataset(train, window: int, link, proto, channel, seed: int) -> list:
+    """Static-control telemetry of each of ``train.tcn_scenarios``, sliced
+    into (window, next-row) pairs scenario by scenario, so that no window
+    runs across the seam between two scenarios."""
+    dataset = []
     ctrl = loopmod.nominal_control(proto)
     for i, scen in enumerate(train.tcn_scenarios):
         sim = Simulator(link, proto, make_scenario(scen, train.tcn_blocks),
                         seed=(seed * 977 + i) * 4 + 1, channel=channel)
-        for _ in range(train.tcn_blocks):
-            rows.append(telemetry_features(sim.step(ctrl)))
-    return np.asarray(rows)
+        rows = [telemetry_features(sim.step(ctrl)) for _ in range(train.tcn_blocks)]
+        dataset += make_dataset(np.asarray(rows), window)
+    return dataset
 
 
 def _train_tcn(train, tcn_cfg, link, proto, channel, seed: int) -> tuple:
     """Train the forecaster on the static-control corpus: (dataset, model,
     loss curve)."""
-    dataset = make_dataset(_tcn_training_features(train, link, proto, channel, seed),
-                           tcn_cfg.window)
+    dataset = _tcn_dataset(train, tcn_cfg.window, link, proto, channel, seed)
     rng = np.random.Generator(np.random.Philox(key=seed * 4 + 3))
     return (dataset, *train_forecaster(dataset, tcn_cfg, rng))
 
@@ -251,11 +252,9 @@ def cmd_train(args) -> int:
     # every section is checked before anything is trained or written
     train = cfgmod.typed(cfg, "train")
     tcn_cfg, ppo_cfg = cfgmod.typed(cfg, "tcn"), cfgmod.typed(cfg, "ppo")
-    corpus = len(train.tcn_scenarios) * train.tcn_blocks
-    if (args.model == "tcn" or args.tcn is None) and corpus <= tcn_cfg.window:
-        raise ValueError(f"train.tcn_blocks {train.tcn_blocks} over {len(train.tcn_scenarios)} "
-                         f"train.tcn_scenarios is {corpus} blocks, too few for one "
-                         f"tcn.window of {tcn_cfg.window} blocks and the block after it")
+    if (args.model == "tcn" or args.tcn is None) and train.tcn_blocks <= tcn_cfg.window:
+        raise ValueError(f"train.tcn_blocks {train.tcn_blocks} per scenario is too few for "
+                         f"one tcn.window of {tcn_cfg.window} blocks and the block after it")
     out = _outdir(args)
     if args.model == "tcn":
         dataset, model, curve = _train_tcn(train, tcn_cfg, link, proto, channel, args.seed)

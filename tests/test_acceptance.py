@@ -66,15 +66,14 @@ def report(num, name, ok, detail):
 @pytest.fixture(scope="module")
 def trained_tcn():
     t0 = time.monotonic()
-    rows = []
+    cfg = TcnConfig()
+    dataset = []  # windows sliced per scenario, as `optiqkd train` does
     ctrl = ControlState()
     for i, scen in enumerate(["nominal", "sine-drift", "noise-sweep"]):
         sim = Simulator(LINK, PROTO, make_scenario(scen, 500), seed=(977 + i) * 4 + 1)
-        for _ in range(500):
-            rows.append(telemetry_features(sim.step(ctrl)))
-    cfg = TcnConfig()
-    model, _ = train_forecaster(make_dataset(np.asarray(rows), cfg.window), cfg,
-                                np.random.Generator(np.random.Philox(key=15)))
+        rows = [telemetry_features(sim.step(ctrl)) for _ in range(500)]
+        dataset += make_dataset(np.asarray(rows), cfg.window)
+    model, _ = train_forecaster(dataset, cfg, np.random.Generator(np.random.Philox(key=15)))
     TIMINGS["tcn_train"] = time.monotonic() - t0
     return model
 

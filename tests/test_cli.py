@@ -274,18 +274,18 @@ class TestTrain:
         assert loss_rows[-1].startswith("final,")
 
         # reloaded checkpoint reproduces the logged final evaluation loss
-        from optiqkd.tcn import load_tcn, dataset_mse, make_dataset
-        from optiqkd.cli import _tcn_training_features, _load_cfg, build_parser
+        from optiqkd.tcn import load_tcn, dataset_mse
+        from optiqkd.cli import _tcn_dataset, _load_cfg, build_parser
         parser = build_parser()
         args = parser.parse_args(["train", "tcn", "--seed", "1",
                                   "--out", str(out1)] + FAST_TCN)
         cfg = _load_cfg(args)
         from optiqkd import config as cfgmod
-        feats = _tcn_training_features(
-            cfgmod.typed(cfg, "train"), cfgmod.typed(cfg, "link"),
-            cfgmod.typed(cfg, "protocol"), cfgmod.typed(cfg, "channel"), 1)
         model = load_tcn(str(out1 / "tcn_seed1.ckpt"))
-        mse = dataset_mse(make_dataset(feats, model.cfg.window), model)
+        dataset = _tcn_dataset(
+            cfgmod.typed(cfg, "train"), model.cfg.window, cfgmod.typed(cfg, "link"),
+            cfgmod.typed(cfg, "protocol"), cfgmod.typed(cfg, "channel"), 1)
+        mse = dataset_mse(dataset, model)
         logged = float(loss_rows[-1].split(",")[1])
         assert mse == pytest.approx(logged, rel=1e-9)
 
@@ -328,12 +328,16 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("what", ["tcn", "ppo"])
-    def test_corpus_without_a_window_runtime_error(self, tmp_path, capsys, what):
-        # 3 scenarios x 10 blocks hold no 32-block window and the block after it
+    @pytest.mark.parametrize("blocks", [10, 32])
+    def test_corpus_without_a_window_runtime_error(self, tmp_path, capsys, what, blocks):
+        # windows never run across two scenarios, so each scenario's blocks
+        # must hold a 32-block window and the block after it: 3 x 32 blocks
+        # are not enough either
         out = tmp_path / "o"
-        assert run(["train", what, "--set", "train.tcn_blocks=10", "--out", str(out)]) == 2
+        assert run(["train", what, "--set", f"train.tcn_blocks={blocks}",
+                    "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "train.tcn_blocks 10" in err and "tcn.window of 32" in err
+        assert f"train.tcn_blocks {blocks} per scenario" in err and "tcn.window of 32" in err
         assert not out.exists()
 
     def test_tcn_divergence_exit_code(self, tmp_path):
