@@ -328,17 +328,18 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("what", ["tcn", "ppo"])
-    @pytest.mark.parametrize("blocks", [10, 32])
-    def test_corpus_without_a_window_runtime_error(self, tmp_path, capsys, what, blocks):
+    def test_corpus_without_a_window_runtime_error(self, tmp_path, capsys, what):
         # windows never run across two scenarios, so each scenario's blocks
         # must hold a 32-block window and the block after it: 3 x 32 blocks
         # are not enough either
-        out = tmp_path / "o"
-        assert run(["train", what, "--set", f"train.tcn_blocks={blocks}",
-                    "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"train.tcn_blocks {blocks} per scenario" in err and "tcn.window of 32" in err
-        assert not out.exists()
+        for blocks in (10, 32):
+            out = tmp_path / f"o{blocks}"
+            assert run(["train", what, "--set", f"train.tcn_blocks={blocks}",
+                        "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"train.tcn_blocks {blocks} per scenario" in err
+            assert "tcn.window of 32" in err
+            assert not out.exists()
 
     def test_tcn_divergence_exit_code(self, tmp_path):
         assert run(["train", "tcn", "--seed", "1", "--out", str(tmp_path),

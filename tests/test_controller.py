@@ -450,7 +450,6 @@ class TestPpoAgainstOracle:
         run_against_oracle(nets, 1)  # moves the Adam moments off zero
         ref = copy.deepcopy(nets)
         before = copy.deepcopy(nets.state_arrays())
-        states = copy.deepcopy((nets.opt_actor.state, nets.opt_critic.state))
         rng = np.random.default_rng(48)
         add_transitions((nets.buffer, ref.buffer), nets, rng, np.ones(5), 64,
                         lambda rng: math.nan)

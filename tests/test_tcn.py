@@ -306,9 +306,11 @@ class TestTcnAgainstOracle:
         return model, made[0], curve
 
     @staticmethod
-    def config(dilations, kernel, hidden, **kw):
-        return TcnConfig(dilations=dilations, kernel=kernel, hidden=hidden,
-                         window=max(8, 1 + (kernel - 1) * sum(dilations)), **kw)
+    def config(dilations, kernel, hidden, window=None, **kw):
+        """The config of a CONFIGS entry; the window defaults to the
+        receptive field, or 8 if that is shorter."""
+        window = window or max(8, 1 + (kernel - 1) * sum(dilations))
+        return TcnConfig(dilations=dilations, kernel=kernel, hidden=hidden, window=window, **kw)
 
     @staticmethod
     def assert_same(model, opt, curve, ref_model, ref_opt, ref_curve):
@@ -331,11 +333,12 @@ class TestTcnAgainstOracle:
         rng = np.random.default_rng(31)
         windows, targets = rng.normal(size=(24, cfg.window, F)), rng.normal(size=(24, F))
         tape = []
-        diff = model.forward(windows, tape) - targets
+        pred = model.forward(windows, tape)
+        diff = pred - targets
         grads = _gradients(model, tape, (1.0 / diff.size) * 2.0 * diff)
-        pred = tcn_forward_oracle(model, windows)
-        nn.backward(nn.vmean(nn.square(pred - nn.const(targets))))
-        np.testing.assert_allclose(diff + targets, pred.data, rtol=RTOL)
+        ref = tcn_forward_oracle(model, windows)
+        nn.backward(nn.vmean(nn.square(ref - nn.const(targets))))
+        np.testing.assert_allclose(pred, ref.data, rtol=RTOL)
         for (name, p), grad in zip(model.named.items(), grads):
             np.testing.assert_allclose(grad, p.grad, rtol=RTOL, err_msg=name)
 
@@ -343,9 +346,7 @@ class TestTcnAgainstOracle:
         *[(*c, None) for c in CONFIGS], ((1, 2), 3, 5, 13)])
     def test_prediction_reads_exactly_the_cone(self, dilations, kernel, hidden, window):
         # the last entry's window, 13, is longer than its receptive field, 7
-        cfg = self.config(dilations, kernel, hidden)
-        if window is not None:
-            cfg = TcnConfig(dilations=dilations, kernel=kernel, hidden=hidden, window=window)
+        cfg = self.config(dilations, kernel, hidden, window)
         model = TcnModel(cfg, np.random.default_rng(32), Normalizer.identity(F))
         # non-negative conv weights, positive biases and inputs keep every
         # relu on, so each input step the head reads moves the prediction
