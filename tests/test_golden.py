@@ -1,11 +1,13 @@
 """Fixed-seed outputs pinned by hash.
 
-For each protocol a tiny ``train tcn`` and ``train ppo`` write the two
-checkpoints and the loss and progress CSVs, and one ``eval
-ml,static,recalib`` (one seed, 300 blocks) per scenario in
-:data:`SCENARIOS` writes the episode and metrics CSVs, all through
-``cli.main`` in this process. The scenarios cover the noise sweep, the
-loss step and the damping drift. ``golden/manifest.json`` holds the sha256
+For each protocol ``rates`` writes its rate curve, a tiny ``train tcn``
+and ``train ppo`` write the two checkpoints and the loss and progress
+CSVs, a second tiny ``train tcn`` (seed 2) trains on the windows of two
+scenarios, and one ``eval ml,static,recalib`` (one seed, 300 blocks) per
+scenario in :data:`SCENARIOS` writes the episode and metrics CSVs, all
+through ``cli.main`` in this process. The scenarios cover the noise sweep,
+the loss step and the damping drift. ``show-config`` under the tiny
+overrides is pinned by its standard output. ``golden/manifest.json`` holds the sha256
 of each file and the numpy and BLAS builds it was made with, because ML
 bytes depend on the BLAS summation order. A change that moves outputs on
 purpose rewrites the manifest with ``python tests/golden/rewrite_manifest.py``.
@@ -45,27 +47,41 @@ def build_info() -> Dict[str, str]:
     return {"numpy": np.__version__, "blas": blas_build}
 
 
+def run(argv) -> str:
+    """``optiqkd argv`` in this process; its standard output."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    if code != 0:
+        raise RuntimeError(f"optiqkd {' '.join(argv)} exited {code}")
+    return stdout.getvalue()
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def run_set(out: Path) -> Dict[str, str]:
     """Run the fixed-seed set under ``out``; the sha256 of each checkpoint
-    and CSV it writes, keyed ``protocol/file``."""
-    hashes = {}
+    and CSV it writes, keyed ``protocol/file``, and of the ``show-config``
+    output."""
+    hashes = {"show-config.json": sha256(run(["show-config"] + TINY).encode())}
     for proto in PROTOCOLS:
         d = out / proto
         tcn, policy = str(d / "tcn_seed1.ckpt"), str(d / "policy_seed1.ckpt")
         commands = [
+            ["rates", "--out", str(d)],
             ["train", "tcn", "--seed", "1", "--out", str(d)],
             ["train", "ppo", "--seed", "1", "--tcn", tcn, "--out", str(d)],
         ] + [["eval", "--scenario", scen, "--controllers", "ml,static,recalib", "--seeds", "1",
               "--blocks", "300", "--tcn", tcn, "--policy", policy, "--out", str(d / "eval")]
              for scen in SCENARIOS]
         for argv in commands:
-            argv = argv + ["--protocol", proto] + TINY
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = main(argv)
-            if code != 0:
-                raise RuntimeError(f"optiqkd {' '.join(argv)} exited {code}")
-        for path in sorted([*d.rglob("*.csv"), Path(tcn), Path(policy)]):
-            hashes[f"{proto}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+            run(argv + ["--protocol", proto] + TINY)
+        run(["train", "tcn", "--seed", "2", "--out", str(d), "--protocol", proto] + TINY
+            + ["--set", "train.tcn_scenarios=[\"nominal\",\"sine-drift\"]"])
+        for path in sorted([*d.rglob("*.csv"), *d.glob("*.ckpt")]):
+            hashes[f"{proto}/{path.name}"] = sha256(path.read_bytes())
     return hashes
 
 
