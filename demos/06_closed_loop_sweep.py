@@ -12,10 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from optiqkd import ControlState, LinkParams, ProtocolConfig, Simulator, make_scenario
-from optiqkd.loop import TrainConfig, compare, run_episode, train_policy
+from optiqkd import ChannelConfig, LinkParams, ProtocolConfig
+from optiqkd.loop import TrainConfig, compare, forecaster_corpus, run_episode, train_policy
 from optiqkd.controller import load_policy, save_policy
-from optiqkd.tcn import TcnConfig, make_dataset, telemetry_features, train_forecaster
+from optiqkd.tcn import TcnConfig, train_forecaster
 
 OUT = Path("out")
 OUT.mkdir(exist_ok=True)
@@ -23,13 +23,9 @@ link, proto = LinkParams(), ProtocolConfig()
 
 t0 = time.time()
 cfg = TcnConfig()
-dataset = []  # windows sliced per scenario, so none runs across two
-ctrl = ControlState()
-for i, scen in enumerate(("nominal", "sine-drift", "noise-sweep")):
-    sim = Simulator(link, proto, make_scenario(scen, 500), seed=(977 + i) * 4 + 1)
-    rows = [telemetry_features(sim.step(ctrl)) for _ in range(500)]
-    dataset += make_dataset(np.asarray(rows), cfg.window)
-tcn_model, _ = train_forecaster(dataset, cfg, np.random.Generator(np.random.Philox(key=15)))
+# the corpus of `optiqkd train tcn --seed 1`: windows sliced per scenario, so none runs across two
+corpus = forecaster_corpus(TrainConfig(), cfg.window, link, proto, ChannelConfig(), seed=1)
+tcn_model, _ = train_forecaster(corpus, cfg, np.random.Generator(np.random.Philox(key=15)))
 print(f"forecaster trained in {time.time() - t0:.0f}s")
 
 t0 = time.time()

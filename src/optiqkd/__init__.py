@@ -17,6 +17,7 @@ from .controller import (Action, ActorCritic, PpoConfig, RewardConfig,
                          RolloutBuffer, act, apply_action,
                          load_policy, observe, ppo_update, reward, save_policy)
 from .loop import (ComparisonResult, EpisodeLog, LoopConfig, RunMetrics, TrainConfig,
-                   adaptation_time, compare, nominal_skr_ref, run_episode, train_policy)
+                   adaptation_time, compare, forecaster_corpus, nominal_skr_ref, run_episode,
+                   train_policy)
 
 __version__ = "0.1.0"

@@ -144,16 +144,10 @@ class Telemetry:
     e_w_hat: float = 0.0
 
     def csv_row(self) -> str:
-        fields = [
-            str(self.block_index),
-            str(self.n_pulses),
-            str(self.n_sifted),
-            str(self.n_errors),
-        ]
-        fields += [f"{x:.10g}" for x in (self.q_mu_hat, self.e_mu_hat, self.e_lo,
-                                         self.e_hi, self.v_hat, self.eta_hat)]
-        fields.append(str(int(self.aborted)))
-        return ",".join(fields)
+        """One row under :data:`TELEMETRY_CSV_HEADER`."""
+        stats = (self.q_mu_hat, self.e_mu_hat, self.e_lo, self.e_hi, self.v_hat, self.eta_hat)
+        return (f"{self.block_index},{self.n_pulses},{self.n_sifted},{self.n_errors},"
+                + ",".join(f"{x:.10g}" for x in stats) + f",{int(self.aborted)}")
 
 
 def _const(blocks: int, value: float) -> np.ndarray:

@@ -3,7 +3,8 @@
 Commands: ``rates``, ``simulate``, ``train``, ``eval``, ``show-config``.
 ``simulate`` is a one-job ``eval``: both run their episodes through one
 path and write the same episode CSV for the same controller and seed. The
-``ml`` controller needs a ``--tcn`` forecaster and a ``--policy``.
+``ml`` controller needs a ``--tcn`` forecaster and a ``--policy``, and
+``train ppo`` a ``--tcn`` forecaster.
 Exit codes: 0 success, 1 usage error, 2 runtime or divergence error.
 """
 
@@ -22,12 +23,11 @@ from . import config as cfgmod
 from . import loop as loopmod
 from . import rates as ratesmod
 from . import tcn as tcnmod
-from .channel import SCENARIOS, Simulator, UnknownScenarioError, make_scenario
+from .channel import SCENARIOS, UnknownScenarioError, make_scenario
 from .controller import PpoConfig, load_policy, save_policy
-from .loop import EpisodeLog, run_episode, train_policy
+from .loop import EpisodeLog, forecaster_corpus, run_episode, train_policy
 from .nn import DivergenceError
-from .tcn import (load_tcn, make_dataset, save_tcn, telemetry_features,
-                  train_forecaster)
+from .tcn import load_tcn, save_tcn, train_forecaster
 
 RATES_CSV_HEADER = "distance_km,q_mu,e_mu,r_pp,r_finite,r_bps"
 TRAIN_PROGRESS_HEADER = "update,mean_reward,policy_loss,value_loss,entropy"
@@ -77,7 +77,7 @@ def build_parser() -> _Parser:
     p.add_argument("--protocol", choices=PROTOCOLS, default="bb84")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tcn", default=None,
-                   help="existing forecaster checkpoint to drive ppo training")
+                   help="forecaster checkpoint that drives ppo training (required by ppo)")
 
     p = sub.add_parser("eval", help="closed-loop comparison across controllers/seeds")
     _add_common(p)
@@ -223,28 +223,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _tcn_dataset(train, window: int, link, proto, channel, seed: int) -> list:
-    """Static-control telemetry of each of ``train.tcn_scenarios``, sliced
-    into (window, next-row) pairs scenario by scenario, so that no window
-    runs across the seam between two scenarios."""
-    dataset = []
-    ctrl = loopmod.nominal_control(proto)
-    for i, scen in enumerate(train.tcn_scenarios):
-        sim = Simulator(link, proto, make_scenario(scen, train.tcn_blocks),
-                        seed=(seed * 977 + i) * 4 + 1, channel=channel)
-        rows = [telemetry_features(sim.step(ctrl)) for _ in range(train.tcn_blocks)]
-        dataset += make_dataset(np.asarray(rows), window)
-    return dataset
-
-
-def _train_tcn(train, tcn_cfg, link, proto, channel, seed: int) -> tuple:
-    """Train the forecaster on the static-control corpus: (dataset, model,
-    loss curve)."""
-    dataset = _tcn_dataset(train, tcn_cfg.window, link, proto, channel, seed)
-    rng = np.random.Generator(np.random.Philox(key=seed * 4 + 3))
-    return (dataset, *train_forecaster(dataset, tcn_cfg, rng))
-
-
 def cmd_train(args) -> int:
     _check_seed(args.seed)
     cfg = _load_cfg(args)
@@ -252,16 +230,15 @@ def cmd_train(args) -> int:
     # every section is checked before anything is trained or written
     train = cfgmod.typed(cfg, "train")
     tcn_cfg, ppo_cfg = cfgmod.typed(cfg, "tcn"), cfgmod.typed(cfg, "ppo")
-    if (args.model == "tcn" or args.tcn is None) and train.tcn_blocks <= tcn_cfg.window:
-        raise ValueError(f"train.tcn_blocks {train.tcn_blocks} per scenario is too few for "
-                         f"one tcn.window of {tcn_cfg.window} blocks and the block after it")
-    out = _outdir(args)
     if args.model == "tcn":
-        dataset, model, curve = _train_tcn(train, tcn_cfg, link, proto, channel, args.seed)
+        corpus = forecaster_corpus(train, tcn_cfg.window, link, proto, channel, args.seed)
+        out = _outdir(args)
+        rng = np.random.Generator(np.random.Philox(key=args.seed * 4 + 3))
+        model, curve = train_forecaster(corpus, tcn_cfg, rng)
         ckpt = out / f"tcn_seed{args.seed}.ckpt"
         save_tcn(str(ckpt), model)
         loss_csv = out / f"tcn_loss_seed{args.seed}.csv"
-        final_mse = tcnmod.dataset_mse(dataset, model)
+        final_mse = tcnmod.dataset_mse(corpus, model)
         loss_csv.write_text("epoch,train_mse\n" + "\n".join(
             f"{i},{mse:.10g}" for i, mse in enumerate(curve))
             + f"\nfinal,{final_mse:.10g}\n")
@@ -269,10 +246,10 @@ def cmd_train(args) -> int:
         print(loss_csv)
         return 0
     # ppo
-    if args.tcn is not None:
-        tcn_model = load_tcn(args.tcn)
-    else:
-        _, tcn_model, _ = _train_tcn(train, tcn_cfg, link, proto, channel, args.seed)
+    if args.tcn is None:
+        raise FileNotFoundError("the ml controller requires --tcn")
+    tcn_model = load_tcn(args.tcn)
+    out = _outdir(args)
     nets, progress = train_policy(link, proto, tcn_model, seed=args.seed, train=train,
                                   ppo_cfg=ppo_cfg, reward_cfg=reward_cfg, channel=channel)
     ckpt = out / f"policy_seed{args.seed}.ckpt"

@@ -15,23 +15,22 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .channel import (SCENARIOS, ChannelConfig, ControlState, NoiseSchedule, Simulator,
-                      Telemetry, UnknownScenarioError, make_scenario)
+from .channel import (SCENARIOS, TELEMETRY_CSV_HEADER, ChannelConfig, ControlState,
+                      NoiseSchedule, Simulator, Telemetry, UnknownScenarioError,
+                      make_scenario)
 from .controller import (ActorCritic, PpoConfig, RewardConfig, act,
                          apply_action, observe, ppo_update, reward as reward_fn)
 from .rates import (NOMINAL_P_Z, PROTOCOLS, LinkParams, ProtocolConfig,
                     block_key_rate, operating_point)
-from .tcn import Forecaster, TcnModel, telemetry_features
+from .tcn import Dataset, Forecaster, TcnModel, make_dataset, telemetry_features
 
 PRE_EVENT_WINDOW = 50
 RECALIB_PERIOD = 15
 RECALIB_GRID = (0.3, 0.4, 0.5, 0.6, 0.7)
 CONTROLLER_KINDS = ("ml", "static", "recalib")
 
-EPISODE_CSV_HEADER = (
-    "block,n_pulses,n_sifted,n_errors,q_mu_hat,e_mu_hat,e_lo,e_hi,v_hat,eta_hat,"
-    "aborted,mu_s,mu_w,p_z,theta_c,phi_c,skr_bps,skr_finite,reward,controller"
-)
+EPISODE_CSV_HEADER = (TELEMETRY_CSV_HEADER
+                      + ",mu_s,mu_w,p_z,theta_c,phi_c,skr_bps,skr_finite,reward,controller")
 METRICS_CSV_HEADER = "controller,scenario,metric,value,ci_lo,ci_hi"
 
 
@@ -270,6 +269,26 @@ def train_policy(
         ).updates
         episode += 1
     return nets, progress[:train.ppo_updates]
+
+
+def forecaster_corpus(train: TrainConfig, window: int, link: LinkParams, proto: ProtocolConfig,
+                      channel: ChannelConfig, seed: int) -> Dataset:
+    """The forecaster's training corpus, (windows (N, window, F), targets
+    (N, F)): ``train.tcn_blocks`` blocks of static-control telemetry from
+    each of ``train.tcn_scenarios``, sliced by :func:`tcn.make_dataset`
+    scenario by scenario, each scenario's pairs in turn, so no window spans
+    two scenarios and N = len(tcn_scenarios) * (tcn_blocks - window).
+    Raises ``ValueError``, before any block runs, when tcn_blocks <= window."""
+    if train.tcn_blocks <= window:
+        raise ValueError(f"train.tcn_blocks {train.tcn_blocks} per scenario is too few for "
+                         f"one tcn.window of {window} blocks and the block after it")
+    ctrl = nominal_control(proto)
+    series = []
+    for i, scen in enumerate(train.tcn_scenarios):
+        sim = Simulator(link, proto, make_scenario(scen, train.tcn_blocks),
+                        seed=(seed * 977 + i) * 4 + 1, channel=channel)
+        series.append([telemetry_features(sim.step(ctrl)) for _ in range(train.tcn_blocks)])
+    return make_dataset(np.asarray(series), window)
 
 
 def adaptation_time(log: EpisodeLog, event_block: int,

@@ -22,14 +22,16 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import nn
 from .channel import Telemetry
 
 FEATURES = ("q_mu", "e_mu", "v", "eta")
+Dataset = Tuple[np.ndarray, np.ndarray]  # windows (N, W, F), targets (N, F)
 
 
 @dataclass
@@ -210,29 +212,35 @@ def tcn_forward(window: np.ndarray, model: TcnModel) -> np.ndarray:
     return model.forward(window[None, -w:, :])[0]
 
 
-def make_dataset(features: np.ndarray, window: int) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Slice a (T, F) feature matrix into (window, next-row) training pairs."""
+def make_dataset(features: np.ndarray, window: int) -> Dataset:
+    """A (T, F) feature matrix as one pair of fresh arrays: windows (N,
+    window, F) with ``windows[i] = features[i:i+window]`` and their next
+    rows, targets (N, F) with ``targets[i] = features[i+window]``, N = T -
+    window. A stack (S, T, F) of S series gives each series' pairs in turn,
+    so no window spans two series. Raises ``ValueError`` when T <= window."""
     features = np.asarray(features, dtype=float)
-    return [(features[t - window:t], features[t]) for t in range(window, features.shape[0])]
+    windows = sliding_window_view(features[..., :-1, :], window, axis=-2).swapaxes(-1, -2)
+    return (windows.copy().reshape(-1, window, features.shape[-1]),
+            features[..., window:, :].copy().reshape(-1, features.shape[-1]))
 
 
-def persistence_mse(dataset: Sequence[Tuple[np.ndarray, np.ndarray]],
-                    normalizer: Normalizer) -> float:
+def _nonempty(dataset: Dataset) -> Dataset:
+    if len(dataset[0]) < 1:  # the windows, not the pair
+        raise ValueError("empty training dataset")
+    return dataset
+
+
+def persistence_mse(dataset: Dataset, normalizer: Normalizer) -> float:
     """Mean squared error of the repeat-last-row baseline (normalized units)."""
-    windows, targets = _stacked(dataset)
+    windows, targets = _nonempty(dataset)
     diff = normalizer.normalize(targets) - normalizer.normalize(windows[:, -1])
     return float(np.mean(np.mean(diff**2, axis=1)))
 
 
-def _stacked(dataset: Sequence[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.ndarray, np.ndarray]:
-    """A dataset as one (N, W, F) window array and one (N, F) target array."""
-    return np.stack([w for w, _ in dataset]), np.stack([t for _, t in dataset])
-
-
-def dataset_mse(dataset: Sequence[Tuple[np.ndarray, np.ndarray]], model: TcnModel) -> float:
+def dataset_mse(dataset: Dataset, model: TcnModel) -> float:
     """Mean over windows of each window's mean squared forecast error
     (normalized units), evaluated ``cfg.batch_size`` windows at a time."""
-    windows, targets = map(model.normalizer.normalize, _stacked(dataset))
+    windows, targets = map(model.normalizer.normalize, _nonempty(dataset))
     errs = []
     for start in range(0, len(windows), model.cfg.batch_size):
         sl = slice(start, start + model.cfg.batch_size)
@@ -278,14 +286,15 @@ def _gradients(model: TcnModel, tape: List[np.ndarray], g: np.ndarray) -> List[n
 
 
 def tcn_train(
-    dataset: Sequence[Tuple[np.ndarray, np.ndarray]],
+    dataset: Dataset,
     cfg: TcnConfig,
     rng: np.random.Generator,
     epochs: Optional[int] = None,
     lr: Optional[float] = None,
     model: Optional[TcnModel] = None,
 ) -> Tuple[TcnModel, List[float]]:
-    """Minimize mean squared forecast error; returns per-epoch mean losses.
+    """Minimize mean squared forecast error over a (windows, targets) pair
+    holding a window or more; returns the model and per-epoch mean losses.
 
     Each minibatch step runs :meth:`TcnModel.forward` with a tape, the mean
     squared error and its gradient, then :func:`_gradients` and one Adam
@@ -296,11 +305,9 @@ def tcn_train(
     whether or not the prediction reads it, and aborts with it if the loss
     goes non-finite.
     """
-    if len(dataset) < 1:
-        raise ValueError("empty training dataset")
+    windows, targets = _nonempty(dataset)
     epochs = cfg.epochs if epochs is None else epochs
     lr = cfg.lr if lr is None else lr
-    windows, targets = _stacked(dataset)
     if model is None:
         corpus = np.concatenate([windows.reshape(-1, windows.shape[2]), targets])
         model = TcnModel(cfg, rng, Normalizer.calibrate(corpus))
@@ -312,7 +319,7 @@ def tcn_train(
             "forecaster training diverged: a normalized window or target is not finite")
     curve: List[float] = []
     for _ in range(epochs):
-        order = rng.permutation(len(dataset))
+        order = rng.permutation(len(windows))
         losses = []
         for start in range(0, len(order), cfg.batch_size):
             sel = order[start:start + cfg.batch_size]
@@ -328,7 +335,7 @@ def tcn_train(
 
 
 def train_forecaster(
-    dataset: Sequence[Tuple[np.ndarray, np.ndarray]],
+    dataset: Dataset,
     cfg: TcnConfig,
     rng: np.random.Generator,
 ) -> Tuple[TcnModel, List[float]]:

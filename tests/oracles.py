@@ -543,17 +543,17 @@ def tcn_forward_oracle(model, windows):
 
 
 def tcn_train_oracle(dataset, cfg, rng, epochs=None, lr=None, model=None):
-    """``tcn.tcn_train`` with every minibatch loss built as an ``nn`` graph
-    and differentiated by ``nn.backward``; each parameter's ``grad`` goes to
-    ``Adam.step``. Returns the model, its optimizer and the loss curve."""
+    """``tcn.tcn_train`` on the same (windows, targets) pair, with every
+    minibatch loss built as an ``nn`` graph and differentiated by
+    ``nn.backward``; each parameter's ``grad`` goes to ``Adam.step``.
+    Returns the model, its optimizer and the loss curve."""
     from optiqkd.tcn import Normalizer, TcnModel
 
-    if len(dataset) < 1:
+    windows, targets = dataset
+    if len(windows) < 1:
         raise ValueError("empty training dataset")
     epochs = cfg.epochs if epochs is None else epochs
     lr = cfg.lr if lr is None else lr
-    windows = np.stack([w for w, _ in dataset])
-    targets = np.stack([t for _, t in dataset])
     if model is None:
         corpus = np.concatenate([windows.reshape(-1, windows.shape[2]), targets])
         model = TcnModel(cfg, rng, Normalizer.calibrate(corpus))
@@ -562,7 +562,7 @@ def tcn_train_oracle(dataset, cfg, rng, epochs=None, lr=None, model=None):
     windows, targets = map(model.normalizer.normalize, (windows, targets))
     curve = []
     for _ in range(epochs):
-        order = rng.permutation(len(dataset))
+        order = rng.permutation(len(windows))
         losses = []
         for start in range(0, len(order), cfg.batch_size):
             sel = order[start:start + cfg.batch_size]

@@ -34,13 +34,13 @@ import numpy as np
 import pytest
 
 from optiqkd import nn
-from optiqkd.channel import (ControlState, Simulator, make_scenario,
+from optiqkd.channel import (ChannelConfig, ControlState, Simulator, make_scenario,
                              wilson_interval)
 from optiqkd.cli import main as cli_main
 from optiqkd.controller import (ActorCritic, PpoConfig, RolloutBuffer,
                                 load_policy, ppo_update, save_policy)
 from optiqkd.loop import (TrainConfig, adaptation_time, bootstrap_ci, compare,
-                          run_episode, train_policy)
+                          forecaster_corpus, run_episode, train_policy)
 from optiqkd.rates import (LinkParams, ProtocolConfig, bb84_key_rate,
                            bb84_model_gains, bb84_sifted_key_rate, cow_key_rate,
                            cow_visibility, decoy_bounds, e91_key_rate,
@@ -67,13 +67,9 @@ def report(num, name, ok, detail):
 def trained_tcn():
     t0 = time.monotonic()
     cfg = TcnConfig()
-    dataset = []  # windows sliced per scenario, as `optiqkd train` does
-    ctrl = ControlState()
-    for i, scen in enumerate(["nominal", "sine-drift", "noise-sweep"]):
-        sim = Simulator(LINK, PROTO, make_scenario(scen, 500), seed=(977 + i) * 4 + 1)
-        rows = [telemetry_features(sim.step(ctrl)) for _ in range(500)]
-        dataset += make_dataset(np.asarray(rows), cfg.window)
-    model, _ = train_forecaster(dataset, cfg, np.random.Generator(np.random.Philox(key=15)))
+    # the corpus `optiqkd train tcn --seed 1` trains on, with its own training key
+    corpus = forecaster_corpus(TrainConfig(), cfg.window, LINK, PROTO, ChannelConfig(), seed=1)
+    model, _ = train_forecaster(corpus, cfg, np.random.Generator(np.random.Philox(key=15)))
     TIMINGS["tcn_train"] = time.monotonic() - t0
     return model
 

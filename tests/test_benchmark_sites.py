@@ -1,13 +1,14 @@
 """The benchmark in ``perfbench/`` times functions by replacing them at the
-names its ``tracer.CALL_SITES`` lists, runs commands on the scenarios its
-``workloads`` names, and times the nn kernels in ``kernels``. Only its
-traced smoke test, outside this suite, runs the first two; these checks
-fail here first when a listed name is renamed, moved or dropped, or when
-a kernel case no longer runs."""
+names its ``tracer.CALL_SITES`` and ``tracer.EpisodeTimer`` list, runs
+commands on the scenarios its ``workloads`` names, and times the nn kernels
+in ``kernels``. Only its traced smoke test, outside this suite, runs the
+first two; these checks fail here first when a listed name is renamed,
+moved, dropped or no longer called, or when a kernel case no longer runs."""
 
 import importlib.util
 from pathlib import Path
 
+from optiqkd import cli, loop
 from optiqkd.channel import SCENARIOS
 from optiqkd.loop import TrainConfig
 import numpy as np
@@ -32,6 +33,29 @@ def test_every_call_site_resolves_to_a_callable():
             # methods are patched on their class, as tracer.patched reads them
             fn = owner.__dict__.get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
             assert callable(fn), f"{label}: {owner.__name__}.{attr} is gone"
+
+
+def test_episode_timer_targets_are_called(tmp_path):
+    # EpisodeTimer wraps cli.train_forecaster, whose call ends the corpus
+    # build that tcn-train's block_ms times, cli.run_episode (eval and
+    # simulate) and loop.run_episode (train_policy); a missing target fails
+    # the benchmark's set-up, one no longer called leaves its time empty
+    timer = load("tracer").EpisodeTimer()
+    originals = (cli.train_forecaster, cli.run_episode, loop.run_episode)
+    tiny = ["--set", "tcn.dilations=1,2", "--set", "tcn.hidden=4", "--set", "tcn.window=8",
+            "--set", "tcn.epochs=1", "--set", "train.tcn_blocks=20",
+            "--set", "ppo.rollout=16", "--set", "ppo.minibatch=8",
+            "--set", "train.ppo_updates=1", "--set", "train.ppo_blocks=20",
+            "--set", "channel.n_pulses=10000"]
+    with timer.installed():
+        assert cli.main(["train", "tcn", "--out", str(tmp_path)] + tiny) == 0
+        assert timer.train_start is not None
+        assert cli.main(["train", "ppo", "--tcn", str(tmp_path / "tcn_seed0.ckpt"),
+                         "--out", str(tmp_path)] + tiny) == 0
+        assert [c for c, *_ in timer.episodes] == ["ml"]
+        assert cli.main(["simulate", "--blocks", "5", "--out", str(tmp_path)] + tiny) == 0
+        assert [(c, blocks) for c, blocks, *_ in timer.episodes] == [("ml", 20), ("static", 5)]
+    assert (cli.train_forecaster, cli.run_episode, loop.run_episode) == originals
 
 
 def test_forecaster_counts_model_calls():

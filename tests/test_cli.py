@@ -275,14 +275,15 @@ class TestTrain:
 
         # reloaded checkpoint reproduces the logged final evaluation loss
         from optiqkd.tcn import load_tcn, dataset_mse
-        from optiqkd.cli import _tcn_dataset, _load_cfg, build_parser
+        from optiqkd.loop import forecaster_corpus
+        from optiqkd.cli import _load_cfg, build_parser
         parser = build_parser()
         args = parser.parse_args(["train", "tcn", "--seed", "1",
                                   "--out", str(out1)] + FAST_TCN)
         cfg = _load_cfg(args)
         from optiqkd import config as cfgmod
         model = load_tcn(str(out1 / "tcn_seed1.ckpt"))
-        dataset = _tcn_dataset(
+        dataset = forecaster_corpus(
             cfgmod.typed(cfg, "train"), model.cfg.window, cfgmod.typed(cfg, "link"),
             cfgmod.typed(cfg, "protocol"), cfgmod.typed(cfg, "channel"), 1)
         mse = dataset_mse(dataset, model)
@@ -331,14 +332,18 @@ class TestTrain:
     def test_corpus_without_a_window_runtime_error(self, tmp_path, capsys, what):
         # windows never run across two scenarios, so each scenario's blocks
         # must hold a 32-block window and the block after it: 3 x 32 blocks
-        # are not enough either
+        # are not enough either. train ppo builds no corpus: it takes its
+        # forecaster only from --tcn and is refused without one
         for blocks in (10, 32):
             out = tmp_path / f"o{blocks}"
             assert run(["train", what, "--set", f"train.tcn_blocks={blocks}",
                         "--out", str(out)]) == 2
             err = capsys.readouterr().err
-            assert f"train.tcn_blocks {blocks} per scenario" in err
-            assert "tcn.window of 32" in err
+            if what == "tcn":
+                assert f"train.tcn_blocks {blocks} per scenario" in err
+                assert "tcn.window of 32" in err
+            else:
+                assert "error: the ml controller requires --tcn" in err
             assert not out.exists()
 
     def test_tcn_divergence_exit_code(self, tmp_path):
@@ -346,15 +351,15 @@ class TestTrain:
                     "--set", "tcn.lr=1e200"] + FAST_TCN[:-2]
                    + ["--set", "train.tcn_scenarios=[\"nominal\"]"]) == 2
 
-    def test_ppo_divergence_exit_code(self, tmp_path, monkeypatch, capsys):
+    def test_ppo_divergence_exit_code(self, tmp_path, monkeypatch, capsys, checkpoints):
         from optiqkd import cli
 
         def diverge(*args, **kwargs):
             raise nn.DivergenceError("non-finite PPO loss")
 
         monkeypatch.setattr(cli, "train_policy", diverge)
-        assert run(["train", "ppo", "--seed", "1", "--out", str(tmp_path)]
-                   + FAST_TCN) == 2
+        assert run(["train", "ppo", "--seed", "1", "--tcn", checkpoints[0],
+                    "--out", str(tmp_path)]) == 2
         assert "divergence: non-finite PPO loss" in capsys.readouterr().err
 
     def test_ppo_progress_and_determinism(self, tmp_path):

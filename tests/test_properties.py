@@ -10,6 +10,11 @@ model checkpoints), the streaming forecaster and the rate engine's bounds.
   with an error naming it, and ``optiqkd eval`` exits with code 2.
 - The streaming ``Forecaster`` matches ``tcn_forward`` over the last
   ``window`` rows on every block.
+- ``make_dataset`` slices a feature matrix, or a stack of them, into one
+  (windows, targets) pair of fresh arrays, each series' pairs in turn;
+  ``forecaster_corpus`` holds one run of pairs per scenario, so no window
+  spans two scenarios; a pair with no window is refused by training and by
+  both error measures.
 - The asymptotic key rate never rises with distance; the decoy bounds
   bracket the single-photon yield and error (Lo, Ma & Chen 2005); a Wilson
   interval lies in [0, 1] and holds the observed error fraction.
@@ -29,15 +34,16 @@ from hypothesis import strategies as st
 from optiqkd import config as cfgmod
 from optiqkd import nn
 from optiqkd.cli import main
-from optiqkd.loop import LoopConfig, TrainConfig
+from optiqkd.loop import LoopConfig, TrainConfig, forecaster_corpus
 from optiqkd.controller import (ActorCritic, PpoConfig, RewardConfig, load_policy,
                                 save_policy)
-from optiqkd.channel import ChannelConfig, wilson_interval
+from optiqkd.channel import SCENARIOS, ChannelConfig, wilson_interval
 from optiqkd.rates import (PROTOCOLS, BoundInfeasibleError, Bb84Config, CowConfig,
                            E91Config, LinkParams, ProtocolConfig, decoy_bounds,
                            operating_point, wcp_gain)
-from optiqkd.tcn import (FEATURES, Forecaster, Normalizer, TcnConfig, TcnModel, load_tcn,
-                         save_tcn, tcn_forward)
+from optiqkd.tcn import (FEATURES, Forecaster, Normalizer, TcnConfig, TcnModel, dataset_mse,
+                         load_tcn, make_dataset, persistence_mse, save_tcn, tcn_forward,
+                         tcn_train)
 
 from oracles import forward_actor, forward_critic
 
@@ -203,6 +209,65 @@ def test_streaming_forecast_matches_window_forward(model_rng):
             np.testing.assert_allclose(fc.forecast(), tcn_forward(np.array(rows[-w:]), model),
                                        rtol=1e-12, atol=1e-12)
     assert fc.calls == 200 - w + 1
+
+
+# -- the forecaster corpus -----------------------------------------------
+
+@SETTINGS
+@given(st.sampled_from([(), (1,), (3,)]), st.integers(0, 40), st.integers(1, 12),
+       st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_dataset_pairs_each_window_with_its_next_row(stack, t_len, window, n_feat, seed):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    features = rng.normal(size=(*stack, t_len, n_feat))
+    if t_len <= window:  # no window and the row after it
+        with pytest.raises(ValueError):
+            make_dataset(features, window)
+        return
+    kept = features.copy()
+    windows, targets = make_dataset(features, window)
+    n = t_len - window
+    series = features.reshape(-1, t_len, n_feat)  # a single matrix is one series
+    assert windows.shape == (len(series) * n, window, n_feat)
+    assert targets.shape == (len(series) * n, n_feat)
+    for s, rows in enumerate(series):  # each series' pairs in turn
+        for i in range(n):
+            assert np.array_equal(windows[s * n + i], rows[i:i + window])
+            assert np.array_equal(targets[s * n + i], rows[i + window])
+    windows[...] = np.nan  # fresh arrays: the features are not written through
+    targets[...] = np.nan
+    assert np.array_equal(features, kept)
+
+
+@settings(SETTINGS, max_examples=15)
+@given(st.lists(st.sampled_from(SCENARIOS), min_size=1, max_size=3), st.integers(2, 6),
+       st.integers(1, 8), st.integers(0, 1000))
+def test_corpus_concatenates_one_pair_per_scenario(scenarios, window, extra, seed):
+    train = TrainConfig(tcn_scenarios=tuple(scenarios), tcn_blocks=window + extra)
+    windows, targets = forecaster_corpus(train, window, LinkParams(), ProtocolConfig(),
+                                         ChannelConfig(n_pulses=10_000), seed)
+    assert len(windows) == len(targets) == len(scenarios) * (train.tcn_blocks - window)
+    # each scenario's run of windows is the slicing of one stream of
+    # tcn_blocks rows: its first window followed by its targets
+    for chunk in range(len(scenarios)):
+        sl = slice(chunk * extra, (chunk + 1) * extra)
+        rows = np.concatenate([windows[sl][0], targets[sl]])
+        assert len(rows) == train.tcn_blocks
+        again = make_dataset(rows, window)
+        assert np.array_equal(again[0], windows[sl]) and np.array_equal(again[1], targets[sl])
+
+
+@SETTINGS
+@given(st.integers(2, 8))
+def test_pair_without_a_window_refused(window):
+    cfg = TcnConfig(dilations=(1,), kernel=2, hidden=3, window=window, epochs=1)
+    pair = np.empty((0, window, len(FEATURES))), np.empty((0, len(FEATURES)))
+    assert len(pair) == 2  # two arrays, no window
+    model = TcnModel(cfg, np.random.default_rng(0))
+    for call in (lambda: tcn_train(pair, cfg, np.random.default_rng(1)),
+                 lambda: dataset_mse(pair, model),
+                 lambda: persistence_mse(pair, model.normalizer)):
+        with pytest.raises(ValueError, match="empty"):
+            call()
 
 
 @SETTINGS
