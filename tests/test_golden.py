@@ -4,8 +4,9 @@ For each protocol ``rates`` writes its rate curve, a tiny ``train tcn``
 and ``train ppo`` write the two checkpoints and the loss and progress
 CSVs, a second tiny ``train tcn`` (seed 2) trains on the windows of two
 scenarios, and one ``eval ml,static,recalib`` (one seed, 300 blocks) per
-scenario in :data:`SCENARIOS` writes the episode and metrics CSVs, all
-through ``cli.main`` in this process. The scenarios cover the noise sweep,
+scenario in :data:`SCENARIOS` writes the episode and metrics CSVs, and
+``simulate`` writes the episodes of :data:`SIMULATE`, all through
+``cli.main`` in this process. The scenarios cover the noise sweep,
 the loss step and the damping drift. ``show-config`` under the tiny
 overrides is pinned by its standard output. ``golden/manifest.json`` holds the sha256
 of each file and the numpy and BLAS builds it was made with, because ML
@@ -36,6 +37,9 @@ TINY = [
     "--set", "ppo.rollout=32", "--set", "ppo.minibatch=16",
     "--set", "train.ppo_updates=4", "--set", "train.ppo_blocks=40",
 ]
+# simulate runs (controller, channel.n_pulses) on sine-drift with a low abort
+# threshold: the few-pulse blocks sift nothing, the larger ones abort
+SIMULATE = (("static", 300), ("static", 2000), ("ml", 2000))
 
 
 def build_info() -> Dict[str, str]:
@@ -82,6 +86,14 @@ def run_set(out: Path) -> Dict[str, str]:
             + ["--set", "train.tcn_scenarios=[\"nominal\",\"sine-drift\"]"])
         for path in sorted([*d.rglob("*.csv"), *d.glob("*.ckpt")]):
             hashes[f"{proto}/{path.name}"] = sha256(path.read_bytes())
+        for controller, n_pulses in SIMULATE:
+            sim = out / "simulate" / proto / f"{controller}_n{n_pulses}"
+            ckpts = ["--tcn", tcn, "--policy", policy] if controller == "ml" else []
+            run(["simulate", "--protocol", proto, "--scenario", "sine-drift", "--blocks", "100",
+                 "--seed", "3", "--controller", controller, "--out", str(sim)] + ckpts + TINY
+                + ["--set", f"channel.n_pulses={n_pulses}", "--set", "channel.abort_qber=0.05"])
+            for path in sorted(sim.glob("*.csv")):
+                hashes[f"{proto}/simulate/{sim.name}/{path.name}"] = sha256(path.read_bytes())
     return hashes
 
 
