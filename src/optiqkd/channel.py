@@ -1,11 +1,12 @@
 """Stochastic block-level simulator of the fiber link.
 
 One block is one control interval (one simulated second). The simulator
-evolves a noise schedule, applies the current control parameters, samples
-detection counts at block level, and emits telemetry with estimator
-uncertainty. A :class:`Simulator` instance owns its generator state and is
-confined to a single thread; independent instances with distinct seeds run
-in parallel with no coordination.
+evolves a noise schedule, applies the current control parameters, has the
+protocol's sampler in ``rates.PROTOCOLS`` draw the block's detection
+counts, and emits telemetry with estimator uncertainty. A
+:class:`Simulator` instance owns its generator state and is confined to a
+single thread; independent instances with distinct seeds run in parallel
+with no coordination.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .rates import (PROTOCOLS, LinkParams, ProtocolConfig, cow_visibility, transmittance,
-                    wcp_gain)
+from .rates import PROTOCOLS, LinkParams, ProtocolConfig, transmittance
 
 SCENARIOS = ("nominal", "noise-sweep", "splice-3db", "sine-drift")
 
@@ -31,11 +31,6 @@ DEPOL_FRACTION = 0.10
 MISALIGN_FRACTION = 0.07
 
 SWEEP_LEVELS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
-
-# COW inter-pulse phase: a bounded mean-reverting random walk per block.
-PHASE_REVERSION = 0.05
-PHASE_STEP_SCALE = 0.05
-PHASE_BOUND = math.pi
 
 Z_95 = NormalDist().inv_cdf(0.975)  # two-sided 95% normal quantile
 
@@ -77,8 +72,7 @@ class ScheduleEvent:
 @dataclass
 class NoiseSchedule:
     """Per-block noise series plus loss-step events, fully deterministic
-    (the COW phase drift is evolved by the simulator from its own seeded
-    generator)."""
+    (the COW phase drift is drawn by its sampler from the run's generator)."""
 
     blocks: int
     depol_p: np.ndarray
@@ -116,12 +110,14 @@ class ControlState:
 
 
 class EffectiveParams(NamedTuple):
-    """Physical parameters in force for one block after noise and control."""
+    """Physical parameters in force for one block after noise and control:
+    transmittance, visibility, misalignment error and the depolarizing
+    probability they include."""
 
     eta: float
     v: float
     e_d_eff: float
-    e_ph: float = 0.0
+    depol_p: float
 
 
 @dataclass
@@ -150,10 +146,6 @@ class Telemetry:
                 + ",".join(f"{x:.10g}" for x in stats) + f",{int(self.aborted)}")
 
 
-def _const(blocks: int, value: float) -> np.ndarray:
-    return np.full(blocks, float(value))
-
-
 def make_scenario(name: str, blocks: int) -> NoiseSchedule:
     """Build the reproducible noise schedule of a named scenario.
 
@@ -170,32 +162,18 @@ def make_scenario(name: str, blocks: int) -> NoiseSchedule:
         raise UnknownScenarioError(f"unknown scenario {name!r}")
     if blocks < 1:
         raise ValueError("blocks must be >= 1")
-    zeros = _const(blocks, 0.0)
-    if name == "nominal":
-        return NoiseSchedule(blocks, zeros, zeros.copy(), zeros.copy(), name="nominal")
+    zeros = np.zeros(blocks)
     if name == "noise-sweep":
         seg = max(blocks // len(SWEEP_LEVELS), 1)
         level = np.array([SWEEP_LEVELS[min(t // seg, len(SWEEP_LEVELS) - 1)]
                           for t in range(blocks)])
-        return NoiseSchedule(
-            blocks,
-            depol_p=DEPOL_FRACTION * level,
-            damp_gamma=zeros.copy(),
-            misalign_err=MISALIGN_FRACTION * level,
-            name="noise-sweep",
-        )
-    if name == "splice-3db":
-        return NoiseSchedule(
-            blocks, zeros, zeros.copy(), zeros.copy(),
-            events=[ScheduleEvent(blocks // 2, 3.0)],
-            name="splice-3db",
-        )
-    # sine-drift: one slow environmental driver modulating depolarization and loss
-    t = np.arange(blocks)
-    wave = np.sin(2.0 * math.pi * t / 24.0)
-    p = 0.25 + 0.20 * wave
-    gamma = 0.25 + 0.20 * wave
-    return NoiseSchedule(blocks, p, gamma, zeros.copy(), name="sine-drift")
+        return NoiseSchedule(blocks, DEPOL_FRACTION * level, zeros, MISALIGN_FRACTION * level,
+                             name=name)
+    if name == "sine-drift":  # one slow driver modulating depolarization and loss alike
+        wave = 0.25 + 0.20 * np.sin(2.0 * math.pi * np.arange(blocks) / 24.0)
+        return NoiseSchedule(blocks, wave, wave.copy(), zeros, name=name)
+    events = [ScheduleEvent(blocks // 2, 3.0)] if name == "splice-3db" else []
+    return NoiseSchedule(blocks, zeros, zeros.copy(), zeros.copy(), events, name)
 
 
 class LinkSeries:
@@ -221,9 +199,9 @@ class LinkSeries:
                       for m in sched.misalign_err.tolist()]
 
 
-def effective_link(series: LinkSeries, ctrl: ControlState, t: int,
-                   protocol: str = "bb84", dphi: float = 0.0) -> EffectiveParams:
-    """Physical parameters for block ``t`` after noise, loss steps and control.
+def effective_link(series: LinkSeries, ctrl: ControlState, t: int) -> EffectiveParams:
+    """Physical parameters for block ``t`` after noise, loss steps and
+    control, the same for every protocol (COW's sampler adds its phase drift).
 
     The compensation knob theta_c acts on the misalignment angle, giving
     e_d_eff = e_d + p/2 at nominal control. Amplitude damping acts as extra
@@ -233,14 +211,9 @@ def effective_link(series: LinkSeries, ctrl: ControlState, t: int,
         raise ValueError(f"block {t} outside schedule of length {series.blocks}")
     p = series.depol_p[t]
     theta_err = series.theta[t] - ctrl.theta_c
-    if protocol == "cow":
-        v = cow_visibility(ctrl.mu_s, dphi - ctrl.phi_c) * (1.0 - p)
-        e_ph = (1.0 - v) / 2.0
-    else:
-        v = (1.0 - p) * math.cos(theta_err) ** 2
-        e_ph = 0.0
+    v = (1.0 - p) * math.cos(theta_err) ** 2
     e_d_eff = min(max(math.sin(theta_err) ** 2 + p / 2.0, 0.0), 0.5)
-    return EffectiveParams(series.eta[t], min(max(v, 0.0), 1.0), e_d_eff, e_ph)
+    return EffectiveParams(series.eta[t], min(max(v, 0.0), 1.0), e_d_eff, p)
 
 
 def wilson_interval(n_err: int, n: int) -> Tuple[float, float]:
@@ -267,110 +240,54 @@ def _estimate_eta(q_hat: float, y0: float, mu: float) -> float:
     return min(max(-math.log1p(-x) / mu, 0.0), 1.0)
 
 
-def _sample_fraction(rng: np.random.Generator, trials: int, p: float) -> Tuple[int, int]:
-    """(successes, trials) with trials clamped to be non-negative."""
-    trials = max(int(trials), 0)
-    p = min(max(p, 0.0), 1.0)
-    if trials == 0:
-        return 0, 0
-    return int(rng.binomial(trials, p)), trials
-
-
 class Simulator:
-    """One run of the link: owns the generator, the phase-drift process and
-    the consecutive-exceedance abort bookkeeping, and computes the run's
-    constants (:class:`LinkSeries`, pulse splits) once.
+    """One run of the link: owns the generator, the COW phase and the
+    consecutive-exceedance abort bookkeeping, and computes the run's
+    :class:`LinkSeries` once.
 
-    Detection counts are drawn at block level: n_sifted ~ Binomial(n*q, Q)
-    and n_errors ~ Binomial(n_sifted, E), which matches per-pulse sampling
-    in distributionally relevant statistics (see the per-pulse sampler in
-    tests/oracles.py). A block with no sifted detections reports the
+    The protocol's ``sample`` in ``rates.PROTOCOLS`` draws each block's
+    counts from this run's generator, at block level: n_sifted ~
+    Binomial(n*q, Q) and n_errors ~ Binomial(n_sifted, E), which matches
+    per-pulse sampling in distributionally relevant statistics (see the
+    per-pulse sampler in tests/oracles.py); the step reads them the same
+    way for every protocol. A block with no sifted detections reports the
     degenerate convention e_mu_hat = 0.5 with the full-width interval.
     """
 
-    def __init__(
-        self,
-        link: LinkParams,
-        proto: ProtocolConfig,
-        sched: NoiseSchedule,
-        seed: int,
-        channel: ChannelConfig = ChannelConfig(),
-    ):
-        self.link = link
-        self.proto = proto
-        self.sched = sched
-        self.channel = channel
+    def __init__(self, link: LinkParams, proto: ProtocolConfig, sched: NoiseSchedule, seed: int,
+                 channel: ChannelConfig = ChannelConfig()):
+        self.link, self.proto, self.channel = link, proto, channel
         self.series = LinkSeries(link, sched)
-        self.key_fraction = PROTOCOLS[proto.kind].key_fraction
-        n = channel.n_pulses
-        self.n_signal = int(round(n * proto.bb84.p_s))  # BB84: signal, then weak decoy
-        self.n_weak = n - self.n_signal
-        self.n_monitor = round(n * proto.cow.monitor_fraction)  # COW monitor line
+        self.spec = PROTOCOLS[proto.kind]
         self.rng = np.random.Generator(np.random.Philox(key=seed))
         self.dphi = 0.0
         self.t = 0
         self._prev_exceeded = False
 
     def step(self, ctrl: ControlState) -> Telemetry:
-        t, link, proto, rng = self.t, self.link, self.proto, self.rng
-        if t >= self.sched.blocks:
+        t, link, proto = self.t, self.link, self.proto
+        if t >= self.series.blocks:
             raise IndexError("schedule exhausted")
         n = self.channel.n_pulses
-        eta, v, e_d_eff, e_ph = effective_link(self.series, ctrl, t, proto.kind, self.dphi)
-        q_sift = self.key_fraction(proto, ctrl.p_z)
-        q_w_hat = e_w_hat = 0.0
-
-        if proto.kind == "bb84":
-            q_s, e_s = wcp_gain(ctrl.mu_s, eta, link.y0, e_d_eff, link.e0)
-            q_w, e_w = wcp_gain(ctrl.mu_w, eta, link.y0, e_d_eff, link.e0)
-            n_sift, trials = _sample_fraction(rng, round(self.n_signal * q_sift), q_s)
-            n_err, _ = _sample_fraction(rng, n_sift, e_s)
-            n_sift_w, trials_w = _sample_fraction(rng, round(self.n_weak * q_sift), q_w)
-            n_err_w, _ = _sample_fraction(rng, n_sift_w, e_w)
-            q_w_hat = n_sift_w / trials_w if trials_w else 0.0
-            e_w_hat = n_err_w / n_sift_w if n_sift_w else link.e0
-            mu_for_eta = ctrl.mu_s
-        elif proto.kind == "e91":
-            # Source colocated with the transmitter: local arm sees only the
-            # detector, remote arm the full link.
-            eta_pair = eta * link.eta_det
-            v_pair = proto.e91.v_source * v
-            q_c = min(link.y0 + eta_pair, 1.0)
-            e_pair = (link.e0 * link.y0 + (1.0 - v_pair) / 2.0 * eta_pair) / q_c if q_c > 0 else link.e0
-            n_sift, trials = _sample_fraction(rng, round(n * q_sift), q_c)
-            n_err, _ = _sample_fraction(rng, n_sift, e_pair)
-            mu_for_eta = 1.0
-        else:  # cow; mu_s is the mean photon number per signal bin
-            q_mu, e_mu = wcp_gain(ctrl.mu_s, eta, link.y0, e_d_eff, link.e0)
-            n_sift, trials = _sample_fraction(rng, round(n * q_sift), q_mu)
-            n_err, _ = _sample_fraction(rng, n_sift, e_mu)
-            n_mon, _ = _sample_fraction(rng, self.n_monitor, q_mu)
-            n_mon_err, _ = _sample_fraction(rng, n_mon, e_ph)
-            mu_for_eta = ctrl.mu_s
-        q_mu_hat = n_sift / trials if trials else 0.0
-
+        s = self.spec.sample(self.rng, link, proto, ctrl, effective_link(self.series, ctrl, t), n,
+                             self.spec.key_fraction(proto, ctrl.p_z), self.dphi)
+        n_sift, n_err = s.n_sifted, s.n_errors
+        q_mu_hat = n_sift / s.trials if s.trials else 0.0
         if n_sift > 0:
             e_mu_hat = n_err / n_sift
             e_lo, e_hi = wilson_interval(n_err, n_sift)
         else:
             e_mu_hat, (e_lo, e_hi) = 0.5, (0.0, 1.0)
-
-        if proto.kind == "cow":
-            e_ph_hat = n_mon_err / n_mon if n_mon > 0 else 0.5
-            v_hat = min(max(1.0 - 2.0 * e_ph_hat, 0.0), 1.0)
-        else:
-            v_hat = min(max(1.0 - 2.0 * e_mu_hat, 0.0), 1.0)
+        e_v_hat = s.v_errors / s.v_trials if s.v_trials > 0 else 0.5
+        v_hat = min(max(1.0 - 2.0 * e_v_hat, 0.0), 1.0)
 
         # a second consecutive block above the threshold aborts, and the
         # session restarts after an abort
         exceeded = n_sift > 0 and e_mu_hat > self.channel.abort_qber
         aborted = exceeded and self._prev_exceeded
         self._prev_exceeded = exceeded and not aborted
-        if proto.kind == "cow":
-            xi = rng.standard_normal()
-            self.dphi = (1.0 - PHASE_REVERSION) * self.dphi + PHASE_STEP_SCALE * xi
-            self.dphi = min(max(self.dphi, -PHASE_BOUND), PHASE_BOUND)
+        self.dphi = s.dphi
         self.t = t + 1
         return Telemetry(t, n, n_sift, n_err, q_mu_hat, e_mu_hat, e_lo, e_hi, v_hat,
-                         _estimate_eta(q_mu_hat, link.y0, mu_for_eta), aborted,
-                         q_w_hat, e_w_hat)
+                         _estimate_eta(q_mu_hat, link.y0, s.mu), aborted,
+                         s.q_w_hat, s.e_w_hat)

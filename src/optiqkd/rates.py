@@ -5,13 +5,12 @@ state, safe to call from any number of threads. Rates are reported per
 emitted pulse, in bits per second via the source clock, and with a
 finite-size deduction applied on top of the asymptotic value.
 
-:data:`PROTOCOLS` holds, per protocol, every decision the rest of the
-package makes by protocol kind outside the simulator: nominal intensities,
-the controller's action mask, the key fraction, the model operating point
-and the key rate from one block's telemetry. The channel simulator keeps
-its own per-protocol count sampling and phase drift: that is physics drawn
-from the simulator's generator, and moving it here would put random state
-into this module.
+:data:`PROTOCOLS` holds, per protocol, every decision the package makes by
+protocol kind: nominal intensities, the controller's action mask, the key
+fraction, the model operating point, the key rate from one block's
+telemetry and the block sampler that draws one block's counts for the
+channel simulator. A sampler draws only from the generator it is given,
+so this module keeps no random state.
 """
 
 from __future__ import annotations
@@ -19,14 +18,21 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, NamedTuple, Tuple
 
 if TYPE_CHECKING:
-    from .channel import ControlState, Telemetry
+    import numpy as np
+
+    from .channel import ControlState, EffectiveParams, Telemetry
 
 DEFAULT_F_REP = 2.5e8
 NOMINAL_P_Z = 0.5  # basis bias a run starts from
 CHSH_MAX = 2.0 * math.sqrt(2.0)
+
+# COW inter-pulse phase: a bounded mean-reverting random walk per block.
+PHASE_REVERSION = 0.05
+PHASE_STEP_SCALE = 0.05
+PHASE_BOUND = math.pi
 
 
 class BoundInfeasibleError(ValueError):
@@ -269,6 +275,12 @@ def bb84_sifted_key_rate(
     return _report(q * q_mu * (1.0 - 2.0 * h), cfg, f_rep)
 
 
+def e91_pair_gain(link: LinkParams, eta: float) -> float:
+    """Coincidence gain of a pair source at the transmitter: the local arm
+    sees only its detector, the remote arm the transmittance ``eta``."""
+    return min(link.y0 + eta * link.eta_det, 1.0)
+
+
 def e91_quantities(v: float) -> Tuple[float, float]:
     """CHSH value and QBER implied by a two-photon interference visibility."""
     _check_prob("visibility", v)
@@ -341,16 +353,34 @@ def finite_key_rate(r_asym: float, n: float, eps: float) -> float:
 
 # -- per-protocol table -----------------------------------------------------
 
+class BlockSample(NamedTuple):
+    """One block's draws: ``n_sifted`` detections in ``trials`` sifted
+    pulses, ``n_errors`` of them in error; the counts the visibility
+    estimate reads; the intensity the transmittance estimate inverts the
+    gain at; the COW phase after the block; the weak decoy's gain and QBER."""
+
+    trials: int
+    n_sifted: int
+    n_errors: int
+    v_errors: int
+    v_trials: int
+    mu: float
+    dphi: float
+    q_w_hat: float = 0.0
+    e_w_hat: float = 0.0
+
+
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """What differs between protocols outside the channel simulator.
+    """Everything that differs between protocols.
 
     ``nominal`` gives the (mu_s, mu_w) a run starts from; ``mask`` marks
     the knobs the controller may move, in ``controller.ACTION_ORDER``
     order; ``key_fraction`` is the share of pulses kept for the key at
     basis bias ``p_z``; ``operating_point`` is the model's (Q_mu, E_mu,
     report) on a link at key fraction ``q``; ``block_rate`` is the report
-    from one block's telemetry at key fraction ``q``.
+    from one block's telemetry at key fraction ``q``; ``sample`` draws one
+    block of ``n_pulses`` at key fraction ``q`` and COW phase ``dphi``.
     """
 
     nominal: Callable[[ProtocolConfig], Tuple[float, float]]
@@ -360,6 +390,8 @@ class ProtocolSpec:
                               Tuple[float, float, KeyRateReport]]
     block_rate: Callable[[LinkParams, ProtocolConfig, ControlState, Telemetry, float],
                          KeyRateReport]
+    sample: Callable[[np.random.Generator, LinkParams, ProtocolConfig, ControlState,
+                      EffectiveParams, int, float, float], BlockSample]
 
 
 def _basis_match(proto: ProtocolConfig, p_z: float) -> float:
@@ -398,9 +430,8 @@ def _bb84_point(link: LinkParams, proto: ProtocolConfig, q: float):
 
 def _e91_point(link: LinkParams, proto: ProtocolConfig, q: float):
     s, q_err = e91_quantities(proto.e91.v_source)
-    # source at the transmitter: one arm sees its detector, the other the link
-    q_pair = min(link.y0 + transmittance(link) * link.eta_det, 1.0)
-    return q_pair, q_err, e91_key_rate(s, q_err, proto, f_rep=link.f_rep, q=q)
+    return (e91_pair_gain(link, transmittance(link)), q_err,
+            e91_key_rate(s, q_err, proto, f_rep=link.f_rep, q=q))
 
 
 def _cow_point(link: LinkParams, proto: ProtocolConfig, q: float):
@@ -427,18 +458,66 @@ def _cow_block(link: LinkParams, proto: ProtocolConfig, ctrl: ControlState,
                         proto, f_rep=link.f_rep, q=q)
 
 
+def _detect(rng: np.random.Generator, trials: int, gain: float, error: float):
+    """(trials, detections, errors): each of ``trials`` pulses detected at
+    ``gain``, each detection in error at ``error``; no draw on no trials."""
+    n_det = int(rng.binomial(trials, min(max(gain, 0.0), 1.0))) if trials > 0 else 0
+    n_err = int(rng.binomial(n_det, min(max(error, 0.0), 1.0))) if n_det > 0 else 0
+    return trials, n_det, n_err
+
+
+def _bb84_sample(rng: np.random.Generator, link: LinkParams, proto: ProtocolConfig,
+                 ctrl: ControlState, eff: EffectiveParams, n: int, q: float, dphi: float):
+    """The signal pulses, then the weak decoy."""
+    n_signal = int(round(n * proto.bb84.p_s))
+    q_s, e_s = wcp_gain(ctrl.mu_s, eff.eta, link.y0, eff.e_d_eff, link.e0)
+    q_w, e_w = wcp_gain(ctrl.mu_w, eff.eta, link.y0, eff.e_d_eff, link.e0)
+    trials, n_sift, n_err = _detect(rng, round(n_signal * q), q_s, e_s)
+    trials_w, n_sift_w, n_err_w = _detect(rng, round((n - n_signal) * q), q_w, e_w)
+    return BlockSample(trials, n_sift, n_err, n_err, n_sift, ctrl.mu_s, dphi,
+                       n_sift_w / trials_w if trials_w else 0.0,
+                       n_err_w / n_sift_w if n_sift_w else link.e0)
+
+
+def _e91_sample(rng: np.random.Generator, link: LinkParams, proto: ProtocolConfig,
+                ctrl: ControlState, eff: EffectiveParams, n: int, q: float, dphi: float):
+    """Sifted pairs; no intensity knob enters."""
+    q_pair, eta_pair = e91_pair_gain(link, eff.eta), eff.eta * link.eta_det
+    e_pair = ((link.e0 * link.y0 + (1.0 - proto.e91.v_source * eff.v) / 2.0 * eta_pair)
+              / q_pair if q_pair > 0 else link.e0)
+    trials, n_sift, n_err = _detect(rng, round(n * q), q_pair, e_pair)
+    return BlockSample(trials, n_sift, n_err, n_err, n_sift, 1.0, dphi)
+
+
+def _cow_sample(rng: np.random.Generator, link: LinkParams, proto: ProtocolConfig,
+                ctrl: ControlState, eff: EffectiveParams, n: int, q: float, dphi: float):
+    """The signal bins, then the monitor line, whose phase errors give the
+    visibility, then one step of the phase walk (``mu_s`` is the mean
+    photon number per signal bin)."""
+    q_mu, e_mu = wcp_gain(ctrl.mu_s, eff.eta, link.y0, eff.e_d_eff, link.e0)
+    e_ph = (1.0 - cow_visibility(ctrl.mu_s, dphi - ctrl.phi_c) * (1.0 - eff.depol_p)) / 2.0
+    trials, n_sift, n_err = _detect(rng, round(n * q), q_mu, e_mu)
+    _, n_mon, n_mon_err = _detect(rng, round(n * proto.cow.monitor_fraction), q_mu, e_ph)
+    dphi = (1.0 - PHASE_REVERSION) * dphi + PHASE_STEP_SCALE * rng.standard_normal()
+    return BlockSample(trials, n_sift, n_err, n_mon_err, n_mon, ctrl.mu_s,
+                       min(max(dphi, -PHASE_BOUND), PHASE_BOUND))
+
+
 PROTOCOLS: Dict[str, ProtocolSpec] = {
     "bb84": ProtocolSpec(nominal=lambda p: (p.bb84.mu_s, p.bb84.mu_w),
                          mask=(1.0, 1.0, 1.0, 1.0, 0.0), key_fraction=_basis_match,
-                         operating_point=_bb84_point, block_rate=_bb84_block),
+                         operating_point=_bb84_point, block_rate=_bb84_block,
+                         sample=_bb84_sample),
     # no intensity knob: E91 carries the BB84 values, masked
     "e91": ProtocolSpec(nominal=lambda p: (p.bb84.mu_s, p.bb84.mu_w),
                         mask=(0.0, 0.0, 1.0, 1.0, 0.0), key_fraction=_basis_match,
-                        operating_point=_e91_point, block_rate=_e91_block),
+                        operating_point=_e91_point, block_rate=_e91_block,
+                        sample=_e91_sample),
     # no decoy: mu_s is the mean photon number per signal bin
     "cow": ProtocolSpec(nominal=lambda p: (p.cow.alpha_sq, 0.1),
                         mask=(1.0, 0.0, 0.0, 0.0, 1.0), key_fraction=_cow_key_fraction,
-                        operating_point=_cow_point, block_rate=_cow_block),
+                        operating_point=_cow_point, block_rate=_cow_block,
+                        sample=_cow_sample),
 }
 
 

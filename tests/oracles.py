@@ -347,7 +347,7 @@ class SimulatorOracle:
         self.prev_exceeded = False
 
     def step(self, ctrl):
-        from optiqkd.channel import PHASE_BOUND, PHASE_REVERSION, PHASE_STEP_SCALE
+        from optiqkd.rates import PHASE_BOUND, PHASE_REVERSION, PHASE_STEP_SCALE
 
         telem = step_block_oracle(self.link, self.sched, ctrl, self.proto, self.t, self.rng,
                                   self.channel, self.dphi)

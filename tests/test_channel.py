@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from optiqkd.channel import (SCENARIOS, ChannelConfig, ControlState, DEPOL_FRACTION,
                              MISALIGN_FRACTION, LinkSeries, NoiseSchedule, ScheduleEvent,
@@ -10,14 +12,38 @@ from optiqkd.channel import (SCENARIOS, ChannelConfig, ControlState, DEPOL_FRACT
                              TELEMETRY_CSV_HEADER,
                              UnknownScenarioError, effective_link,
                              make_scenario, wilson_interval)
-from optiqkd.rates import PROTOCOLS, LinkParams, ProtocolConfig, transmittance, wcp_gain
+from optiqkd.rates import (PROTOCOLS, LinkParams, ProtocolConfig, e91_pair_gain,
+                           operating_point, transmittance, wcp_gain)
 
 from oracles import (SimulatorOracle, bit_level_sample_block, closed_form_gains_oracle,
-                     effective_link_oracle, wilson_oracle)
+                     effective_link_oracle, step_block_oracle, wilson_oracle)
 
 LINK = LinkParams()
 PROTO = ProtocolConfig()
 CTRL = ControlState()
+
+
+class RecordingGenerator:
+    """Stands in for a generator: every binomial draw succeeds on all its
+    trials, so every draw a sampler can make is made, and each draw's
+    (trials, p) is recorded; the phase walk steps by 0."""
+
+    def __init__(self):
+        self.draws = []
+
+    def binomial(self, n, p):
+        self.draws.append((n, p))
+        return n
+
+    def standard_normal(self):
+        return 0.0
+
+
+def sampler_draws(link, proto, ctrl, eff, n_pulses, dphi):
+    """The (trials, p) of each draw ``proto``'s sampler makes for one block."""
+    spec, rng = PROTOCOLS[proto.kind], RecordingGenerator()
+    spec.sample(rng, link, proto, ctrl, eff, n_pulses, spec.key_fraction(proto, ctrl.p_z), dphi)
+    return rng.draws
 
 
 def constant_schedule(blocks, depol_p=0.0, damp_gamma=0.0):
@@ -100,12 +126,13 @@ class TestEffectiveLink:
         assert eff2.e_d_eff == pytest.approx(0.0, abs=1e-12)
 
     def test_cow_phase_compensation(self):
-        sched = make_scenario("nominal", 10)
+        # the COW sampler's last draw is the monitor line's phase errors
+        series, cow = LinkSeries(LINK, make_scenario("nominal", 10)), ProtocolConfig(kind="cow")
         ctrl = ControlState(mu_s=0.5, phi_c=0.3)
-        eff = effective_link(LinkSeries(LINK, sched), ctrl, 0, protocol="cow", dphi=0.3)
-        assert eff.e_ph == pytest.approx(0.0, abs=1e-12)
-        eff2 = effective_link(LinkSeries(LINK, sched), CTRL, 0, protocol="cow", dphi=0.3)
-        assert eff2.e_ph > 0.0
+        e_ph = sampler_draws(LINK, cow, ctrl, effective_link(series, ctrl, 0), 1000, 0.3)[-1][1]
+        assert e_ph == pytest.approx(0.0, abs=1e-12)
+        e_ph2 = sampler_draws(LINK, cow, CTRL, effective_link(series, CTRL, 0), 1000, 0.3)[-1][1]
+        assert e_ph2 > 0.0
 
     def test_monotone_damage(self):
         # increasing p pointwise never decreases the model error rate
@@ -219,9 +246,10 @@ LOSS_STEPS = NoiseSchedule(
 
 
 class TestAgainstOracle:
-    """``Simulator.step`` computes each run's constants once; these pin it
-    to the per-block code of ``tests/oracles.py``, which derives them on
-    every block."""
+    """``Simulator`` computes each run's link terms once and draws each
+    block through its protocol's sampler; these pin both to the per-block
+    code of ``tests/oracles.py``, which derives every term on every block
+    and draws in one function for all three protocols."""
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -232,14 +260,20 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("scenario", SCENARIOS + ("loss-steps",))
     def test_effective_link_and_gains_are_the_oracles(self, kind, scenario):
-        # the terms themselves, whose last bits a binomial draw may hide
+        # the terms themselves, whose last bits a binomial draw may hide: the
+        # link terms, and the trials and probability of every draw the
+        # protocol's sampler makes (COW's monitor error among them)
         sched = LOSS_STEPS if scenario == "loss-steps" else make_scenario(scenario, 120)
-        series = LinkSeries(LINK, sched)
+        series, proto, n_pulses = LinkSeries(LINK, sched), ProtocolConfig(kind=kind), 10**6
         rng = np.random.default_rng(25)
         for t in range(sched.blocks):
             ctrl, dphi = random_control(rng), rng.uniform(-math.pi, math.pi)
-            eff = effective_link(series, ctrl, t, kind, dphi)
-            assert tuple(eff) == effective_link_oracle(LINK, sched, ctrl, t, kind, dphi), t
+            eff = effective_link(series, ctrl, t)
+            eta, v, e_d_eff, _ = effective_link_oracle(LINK, sched, ctrl, t)
+            assert tuple(eff) == (eta, v, e_d_eff, sched.depol_p[t]), t
+            want = RecordingGenerator()
+            step_block_oracle(LINK, sched, ctrl, proto, t, want, ChannelConfig(n_pulses), dphi)
+            assert sampler_draws(LINK, proto, ctrl, eff, n_pulses, dphi) == want.draws, t
             for mu in (ctrl.mu_s, ctrl.mu_w):
                 args = (mu, eff.eta, LINK.y0, eff.e_d_eff, LINK.e0)
                 assert wcp_gain(*args) == closed_form_gains_oracle(*args), t
@@ -274,6 +308,50 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("kind", KINDS)
     def test_loss_steps_summed_in_event_order(self, kind):
         run_against_oracle(LINK, ProtocolConfig(kind=kind), LOSS_STEPS, seed=24)
+
+
+# links at the edges of their ranges among them: no dark counts, a perfect
+# detector and no fiber put E91's pair gain at its clamp of 1
+LINKS = st.builds(LinkParams,
+                  distance_km=st.one_of(st.just(0.0), st.floats(0.0, 300.0)),
+                  eta_det=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+                  y0=st.one_of(st.just(0.0), st.floats(0.0, 1e-3)),
+                  e_d=st.floats(0.0, 0.5), e0=st.floats(0.0, 0.5))
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(kind=st.sampled_from(KINDS), link=LINKS, scenario=st.sampled_from(SCENARIOS),
+       n_pulses=st.integers(1, 10**6), seed=st.integers(0, 2**32))
+@example(kind="e91", link=LinkParams(distance_km=0.0, eta_det=1.0, y0=0.0),
+         scenario="nominal", n_pulses=10**6, seed=1)
+@example(kind="e91", link=LinkParams(distance_km=0.0, eta_det=1.0, y0=1e-3),
+         scenario="nominal", n_pulses=10**6, seed=1)
+def test_samplers_match_the_oracle_on_any_link(kind, link, scenario, n_pulses, seed):
+    run_against_oracle(link, ProtocolConfig(kind=kind), make_scenario(scenario, 12), seed,
+                       ChannelConfig(n_pulses=n_pulses))
+
+
+def test_every_protocol_has_a_sampler():
+    assert all(callable(spec.sample) for spec in PROTOCOLS.values())
+
+
+@PROPERTY
+@given(link=LINKS)
+def test_e91_pair_gain_is_the_operating_point_gain(link):
+    assert e91_pair_gain(link, transmittance(link)) == operating_point(
+        link, ProtocolConfig(kind="e91"))[0]
+
+
+@PROPERTY
+@given(mu_s=st.floats(0.01, 2.0), mu_w=st.floats(0.001, 1.0), seed=st.integers(0, 2**32))
+def test_e91_counts_read_no_intensity(mu_s, mu_w, seed):
+    # so a controller that moves only mu_s, as recalib does, moves nothing on E91
+    e91, sched = ProtocolConfig(kind="e91"), make_scenario("noise-sweep", 12)
+    a, b = (Simulator(LINK, e91, sched, seed=seed, channel=ChannelConfig(n_pulses=10_000))
+            for _ in range(2))
+    for _ in range(sched.blocks):
+        assert a.step(CTRL) == b.step(dataclasses.replace(CTRL, mu_s=mu_s, mu_w=mu_w))
 
 
 class TestWilson:
