@@ -77,7 +77,7 @@ def build_parser() -> _Parser:
     p.add_argument("--protocol", choices=PROTOCOLS, default="bb84")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tcn", default=None,
-                   help="forecaster checkpoint that drives ppo training (required by ppo)")
+                   help="forecaster checkpoint that drives training (ppo only, and required)")
 
     p = sub.add_parser("eval", help="closed-loop comparison across controllers/seeds")
     _add_common(p)
@@ -225,6 +225,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     _check_seed(args.seed)
+    if args.model == "tcn" and args.tcn is not None:
+        raise UsageError("--tcn is for train ppo only; train tcn trains a new forecaster")
     cfg = _load_cfg(args)
     link, proto, channel, reward_cfg = _link_configs(cfg, args)
     # every section is checked before anything is trained or written

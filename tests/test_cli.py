@@ -492,6 +492,13 @@ class TestEval:
         assert run(["eval", "--controllers", "ml,static", "--seeds", "1..2",
                     "--out", str(tmp_path)]) == 2
 
+    def test_train_tcn_refuses_tcn_flag(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(["train", "tcn", "--tcn", str(tmp_path / "nope.ckpt"),
+                    "--out", str(out)]) == 1
+        assert "--tcn is for train ppo only" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_policy_file_runtime_error(self, tmp_path):
         assert run(["eval", "--controllers", "ml,static", "--seeds", "1",
                     "--policy", str(tmp_path / "nope.ckpt"),
