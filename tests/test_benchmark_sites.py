@@ -35,6 +35,33 @@ def test_every_call_site_resolves_to_a_callable():
             assert callable(fn), f"{label}: {owner.__name__}.{attr} is gone"
 
 
+def test_channel_and_rate_sites_are_called(tmp_path):
+    # a traced run times Simulator.step on its class and the decoy rate at
+    # the rates names its caller looks up on each call; a caller that bound
+    # one of them at import would leave its per-layer metrics at zero, and
+    # the abort ratio reads each step's result
+    tracer = load("tracer")
+    labels = ("channel.Simulator.step", "rates.decoy_bounds", "rates.bb84_key_rate")
+    calls = {label: [] for label in labels}
+
+    def counting(label):
+        def make(fn):
+            def counted(*args, **kwargs):
+                calls[label].append(None)
+                out = fn(*args, **kwargs)
+                calls[label][-1] = out
+                return out
+            return counted
+        return make
+
+    with tracer.patched([(owner, attr, counting(label))
+                         for label in labels for owner, attr in tracer.CALL_SITES[label]]):
+        assert cli.main(["simulate", "--protocol", "bb84", "--blocks", "5",
+                         "--out", str(tmp_path)]) == 0
+    assert all(calls.values()), {label: len(c) for label, c in calls.items()}
+    assert all(isinstance(t.aborted, bool) for t in calls["channel.Simulator.step"])
+
+
 def test_episode_timer_targets_are_called(tmp_path):
     # EpisodeTimer wraps cli.train_forecaster, whose call ends the corpus
     # build that tcn-train's block_ms times, cli.run_episode (eval and
