@@ -254,11 +254,20 @@ class Simulator:
     degenerate convention e_mu_hat = 0.5 with the full-width interval.
     """
 
-    def __init__(self, link: LinkParams, proto: ProtocolConfig, sched: NoiseSchedule, seed: int,
-                 channel: ChannelConfig = ChannelConfig()):
-        self.link, self.proto, self.channel = link, proto, channel
+    def __init__(
+        self,
+        link: LinkParams,
+        proto: ProtocolConfig,
+        sched: NoiseSchedule,
+        seed: int,
+        channel: ChannelConfig = ChannelConfig(),
+    ):
+        self.link = link
+        self.proto = proto
+        self.channel = channel
         self.series = LinkSeries(link, sched)
-        self.spec = PROTOCOLS[proto.kind]
+        spec = PROTOCOLS[proto.kind]
+        self.key_fraction, self.sample = spec.key_fraction, spec.sample
         self.rng = np.random.Generator(np.random.Philox(key=seed))
         self.dphi = 0.0
         self.t = 0
@@ -269,16 +278,16 @@ class Simulator:
         if t >= self.series.blocks:
             raise IndexError("schedule exhausted")
         n = self.channel.n_pulses
-        s = self.spec.sample(self.rng, link, proto, ctrl, effective_link(self.series, ctrl, t), n,
-                             self.spec.key_fraction(proto, ctrl.p_z), self.dphi)
-        n_sift, n_err = s.n_sifted, s.n_errors
-        q_mu_hat = n_sift / s.trials if s.trials else 0.0
+        trials, n_sift, n_err, v_err, v_trials, mu, self.dphi, q_w_hat, e_w_hat = self.sample(
+            self.rng, link, proto, ctrl, effective_link(self.series, ctrl, t), n,
+            self.key_fraction(proto, ctrl.p_z), self.dphi)
+        q_mu_hat = n_sift / trials if trials else 0.0
         if n_sift > 0:
             e_mu_hat = n_err / n_sift
             e_lo, e_hi = wilson_interval(n_err, n_sift)
         else:
             e_mu_hat, (e_lo, e_hi) = 0.5, (0.0, 1.0)
-        e_v_hat = s.v_errors / s.v_trials if s.v_trials > 0 else 0.5
+        e_v_hat = v_err / v_trials if v_trials > 0 else 0.5
         v_hat = min(max(1.0 - 2.0 * e_v_hat, 0.0), 1.0)
 
         # a second consecutive block above the threshold aborts, and the
@@ -286,8 +295,6 @@ class Simulator:
         exceeded = n_sift > 0 and e_mu_hat > self.channel.abort_qber
         aborted = exceeded and self._prev_exceeded
         self._prev_exceeded = exceeded and not aborted
-        self.dphi = s.dphi
         self.t = t + 1
         return Telemetry(t, n, n_sift, n_err, q_mu_hat, e_mu_hat, e_lo, e_hi, v_hat,
-                         _estimate_eta(q_mu_hat, link.y0, s.mu), aborted,
-                         s.q_w_hat, s.e_w_hat)
+                         _estimate_eta(q_mu_hat, link.y0, mu), aborted, q_w_hat, e_w_hat)

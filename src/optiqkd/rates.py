@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, NamedTuple, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Tuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -353,21 +353,11 @@ def finite_key_rate(r_asym: float, n: float, eps: float) -> float:
 
 # -- per-protocol table -----------------------------------------------------
 
-class BlockSample(NamedTuple):
-    """One block's draws: ``n_sifted`` detections in ``trials`` sifted
-    pulses, ``n_errors`` of them in error; the counts the visibility
-    estimate reads; the intensity the transmittance estimate inverts the
-    gain at; the COW phase after the block; the weak decoy's gain and QBER."""
-
-    trials: int
-    n_sifted: int
-    n_errors: int
-    v_errors: int
-    v_trials: int
-    mu: float
-    dphi: float
-    q_w_hat: float = 0.0
-    e_w_hat: float = 0.0
+# One block's draws, as a sampler returns them: trials, n_sifted, n_errors,
+# the errors and trials the visibility estimate reads, the intensity the
+# transmittance estimate inverts the gain at, the COW phase after the
+# block, and the weak decoy's gain and QBER (zero without a decoy).
+BlockSample = Tuple[int, int, int, int, int, float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -380,7 +370,8 @@ class ProtocolSpec:
     basis bias ``p_z``; ``operating_point`` is the model's (Q_mu, E_mu,
     report) on a link at key fraction ``q``; ``block_rate`` is the report
     from one block's telemetry at key fraction ``q``; ``sample`` draws one
-    block of ``n_pulses`` at key fraction ``q`` and COW phase ``dphi``.
+    block's :data:`BlockSample` of ``n`` pulses at key fraction ``q`` and
+    COW phase ``dphi`` from the generator it is given.
     """
 
     nominal: Callable[[ProtocolConfig], Tuple[float, float]]
@@ -469,14 +460,13 @@ def _detect(rng: np.random.Generator, trials: int, gain: float, error: float):
 def _bb84_sample(rng: np.random.Generator, link: LinkParams, proto: ProtocolConfig,
                  ctrl: ControlState, eff: EffectiveParams, n: int, q: float, dphi: float):
     """The signal pulses, then the weak decoy."""
-    n_signal = int(round(n * proto.bb84.p_s))
+    n_signal = round(n * proto.bb84.p_s)
     q_s, e_s = wcp_gain(ctrl.mu_s, eff.eta, link.y0, eff.e_d_eff, link.e0)
     q_w, e_w = wcp_gain(ctrl.mu_w, eff.eta, link.y0, eff.e_d_eff, link.e0)
     trials, n_sift, n_err = _detect(rng, round(n_signal * q), q_s, e_s)
     trials_w, n_sift_w, n_err_w = _detect(rng, round((n - n_signal) * q), q_w, e_w)
-    return BlockSample(trials, n_sift, n_err, n_err, n_sift, ctrl.mu_s, dphi,
-                       n_sift_w / trials_w if trials_w else 0.0,
-                       n_err_w / n_sift_w if n_sift_w else link.e0)
+    return (trials, n_sift, n_err, n_err, n_sift, ctrl.mu_s, dphi,
+            n_sift_w / trials_w if trials_w else 0.0, n_err_w / n_sift_w if n_sift_w else link.e0)
 
 
 def _e91_sample(rng: np.random.Generator, link: LinkParams, proto: ProtocolConfig,
@@ -486,7 +476,7 @@ def _e91_sample(rng: np.random.Generator, link: LinkParams, proto: ProtocolConfi
     e_pair = ((link.e0 * link.y0 + (1.0 - proto.e91.v_source * eff.v) / 2.0 * eta_pair)
               / q_pair if q_pair > 0 else link.e0)
     trials, n_sift, n_err = _detect(rng, round(n * q), q_pair, e_pair)
-    return BlockSample(trials, n_sift, n_err, n_err, n_sift, 1.0, dphi)
+    return trials, n_sift, n_err, n_err, n_sift, 1.0, dphi, 0.0, 0.0
 
 
 def _cow_sample(rng: np.random.Generator, link: LinkParams, proto: ProtocolConfig,
@@ -499,8 +489,8 @@ def _cow_sample(rng: np.random.Generator, link: LinkParams, proto: ProtocolConfi
     trials, n_sift, n_err = _detect(rng, round(n * q), q_mu, e_mu)
     _, n_mon, n_mon_err = _detect(rng, round(n * proto.cow.monitor_fraction), q_mu, e_ph)
     dphi = (1.0 - PHASE_REVERSION) * dphi + PHASE_STEP_SCALE * rng.standard_normal()
-    return BlockSample(trials, n_sift, n_err, n_mon_err, n_mon, ctrl.mu_s,
-                       min(max(dphi, -PHASE_BOUND), PHASE_BOUND))
+    return (trials, n_sift, n_err, n_mon_err, n_mon, ctrl.mu_s,
+            min(max(dphi, -PHASE_BOUND), PHASE_BOUND), 0.0, 0.0)
 
 
 PROTOCOLS: Dict[str, ProtocolSpec] = {
