@@ -72,7 +72,7 @@ class ScheduleEvent:
 @dataclass
 class NoiseSchedule:
     """Per-block noise series plus loss-step events, fully deterministic
-    (the COW phase drift is drawn by its sampler from the run's generator)."""
+    (a phase drift is drawn by its protocol's sampler from the run's generator)."""
 
     blocks: int
     depol_p: np.ndarray
@@ -201,7 +201,7 @@ class LinkSeries:
 
 def effective_link(series: LinkSeries, ctrl: ControlState, t: int) -> EffectiveParams:
     """Physical parameters for block ``t`` after noise, loss steps and
-    control, the same for every protocol (COW's sampler adds its phase drift).
+    control, the same for every protocol (a sampler adds any phase drift).
 
     The compensation knob theta_c acts on the misalignment angle, giving
     e_d_eff = e_d + p/2 at nominal control. Amplitude damping acts as extra
@@ -241,7 +241,7 @@ def _estimate_eta(q_hat: float, y0: float, mu: float) -> float:
 
 
 class Simulator:
-    """One run of the link: owns the generator, the COW phase and the
+    """One run of the link: owns the generator, the inter-pulse phase and the
     consecutive-exceedance abort bookkeeping, and computes the run's
     :class:`LinkSeries` once.
 
