@@ -38,8 +38,9 @@ TINY = [
     "--set", "train.ppo_updates=4", "--set", "train.ppo_blocks=40",
 ]
 # simulate runs (controller, channel.n_pulses) on sine-drift with a low abort
-# threshold: the few-pulse blocks sift nothing, the larger ones abort
-SIMULATE = (("static", 300), ("static", 2000), ("ml", 2000))
+# threshold: the few-pulse blocks sift nothing, the larger ones abort, and
+# recalib's aborts fall right before held blocks
+SIMULATE = (("static", 300), ("static", 2000), ("ml", 2000), ("recalib", 2000))
 
 
 def build_info() -> Dict[str, str]:
