@@ -22,8 +22,7 @@ for seed in (1, 2, 3):
     obs, mask = np.array([1.0]), np.ones(1)
     for update in range(200):
         if update == 120:
-            nets.opt_actor.lr /= 10.0
-            nets.opt_critic.lr /= 10.0
+            nets.opt.lr /= 10.0
         for _ in range(cfg.rollout):
             mean, value = nets.mean_value(obs)
             sigma = nets.sigma()

@@ -13,7 +13,7 @@ unlike ``tcn.Forecaster`` it keeps no copy, so it follows ``ppo_update``
 mid-episode and a checkpoint restored by ``nn.set_params``. Each PPO
 minibatch step runs the same forward on plain arrays, keeping each
 layer's tanh output, and backpropagates gradients derived by hand into
-the two Adam optimizers, bitwise equal to the graph of the same losses.
+the one Adam optimizer, bitwise equal to the graph of the same losses.
 """
 
 from __future__ import annotations
@@ -185,8 +185,8 @@ class ActorCritic:
     ``named`` maps each parameter's checkpoint name to its ``Var``, in
     checkpoint order: the actor layers, the critic layers, ``log_std``.
     The learner state lives here too: the on-policy ``buffer`` and one
-    Adam optimizer (at ``cfg.lr``) each for the actor and the critic, so
-    it carries over from one episode to the next with the networks.
+    Adam optimizer ``opt`` (at ``cfg.lr``) over every parameter, so it
+    carries over from one episode to the next with the networks.
     """
 
     def __init__(self, cfg: PpoConfig, obs_dim: int = OBS_DIM, act_dim: int = len(ACTION_ORDER),
@@ -204,10 +204,8 @@ class ActorCritic:
             for i, layer in enumerate(layers):
                 self.named.update(layer.named(f"{name}{i}"))
         self.named["log_std"] = self.log_std
-        self.act_calls = 0
         self.buffer = RolloutBuffer()
-        self.opt_actor = nn.Adam(self.actor_params(), lr=cfg.lr)
-        self.opt_critic = nn.Adam(self.critic_params(), lr=cfg.lr)
+        self.opt = nn.Adam(self.named.values(), lr=cfg.lr)
 
     def actor_params(self) -> List[nn.Var]:
         return [p for name, p in self.named.items() if not name.startswith("critic")]
@@ -264,7 +262,6 @@ def act(nets: ActorCritic, obs: np.ndarray, rng: np.random.Generator,
     Never raises on bad network output: a non-finite mean or value falls
     back to the zero action with the ``fallback`` flag set.
     """
-    nets.act_calls += 1
     mask = _MASKS[protocol]
     mean, value = nets.mean_value(obs)
     noise = rng.standard_normal(nets.act_dim)
@@ -319,11 +316,11 @@ def _ppo_step(nets: ActorCritic, obs: np.ndarray, u: np.ndarray, mask: np.ndarra
               returns: np.ndarray) -> Tuple[float, float, float]:
     """One minibatch step on plain arrays: the clipped surrogate less the
     entropy bonus, and the critic's squared error, each differentiated by
-    hand and followed by one Adam step of its net. Every operation is the
+    hand, then one Adam step of every parameter. Every operation is the
     one the ``nn`` graph of these losses runs, in its order, so the update
     is the graph's to the bit (``tests/oracles.py`` keeps that graph).
     Returns the policy loss, the value loss and the entropy; a non-finite
-    loss raises :class:`nn.DivergenceError` before either step."""
+    loss raises :class:`nn.DivergenceError` before the step."""
     cfg, n = nets.cfg, len(obs)
     lo, hi = 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps
     log_std = nets.log_std.data
@@ -352,9 +349,10 @@ def _ppo_step(nets: ActorCritic, obs: np.ndarray, u: np.ndarray, mask: np.ndarra
     g_ls = -g_terms.sum(axis=0) + (g_z * diff).sum(axis=0) * inv_sigma * -1.0
     inside = (log_std > -5.0) & (log_std < 2.0)
     g_log_std = g_ls * inside + (-cfg.entropy_weight * mask_mean) * inside
-    nets.opt_actor.step(_mlp_backward(nets.actor, inputs, -(g_z * inv_sigma)) + [g_log_std])
     g_v = 1.0 / n * 2.0 * err
-    nets.opt_critic.step(_mlp_backward(nets.critic, v_inputs, g_v.reshape(n, 1)))
+    # in checkpoint order: the actor's layers, the critic's, log_std
+    nets.opt.step(_mlp_backward(nets.actor, inputs, -(g_z * inv_sigma))
+                  + _mlp_backward(nets.critic, v_inputs, g_v.reshape(n, 1)) + [g_log_std])
     return float(policy_loss), float(value_loss), float(entropy)
 
 
@@ -362,8 +360,8 @@ def ppo_update(buffer: RolloutBuffer, nets: ActorCritic) -> Dict[str, float]:
     """Clipped-surrogate policy update plus squared-error critic fit.
 
     Runs ``nets.cfg.epochs`` passes of shuffled minibatches through the
-    nets' own optimizers, then clears the buffer. On a non-finite loss or
-    gradient the parameters and both Adam states (``m``, ``v``, ``t``) are
+    nets' own optimizer, then clears the buffer. On a non-finite loss or
+    gradient the parameters and the Adam state (``m``, ``v``, ``t``) are
     restored to their pre-update snapshot and :class:`nn.DivergenceError`
     is raised.
     """
@@ -379,7 +377,7 @@ def ppo_update(buffer: RolloutBuffer, nets: ActorCritic) -> Dict[str, float]:
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
     snap = {name: p.data.copy() for name, p in nets.named.items()}
-    opt_snap = copy.deepcopy((nets.opt_actor.state, nets.opt_critic.state))
+    opt_snap = copy.deepcopy(nets.opt.state)
     rng = np.random.Generator(np.random.Philox(key=len(buffer)))
     stats = []
     try:
@@ -391,7 +389,7 @@ def ppo_update(buffer: RolloutBuffer, nets: ActorCritic) -> Dict[str, float]:
                                        adv[sel], returns[sel]))
     except nn.DivergenceError:
         nn.set_params(nets.named, snap)
-        nets.opt_actor.state, nets.opt_critic.state = opt_snap
+        nets.opt.state = opt_snap
         buffer.clear()
         raise
     policy_losses, value_losses, entropies = zip(*stats)

@@ -77,7 +77,6 @@ class TrainConfig:
 
 @dataclass
 class BlockRecord:
-    block: int
     ctrl: ControlState
     telem: Telemetry
     skr_bps: float
@@ -91,8 +90,6 @@ class EpisodeLog:
     seed: int
     controller: str
     records: List[BlockRecord] = field(default_factory=list)
-    tcn_calls: int = 0
-    policy_calls: int = 0
     updates: List[Dict[str, float]] = field(default_factory=list)  # PPO reports
 
     def skr_series(self) -> np.ndarray:
@@ -117,8 +114,6 @@ class EpisodeLog:
 
 @dataclass
 class RunMetrics:
-    controller: str
-    scenario: str
     median_skr_bps: float
     median_qber: float
     abort_count: float
@@ -139,28 +134,16 @@ def nominal_skr_ref(link: LinkParams, proto: ProtocolConfig) -> float:
     return max(operating_point(link, proto)[2].r_bps, 1e-9)
 
 
-class _RecalibState:
-    """Grid scan of the signal intensity every RECALIB_PERIOD blocks."""
-
-    def __init__(self, base: ControlState):
-        self.base = base
-        self.best_mu = base.mu_s
-        self._scan_skr: List[float] = []
-
-    def control_for(self, t: int) -> ControlState:
-        pos = t % RECALIB_PERIOD
-        if pos < len(RECALIB_GRID):
-            if pos == 0:
-                self._scan_skr = []
-            return replace(self.base, mu_s=RECALIB_GRID[pos])
-        return replace(self.base, mu_s=self.best_mu)
-
-    def record(self, t: int, skr: float) -> None:
-        pos = t % RECALIB_PERIOD
-        if pos < len(RECALIB_GRID):
-            self._scan_skr.append(skr)
-            if pos == len(RECALIB_GRID) - 1:
-                self.best_mu = RECALIB_GRID[int(np.argmax(self._scan_skr))]
+def _recalib_mu(t: int, records: Sequence[BlockRecord]) -> float:
+    """The recalibration baseline's signal intensity at block ``t``, given
+    the blocks before it: every RECALIB_PERIOD blocks it scans RECALIB_GRID,
+    one value a block, then holds the value whose scan block had the first
+    largest ``skr_bps``, an aborted block's rate being 0."""
+    pos = t % RECALIB_PERIOD
+    if pos < len(RECALIB_GRID):
+        return RECALIB_GRID[pos]
+    scan = [r.skr_bps for r in records[t - pos:t - pos + len(RECALIB_GRID)]]
+    return RECALIB_GRID[scan.index(max(scan))]
 
 
 def run_episode(
@@ -181,7 +164,7 @@ def run_episode(
     block's normalized telemetry and forecast, then acts; the transition
     goes to ``nets.buffer`` and a PPO update fires whenever that buffer
     reaches ``nets.cfg.rollout`` (its report lands in ``EpisodeLog.updates``).
-    The buffer and the optimizers are the nets' own, so they carry over to
+    The buffer and the optimizer are the nets' own, so they carry over to
     the next episode run with the same nets. Rewards scale the rate by
     :func:`nominal_skr_ref`. An abort resets the control state to nominal.
     """
@@ -196,14 +179,11 @@ def run_episode(
 
     forecaster: Optional[Forecaster] = None
     policy_rng: Optional[np.random.Generator] = None
-    recalib: Optional[_RecalibState] = None
     if kind == "ml":
         if tcn_model is None or nets is None:
             raise ConfigMismatchError("ml controller requires a forecaster and networks")
         forecaster = Forecaster(tcn_model)
         policy_rng = np.random.Generator(np.random.Philox(key=seed * 4 + 2))
-    elif kind == "recalib":
-        recalib = _RecalibState(nominal)
 
     z_tm: Optional[np.ndarray] = None  # previous block's normalized telemetry
 
@@ -213,7 +193,7 @@ def run_episode(
             sample = act(nets, obs, policy_rng, protocol=proto.kind)
             ctrl = apply_action(ctrl, sample.action)
         elif kind == "recalib":
-            ctrl = recalib.control_for(t)
+            ctrl = replace(nominal, mu_s=_recalib_mu(t, log.records))
 
         telem = sim.step(ctrl)
         skr_bps, skr_finite = block_key_rate(link, proto, ctrl, telem)
@@ -226,20 +206,13 @@ def run_episode(
                             r, sample.action.mask)
             if len(nets.buffer) >= nets.cfg.rollout:
                 log.updates.append(ppo_update(nets.buffer, nets))
-        if kind == "recalib":
-            recalib.record(t, skr_bps)
 
-        log.records.append(BlockRecord(block=t, ctrl=ctrl, telem=telem,
-                                       skr_bps=skr_bps, skr_finite=skr_finite,
-                                       reward=r))
+        log.records.append(BlockRecord(ctrl=ctrl, telem=telem, skr_bps=skr_bps,
+                                       skr_finite=skr_finite, reward=r))
         if forecaster is not None:
             z_tm = forecaster.push(telemetry_features(telem))
         if telem.aborted:
             ctrl = nominal
-
-    if forecaster is not None:  # the ml controller
-        log.tcn_calls = forecaster.calls
-        log.policy_calls = nets.act_calls
     return log
 
 
@@ -401,8 +374,6 @@ def compare(runs: Dict[str, List[EpisodeLog]], warmup: int = LoopConfig.warmup,
         adapt_agg = float(np.median(adapts)) if adapts else (
             math.nan if event_block is not None else None)
         metrics[name] = RunMetrics(
-            controller=name,
-            scenario=scenario,
             median_skr_bps=float(np.median(np.concatenate(pooled_skr))),
             median_qber=float(np.median(np.concatenate(pooled_qber))),
             abort_count=float(np.sum(aborts)),

@@ -374,7 +374,7 @@ class Forecaster:
         self.pushed = 0
         self.last: Optional[np.ndarray] = None  # newest normalized row
         self.hidden: Optional[np.ndarray] = None  # newest top-layer column
-        self.calls = 0  # counts model-backed forecasts, for isolation checks
+        self.calls = 0  # counts model-backed forecasts
 
     def push(self, features: np.ndarray) -> np.ndarray:
         h = self.last = self.model.normalizer.normalize(features)

@@ -387,8 +387,7 @@ def observe_oracle(z_fc, z_tm, ctrl):
 
 def act_oracle(nets, obs, rng, protocol="bb84", deterministic=False):
     """``controller.act`` through ``np.clip``, ``np.sum`` and ``np.all``, with
-    a mask array and an ``Action`` built per call (``act_calls`` is not
-    counted)."""
+    a mask array and an ``Action`` built per call."""
     from optiqkd.controller import ACTION_CAPS, LOG2PI, Action, ActionSample
     from optiqkd.rates import PROTOCOLS
 
@@ -467,8 +466,8 @@ def _gaussian_log_prob(mean, log_std, u, mask):
 
 def ppo_update_oracle(buffer, nets):
     """``controller.ppo_update`` with every minibatch step built as an
-    ``nn`` graph and differentiated by ``nn.backward``; each parameter's
-    ``grad`` goes to its net's ``Adam.step``."""
+    ``nn`` graph, each loss differentiated by its own ``nn.backward``; then
+    every parameter's ``grad`` goes to the nets' one ``Adam.step``."""
     from optiqkd.controller import LOG2PI, discounted_returns
 
     cfg = nets.cfg
@@ -483,7 +482,7 @@ def ppo_update_oracle(buffer, nets):
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
     snap = {name: p.data.copy() for name, p in nets.named.items()}
-    opt_snap = copy.deepcopy((nets.opt_actor.state, nets.opt_critic.state))
+    opt_snap = copy.deepcopy(nets.opt.state)
     rng = np.random.Generator(np.random.Philox(key=len(buffer)))
     policy_losses, value_losses, entropies = [], [], []
     try:
@@ -508,15 +507,14 @@ def ppo_update_oracle(buffer, nets):
                 if not (np.isfinite(policy_loss.data) and np.isfinite(value_loss.data)):
                     raise nn.DivergenceError("non-finite PPO loss")
                 nn.backward(policy_loss)
-                nets.opt_actor.step([p.grad for p in nets.opt_actor.params])
                 nn.backward(value_loss)
-                nets.opt_critic.step([p.grad for p in nets.opt_critic.params])
+                nets.opt.step([p.grad for p in nets.opt.params])
                 policy_losses.append(float(policy_loss.data))
                 value_losses.append(float(value_loss.data))
                 entropies.append(float(entropy.data))
     except nn.DivergenceError:
         nn.set_params(nets.named, snap)
-        nets.opt_actor.state, nets.opt_critic.state = opt_snap
+        nets.opt.state = opt_snap
         buffer.clear()
         raise
     report = {

@@ -293,8 +293,7 @@ def test_05_ppo_toy_convergence():
         mask = np.ones(1)
         for update in range(200):
             if update == 120:
-                nets.opt_actor.lr /= 10.0
-                nets.opt_critic.lr /= 10.0
+                nets.opt.lr /= 10.0
             for _ in range(cfg.rollout):
                 mean, v = nets.mean_value(obs)
                 sigma = nets.sigma()

@@ -365,13 +365,12 @@ def add_transitions(bufs, nets, rng, mask, n, reward_fn):
 
 
 def assert_same_learner(got, want):
-    """Parameters, both Adam states (``m``, ``v``, ``t``) and the buffer."""
+    """Parameters, the Adam state (``m``, ``v``, ``t``) and the buffer."""
     for name, p in got.named.items():
         assert np.array_equal(p.data, want.named[name].data), name
-    for opt in ("opt_actor", "opt_critic"):
-        a, b = getattr(got, opt).state, getattr(want, opt).state
-        assert a["t"] == b["t"], opt
-        assert np.array_equal(a["m"], b["m"]) and np.array_equal(a["v"], b["v"]), opt
+    a, b = got.opt.state, want.opt.state
+    assert a["t"] == b["t"]
+    assert np.array_equal(a["m"], b["m"]) and np.array_equal(a["v"], b["v"])
     assert len(got.buffer) == len(want.buffer) == 0
 
 
@@ -439,8 +438,7 @@ class TestPpoAgainstOracle:
         def lower(i, *both):
             if i == 1:
                 for nets in both:
-                    nets.opt_actor.lr /= 10.0
-                    nets.opt_critic.lr /= 7.0
+                    nets.opt.lr /= 10.0
 
         nets = ActorCritic(PpoConfig(rollout=128), rng=np.random.default_rng(46))
         run_against_oracle(nets, 3, "cow", before_update=lower)
@@ -464,15 +462,15 @@ class TestPpoAgainstOracle:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_inf_gradient_restores_snapshot(self):
         # huge observations the critic's tiny first layer keeps finite: the
-        # losses are finite, the critic's first-layer gradient overflows
-        # after the actor (whose second layer is zero) has stepped
+        # losses and the actor's gradients (its second layer is zero) are
+        # finite, the critic's first-layer gradient overflows
         nets = ActorCritic(PpoConfig(rollout=64), rng=np.random.default_rng(49))
         for layers in (nets.actor, nets.critic):
             layers[0].w.data *= 1e-308
         nets.actor[1].w.data[:] = 0.0
         ref = copy.deepcopy(nets)
         before = copy.deepcopy(nets.state_arrays())
-        states = copy.deepcopy((nets.opt_actor.state, nets.opt_critic.state))
+        state = copy.deepcopy(nets.opt.state)
         rng = np.random.default_rng(50)
         add_transitions((nets.buffer, ref.buffer), nets, rng, np.ones(5), 64,
                         lambda rng: 1e6 * rng.normal())
@@ -483,11 +481,10 @@ class TestPpoAgainstOracle:
         with pytest.raises(nn.DivergenceError):
             ppo_update_oracle(ref.buffer, ref)
         assert_same_learner(nets, ref)
-        # the actor's discarded step leaves no trace in its Adam state either
-        for opt, state in zip((nets.opt_actor, nets.opt_critic), states):
-            assert opt.state["t"] == state["t"] == 0
-            assert np.array_equal(opt.state["m"], state["m"])
-            assert np.array_equal(opt.state["v"], state["v"])
+        # the rejected step leaves no trace in the Adam state either
+        assert nets.opt.state["t"] == state["t"] == 0
+        assert np.array_equal(nets.opt.state["m"], state["m"])
+        assert np.array_equal(nets.opt.state["v"], state["v"])
         for name, arr in before.items():
             assert np.array_equal(nets.named[name].data, arr), name
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from optiqkd.channel import ControlState, NoiseSchedule, Telemetry
+from optiqkd import loop
+from optiqkd.channel import ChannelConfig, ControlState, NoiseSchedule, Telemetry
 from optiqkd.controller import PpoConfig, ActorCritic
 from optiqkd.loop import (BlockRecord, ConfigMismatchError,
                           EPISODE_CSV_HEADER, EpisodeLog, METRICS_CSV_HEADER,
@@ -28,15 +29,36 @@ def storm(blocks):
                          name="storm")
 
 
+@pytest.fixture
+def ml_calls(monkeypatch):
+    """Counts of the closed loop's ``act`` calls and of the forecasts that
+    ran the model (not the persistence fallback) while the test runs."""
+    counts = {"act": 0, "forecast": 0}
+    act, forecast = loop.act, Forecaster.forecast
+
+    def counted_act(*args, **kwargs):
+        counts["act"] += 1
+        return act(*args, **kwargs)
+
+    def counted_forecast(self):
+        before = self.calls
+        out = forecast(self)
+        counts["forecast"] += self.calls - before
+        return out
+
+    monkeypatch.setattr(loop, "act", counted_act)
+    monkeypatch.setattr(Forecaster, "forecast", counted_forecast)
+    return counts
+
+
 def synthetic_log(skr_values, controller="static", scenario="synthetic", seed=0):
     log = EpisodeLog(scenario=scenario, seed=seed, controller=controller)
     telem = Telemetry(block_index=0, n_pulses=1, n_sifted=1, n_errors=0,
                       q_mu_hat=0.0, e_mu_hat=0.0, e_lo=0.0, e_hi=0.0,
                       v_hat=1.0, eta_hat=0.0)
     for i, v in enumerate(skr_values):
-        log.records.append(BlockRecord(block=i, ctrl=ControlState(), telem=telem,
-                                       skr_bps=float(v), skr_finite=0.0,
-                                       reward=0.0))
+        log.records.append(BlockRecord(ctrl=ControlState(), telem=telem, skr_bps=float(v),
+                                       skr_finite=0.0, reward=0.0))
     return log
 
 
@@ -52,7 +74,7 @@ class TestRunEpisode:
 
     def test_forced_high_qber_aborts_fast(self):
         log = run_episode(LINK, PROTO, storm(10), "static", seed=1, blocks=10)
-        aborted_at = [r.block for r in log.records if r.telem.aborted]
+        aborted_at = [r.telem.block_index for r in log.records if r.telem.aborted]
         assert aborted_at and aborted_at[0] <= 2
 
     def test_determinism_bitwise(self):
@@ -92,10 +114,10 @@ class TestRunEpisode:
                    for l in lines[1:])
         assert lines[1].endswith("static")
 
-    def test_controller_isolation(self):
+    def test_controller_isolation(self, ml_calls):
         for kind in ("static", "recalib"):
-            log = run_episode(LINK, PROTO, "nominal", kind, seed=6, blocks=40)
-            assert log.tcn_calls == 0 and log.policy_calls == 0
+            run_episode(LINK, PROTO, "nominal", kind, seed=6, blocks=40)
+        assert ml_calls == {"act": 0, "forecast": 0}
 
     def test_ml_requires_networks(self):
         with pytest.raises(ConfigMismatchError):
@@ -110,38 +132,43 @@ class TestRunEpisode:
         with pytest.raises(ConfigMismatchError):
             run_episode(LINK, PROTO, "nominal", "pid", seed=1, blocks=10)
 
-    def test_ml_uses_models_and_is_deterministic(self):
+    def test_ml_uses_models_and_is_deterministic(self, ml_calls):
         cfg = PpoConfig(rollout=64, minibatch=32)
         def fresh():
             return ActorCritic(cfg, rng=np.random.Generator(np.random.Philox(key=1)))
         a, b = (run_episode(LINK, PROTO, "nominal", "ml", seed=8, blocks=80,
                             tcn_model=small_tcn(), nets=fresh()) for _ in range(2))
         assert a.csv() == b.csv()
-        assert a.policy_calls == 79  # acts from block 1 on
-        assert a.tcn_calls == 78  # the first forecast, on one row, falls back
+        # per episode: acts from block 1 on; the first forecast, on one row,
+        # falls back to persistence
+        assert ml_calls == {"act": 2 * 79, "forecast": 2 * 78}
 
     def test_ml_forecaster_sees_at_most_window_rows(self, monkeypatch):
         cfg = TcnConfig(dilations=(1, 2), hidden=6, window=8)
         model = TcnModel(cfg, np.random.Generator(np.random.Philox(key=3)))
         nets = ActorCritic(PpoConfig(), rng=np.random.Generator(np.random.Philox(key=1)))
-        spans = []
+        spans, model_backed = [], []
         original = Forecaster.forecast
 
         def spy(self):
             spans.append([len(q) for q in self.queues])
-            return original(self)
+            before = self.calls
+            out = original(self)
+            model_backed.append(self.calls - before)
+            return out
 
         monkeypatch.setattr(Forecaster, "forecast", spy)
-        log = run_episode(LINK, PROTO, "noise-sweep", "ml", seed=4, blocks=300,
-                          tcn_model=model, nets=nets)
+        run_episode(LINK, PROTO, "noise-sweep", "ml", seed=4, blocks=300,
+                    tcn_model=model, nets=nets)
         assert len(spans) == 299
         # each layer keeps its (k-1)*d + 1 inputs, never more than the window
         assert all(s == [3, 5] for s in spans)
         assert max(map(max, spans)) <= cfg.window
-        assert log.tcn_calls == 299 - (cfg.window - 1)  # warm-up falls back
+        # the warm-up falls back, every later forecast runs the model
+        assert model_backed == [0] * (cfg.window - 1) + [1] * (299 - (cfg.window - 1))
 
     def test_learner_state_carries_over_episodes(self):
-        # the buffer and the optimizers live on the nets, not the episode
+        # the buffer and the optimizer live on the nets, not the episode
         cfg = PpoConfig(rollout=64, minibatch=32)
         nets = ActorCritic(cfg, rng=np.random.Generator(np.random.Philox(key=1)))
         first = run_episode(LINK, PROTO, "nominal", "ml", seed=1, blocks=50,
@@ -152,8 +179,7 @@ class TestRunEpisode:
                              tcn_model=small_tcn(), nets=nets)
         assert len(second.updates) == 1
         assert len(nets.buffer) == 2 * 49 - cfg.rollout
-        assert nets.opt_actor.state["t"] == cfg.epochs * 2  # two minibatches an epoch
-        assert nets.opt_critic.state["t"] == cfg.epochs * 2
+        assert nets.opt.state["t"] == cfg.epochs * 2  # two minibatches an epoch
 
 
 class TestRecalib:
@@ -169,6 +195,24 @@ class TestRecalib:
         scan_skr = [log.records[t].skr_bps for t in range(5)]
         held = log.records[6].ctrl.mu_s
         assert held == RECALIB_GRID[int(np.argmax(scan_skr))]
+
+    @pytest.mark.parametrize("kind", ["bb84", "e91", "cow"])
+    def test_hold_after_abort_keeps_scan_argmax(self, kind):
+        # an abort resets the ml controller to nominal; recalib's next held
+        # block still holds its scan's argmax
+        proto = ProtocolConfig(kind=kind)
+        log = run_episode(LINK, proto, "sine-drift", "recalib", seed=3, blocks=100,
+                          channel=ChannelConfig(n_pulses=2000, abort_qber=0.05))
+        held_after_abort = [t for t in range(1, 100)
+                            if log.records[t - 1].telem.aborted and t % 15 >= 5]
+        moved = 0
+        for t in held_after_abort:
+            start = t - t % 15
+            scan = [r.skr_bps for r in log.records[start:start + 5]]
+            best = RECALIB_GRID[int(np.argmax(scan))]
+            assert log.records[t].ctrl.mu_s == best, t
+            moved += best != nominal_control(proto).mu_s
+        assert moved > 0
 
     def test_first_post_event_change_at_next_scan(self):
         log = run_episode(LINK, PROTO, "splice-3db", "recalib", seed=11, blocks=210)
