@@ -193,7 +193,9 @@ def wcp_gain(mu: float, eta: float, y0: float, e_d: float,
 
 
 def bb84_model_gains(link: LinkParams, mu: float) -> Tuple[float, float]:
-    """:func:`wcp_gain`'s (Q_mu, E_mu) at a link's nominal transmittance."""
+    """:func:`wcp_gain`'s (Q_mu, E_mu) of any weak coherent pulse of mean
+    photon number ``mu`` (BB84's signal or decoy, COW's pulse) at a link's
+    nominal transmittance."""
     return wcp_gain(mu, transmittance(link), link.y0, link.e_d, link.e0)
 
 
@@ -426,7 +428,7 @@ def _e91_point(link: LinkParams, proto: ProtocolConfig, q: float):
 
 
 def _cow_point(link: LinkParams, proto: ProtocolConfig, q: float):
-    q_mu, e_mu = wcp_gain(proto.cow.alpha_sq, transmittance(link), link.y0, link.e_d, link.e0)
+    q_mu, e_mu = bb84_model_gains(link, proto.cow.alpha_sq)
     return q_mu, e_mu, cow_key_rate(q_mu, e_mu, 0.0, proto, f_rep=link.f_rep, q=q)
 
 
