@@ -1,9 +1,11 @@
 """The benchmark in ``perfbench/`` times functions by replacing them at the
 names its ``tracer.CALL_SITES`` and ``tracer.EpisodeTimer`` list, runs
-commands on the scenarios its ``workloads`` names, and times the nn kernels
-in ``kernels``. Only its traced smoke test, outside this suite, runs the
-first two; these checks fail here first when a listed name is renamed,
-moved, dropped or no longer called, or when a kernel case no longer runs."""
+commands on the scenarios its ``workloads`` names, checks each command's
+outputs with ``checks``, and times the nn kernels in ``kernels``. Only its
+traced smoke test, outside this suite, runs the first two; these checks
+fail here first when a listed name is renamed, moved, dropped or no longer
+called, when an output check fails or raises, or when a kernel case no
+longer runs."""
 
 import importlib.util
 from pathlib import Path
@@ -16,6 +18,11 @@ import numpy as np
 from optiqkd.tcn import FEATURES, Forecaster, TcnConfig, TcnModel
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TINY = ["--set", "tcn.dilations=1,2", "--set", "tcn.hidden=4", "--set", "tcn.window=8",
+        "--set", "tcn.epochs=1", "--set", "train.tcn_blocks=20",
+        "--set", "ppo.rollout=16", "--set", "ppo.minibatch=8",
+        "--set", "train.ppo_updates=1", "--set", "train.ppo_blocks=20",
+        "--set", "channel.n_pulses=10000"]
 
 
 def load(name):
@@ -69,20 +76,30 @@ def test_episode_timer_targets_are_called(tmp_path):
     # the benchmark's set-up, one no longer called leaves its time empty
     timer = load("tracer").EpisodeTimer()
     originals = (cli.train_forecaster, cli.run_episode, loop.run_episode)
-    tiny = ["--set", "tcn.dilations=1,2", "--set", "tcn.hidden=4", "--set", "tcn.window=8",
-            "--set", "tcn.epochs=1", "--set", "train.tcn_blocks=20",
-            "--set", "ppo.rollout=16", "--set", "ppo.minibatch=8",
-            "--set", "train.ppo_updates=1", "--set", "train.ppo_blocks=20",
-            "--set", "channel.n_pulses=10000"]
     with timer.installed():
-        assert cli.main(["train", "tcn", "--out", str(tmp_path)] + tiny) == 0
+        assert cli.main(["train", "tcn", "--out", str(tmp_path)] + TINY) == 0
         assert timer.train_start is not None
         assert cli.main(["train", "ppo", "--tcn", str(tmp_path / "tcn_seed0.ckpt"),
-                         "--out", str(tmp_path)] + tiny) == 0
+                         "--out", str(tmp_path)] + TINY) == 0
         assert [c for c, *_ in timer.episodes] == ["ml"]
-        assert cli.main(["simulate", "--blocks", "5", "--out", str(tmp_path)] + tiny) == 0
+        assert cli.main(["simulate", "--blocks", "5", "--out", str(tmp_path)] + TINY) == 0
         assert [(c, blocks) for c, blocks, *_ in timer.episodes] == [("ml", 20), ("static", 5)]
     assert (cli.train_forecaster, cli.run_episode, loop.run_episode) == originals
+
+
+def test_output_checks_pass_on_each_op(tmp_path):
+    # every benchmark op is checked by checks.check_op, which reads the
+    # package (the policy's actor_params and critic_params among it); the
+    # benchmark treats an exception other than OSError, ValueError,
+    # KeyError or IndexError from a check as a crashed run
+    checks, workloads = load("checks"), load("workloads")
+    tcn = workloads.train_tcn(3, str(tmp_path / "tcn"), epochs=1, blocks=20)
+    ppo = workloads.train_ppo(3, str(tmp_path / "ppo"), tcn["ckpt"], updates=1, blocks=20)
+    ev = workloads.evaluate(3, str(tmp_path / "eval"), tcn["ckpt"], ppo["ckpt"],
+                            blocks=workloads.WARMUP_BLOCKS + 10)
+    for op in (tcn, ppo, ev):
+        rc = cli.main(op["argv"] + TINY)
+        assert checks.check_op(op, Path(op["out"]), rc) == [], op["argv"][:2]
 
 
 def test_forecaster_counts_model_calls():
